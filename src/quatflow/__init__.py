@@ -22,7 +22,6 @@ from .dynamics import (
     step_rk4,
 )
 from .expressions import (
-    DualScalar,
     EvaluationError,
     ExpressionError,
     ExpressionSyntaxError,

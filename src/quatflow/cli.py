@@ -222,11 +222,44 @@ def run_config_file(path: str | Path, tolerance_scale: float = 1.0) -> int:
     return run_config(config, tolerance_scale)
 
 
+def _shared_output_prefixes(paths: list[Path]) -> list[tuple[Path, Path, Path]]:
+    """(earlier config, later config, resolved prefix) for each reused output prefix.
+
+    Only the raw output_prefix field is read; a config without a readable
+    one cannot clash and reports its own error when it runs.
+    """
+    owners: dict[Path, Path] = {}
+    clashes = []
+    for path in paths:
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            continue
+        prefix = raw.get("output_prefix") if isinstance(raw, dict) else None
+        if not isinstance(prefix, str) or not prefix:
+            continue
+        resolved = Path(prefix).resolve()
+        if resolved in owners:
+            clashes.append((owners[resolved], path, resolved))
+        else:
+            owners[resolved] = path
+    return clashes
+
+
 def run_batch(directory: str | Path, tolerance_scale: float = 1.0) -> int:
-    """Run every *.json config in a directory, one trajectory per worker."""
+    """Run every *.json config in a directory, one trajectory per worker.
+
+    Configs that would write to the same output prefix are refused before
+    any of them runs, since their workers would race on the same files.
+    """
     paths = sorted(Path(directory).glob("*.json"))
     if not paths:
         print(f"error: no *.json configs in {directory}", file=sys.stderr)
+        return 1
+    clashes = _shared_output_prefixes(paths)
+    for first, second, prefix in clashes:
+        print(f"error: configs {first} and {second} share output_prefix {prefix}", file=sys.stderr)
+    if clashes:
         return 1
     with ThreadPoolExecutor() as pool:
         codes = list(pool.map(lambda p: run_config_file(p, tolerance_scale), paths))

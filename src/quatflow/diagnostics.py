@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    HamiltonianSystem,
-    PhasePoint,
-    Trajectory,
-    hamiltonian_vector_field,
-    step_implicit_midpoint,
-    step_rk4,
-)
+from .dynamics import _STEPPERS, HamiltonianSystem, PhasePoint, Trajectory, hamiltonian_vector_field
 from .expressions import ExpressionError, ScalarField, evaluate
 from .structures import structure_triple, verify_quaternion_relations
 
@@ -107,8 +100,7 @@ def step_jacobian(
     h: float = JACOBIAN_PROBE_STEP,
 ) -> np.ndarray:
     """Central-difference Jacobian of the one-step map at a point."""
-    steppers = {"rk4": step_rk4, "implicit_midpoint": step_implicit_midpoint}
-    stepper = steppers[method]
+    stepper = _STEPPERS[method]
     base = point.coordinates
     size = base.size
     jacobian = np.empty((size, size))

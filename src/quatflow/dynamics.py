@@ -8,8 +8,9 @@ Omega^T X = grad H, so
     X = Omega^{-T} grad H.
 
 Omega is a skew signed permutation here, so its inverse transpose is again
-a signed permutation computed once per system; each field evaluation is a
-gradient pass plus one matrix-vector product.  Two fixed-step one-step
+a signed permutation computed once per system; each field evaluation is one
+call of the Hamiltonian's compiled reverse-mode gradient kernel plus one
+matrix-vector product.  Two fixed-step one-step
 methods integrate the flow: classical RK4 and the implicit midpoint rule,
 the latter solved by Newton iteration with a finite-difference Jacobian
 and symplectic for any constant Omega.

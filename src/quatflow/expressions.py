@@ -10,10 +10,16 @@ binding looser than '^' so that -x1^2 means -(x1^2)):
     atom   := NUMBER | IDENT | '(' expr ')' | FUNC '(' expr ')'
 
 Identifiers are the coordinates x1 .. x{4n}; the function set is sin, cos,
-exp, sqrt; numeric literals are IEEE doubles.  Gradients are computed by
-forward-mode dual numbers, one seeded pass per coordinate, which satisfies
-the product and chain rules to machine precision; a central-difference
-gradient is provided as an independent cross-check.
+exp, sqrt; numeric literals are IEEE doubles.  `evaluate` interprets the
+AST directly.  `gradient` runs a kernel compiled from the AST on first use:
+one straight-line Python function that makes a forward sweep over plain
+floats and one reverse (adjoint) sweep, so the whole gradient costs a small
+multiple of one evaluation whatever the dimension (the cheap-gradient
+principle; Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008).  A
+domain error, whether of the value or only of its derivative, raises
+EvaluationError naming the offending subexpression.  A central-difference gradient is provided as an
+independent cross-check; the seeded dual-number passes the kernel replaced
+live on in the tests as a second oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -108,6 +115,11 @@ class ScalarField:
     dim: BlockDim
     root: Node
 
+    @cached_property
+    def gradient_kernel(self) -> "_GradientKernel":
+        """The compiled value-and-gradient function, built on first use."""
+        return _GradientKernel(self)
+
 
 @dataclass(frozen=True, eq=False)
 class Gradient:
@@ -122,104 +134,6 @@ class Gradient:
             raise ValueError(f"gradient must have length {self.dim.total}")
         components.flags.writeable = False
         object.__setattr__(self, "components", components)
-
-
-# --- dual numbers ----------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class DualScalar:
-    """First-order dual number a + b*eps with eps^2 = 0."""
-
-    value: float
-    derivative: float
-
-    def __add__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.value + other.value, self.derivative + other.derivative)
-        return DualScalar(self.value + other, self.derivative)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.value - other.value, self.derivative - other.derivative)
-        return DualScalar(self.value - other, self.derivative)
-
-    def __rsub__(self, other):
-        return DualScalar(other - self.value, -self.derivative)
-
-    def __mul__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(
-                self.value * other.value,
-                self.value * other.derivative + self.derivative * other.value,
-            )
-        return DualScalar(self.value * other, self.derivative * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DualScalar):
-            quotient = self.value / other.value
-            return DualScalar(
-                quotient,
-                (self.derivative - quotient * other.derivative) / other.value,
-            )
-        return DualScalar(self.value / other, self.derivative / other)
-
-    def __rtruediv__(self, other):
-        quotient = other / self.value
-        return DualScalar(quotient, -quotient * self.derivative / self.value)
-
-    def __neg__(self):
-        return DualScalar(-self.value, -self.derivative)
-
-    def __pow__(self, other):
-        if isinstance(other, DualScalar):
-            if other.derivative == 0.0:
-                return self._pow_constant(other.value)
-            if self.value <= 0.0:
-                raise ValueError("dual exponentiation with varying exponent needs a positive base")
-            value = self.value ** other.value
-            return DualScalar(
-                value,
-                value
-                * (other.derivative * math.log(self.value) + other.value * self.derivative / self.value),
-            )
-        return self._pow_constant(float(other))
-
-    def __rpow__(self, other):
-        return DualScalar(float(other), 0.0) ** self
-
-    def _pow_constant(self, exponent: float) -> "DualScalar":
-        value = self.value ** exponent
-        if isinstance(value, complex):
-            raise ValueError("fractional power of a negative base")
-        if exponent == 0.0:
-            return DualScalar(value, 0.0)
-        return DualScalar(value, exponent * self.value ** (exponent - 1.0) * self.derivative)
-
-
-def _dual_sin(v: DualScalar) -> DualScalar:
-    return DualScalar(math.sin(v.value), math.cos(v.value) * v.derivative)
-
-
-def _dual_cos(v: DualScalar) -> DualScalar:
-    return DualScalar(math.cos(v.value), -math.sin(v.value) * v.derivative)
-
-
-def _dual_exp(v: DualScalar) -> DualScalar:
-    value = math.exp(v.value)
-    return DualScalar(value, value * v.derivative)
-
-
-def _dual_sqrt(v: DualScalar) -> DualScalar:
-    value = math.sqrt(v.value)
-    return DualScalar(value, v.derivative / (2.0 * value))
-
-
-_DUAL_FUNCTIONS = {"sin": _dual_sin, "cos": _dual_cos, "exp": _dual_exp, "sqrt": _dual_sqrt}
-_PLAIN_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
 
 
 # --- parsing ---------------------------------------------------------------
@@ -400,7 +314,10 @@ def format_expression(field_or_node: ScalarField | Node) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-def _eval(node: Node, values):
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
+
+
+def _eval(node: Node, values: list[float]) -> float:
     if isinstance(node, Number):
         return node.value
     if isinstance(node, Variable):
@@ -419,8 +336,6 @@ def _eval(node: Node, values):
             if op == "*":
                 return left * right
             if op == "/":
-                if (right.value if isinstance(right, DualScalar) else right) == 0.0:
-                    raise ZeroDivisionError("division by zero")
                 return left / right
             result = left ** right
             if isinstance(result, complex):
@@ -430,9 +345,7 @@ def _eval(node: Node, values):
             raise EvaluationError(str(exc), _format(node, 0)) from exc
     argument = _eval(node.argument, values)
     try:
-        if isinstance(argument, DualScalar):
-            return _DUAL_FUNCTIONS[node.name](argument)
-        return _PLAIN_FUNCTIONS[node.name](argument)
+        return _FUNCTIONS[node.name](argument)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise EvaluationError(str(exc), _format(node, 0)) from exc
 
@@ -451,16 +364,10 @@ def evaluate(field: ScalarField, point) -> float:
 
 
 def gradient(field: ScalarField, point) -> Gradient:
-    """Exact-to-machine-precision gradient by seeded dual-number passes."""
+    """Exact-to-machine-precision gradient from the field's compiled kernel."""
     point = _check_point(field.dim, point)
-    plain = point.tolist()
-    size = field.dim.total
-    components = np.empty(size)
-    for seed in range(size):
-        values = [DualScalar(plain[j], 1.0 if j == seed else 0.0) for j in range(size)]
-        result = _eval(field.root, values)
-        components[seed] = result.derivative if isinstance(result, DualScalar) else 0.0
-    return Gradient(field.dim, components)
+    _, components = field.gradient_kernel(point.tolist())
+    return Gradient(field.dim, np.array(components))
 
 
 def fd_gradient(field: ScalarField, point, h: float) -> Gradient:
@@ -479,6 +386,207 @@ def fd_gradient(field: ScalarField, point, h: float) -> Gradient:
     return Gradient(field.dim, components)
 
 
+# --- compiled reverse-mode gradient ----------------------------------------
+
+# the kernel source opens with its def line and the unpacking of x, so
+# forward statement k sits on line k + 3
+_FIRST_FORWARD_LINE = 3
+
+
+@dataclass(slots=True)
+class _Value:
+    """One AST node as the forward sweep left it."""
+
+    node: Node
+    expr: str  # Python expression holding the node's value
+    varying: bool  # depends on some coordinate
+    operands: tuple = ()
+    partial: object = None  # local partial derivative(s) the reverse sweep uses
+
+
+def _simple(expr: str) -> bool:
+    # names and literals carry no blank; every emitted product or quotient does
+    return " " not in expr
+
+
+def _times(adjoint: str | None, factor: str) -> str:
+    return factor if adjoint is None else f"{adjoint} * {factor}"
+
+
+class _KernelSource:
+    """Straight-line Python source for one field's value and gradient.
+
+    The forward sweep assigns one temporary per operator node, in the
+    interpreter's evaluation order, so its value is the interpreter's bit
+    for bit.  Right after each value it forms the local partial derivatives
+    that the reverse sweep needs, which is where the domain errors that only
+    a derivative meets surface: sqrt' at 0, c*x^(c-1) at x = 0 for c < 1,
+    and log(x) for a base x <= 0 under an exponent that depends on a
+    coordinate.  The reverse sweep then carries adjoints from the root down
+    to the coordinates with products, quotients by checked nonzero values
+    and sums only, so it cannot raise.  owners[k] is the node whose
+    evaluation forward statement k belongs to.
+    """
+
+    def __init__(self, field: ScalarField):
+        self.forward: list[str] = []
+        self.owners: list[Node] = []
+        self.reverse: list[str] = []
+        self.constants: dict[str, float] = {}
+        self.assigned: set[int] = set()
+        root = self._emit(field.root)
+        if root.varying:
+            self._back(root, None, False)
+        size = field.dim.total
+        unpack = ", ".join(f"x{a}" for a in range(1, size + 1))
+        components = ", ".join(f"g{a}" if a in self.assigned else "0.0" for a in range(1, size + 1))
+        self.text = "\n".join(
+            ["def kernel(x):", f"    {unpack}, = x"]
+            + [f"    {line}" for line in self.forward + self.reverse]
+            + [f"    return {root.expr}, [{components}]", ""]
+        )
+
+    def _literal(self, value: float) -> str:
+        if not math.isfinite(value):
+            name = f"k{len(self.constants)}"
+            self.constants[name] = value
+            return name
+        return repr(value) if math.copysign(1.0, value) > 0.0 else f"({value!r})"
+
+    def _line(self, node: Node, expr: str) -> str:
+        name = f"t{len(self.forward)}"
+        self.forward.append(f"{name} = {expr}")
+        self.owners.append(node)
+        return name
+
+    def _check(self, node: Node, condition: str, error: str) -> None:
+        self.forward.append(f"if {condition}: raise {error}")
+        self.owners.append(node)
+
+    def _emit(self, node: Node) -> _Value:
+        if isinstance(node, Number):
+            return _Value(node, self._literal(node.value), False)
+        if isinstance(node, Variable):
+            return _Value(node, f"x{node.index}", True)
+        if isinstance(node, Negation):
+            operand = self._emit(node.operand)
+            return _Value(node, self._line(node, f"-{operand.expr}"), operand.varying, (operand,))
+        if isinstance(node, FunctionCall):
+            return self._emit_function(node)
+        left, right = self._emit(node.left), self._emit(node.right)
+        value = _Value(node, "", left.varying or right.varying, (left, right))
+        if node.op != "^":
+            value.expr = self._line(node, f"{left.expr} {node.op} {right.expr}")
+            return value
+        b, c = left.expr, right.expr
+        power = value.expr = self._line(node, f"{b} ** {c}")
+        if not (isinstance(node.right, Number) and node.right.value.is_integer()):
+            self._check(node, f"{power}.__class__ is complex", "ValueError('fractional power of a negative base')")
+        base_partial = exponent_partial = None
+        if right.varying:  # log raises for a base <= 0
+            exponent_partial = self._line(node, f"{power} * log({b})")
+        if left.varying:
+            if not isinstance(node.right, Number):
+                base_partial = self._line(node, f"{c} * {b} ** ({c} - 1.0) if {c} != 0.0 else 0.0")
+            elif node.right.value != 0.0:
+                base_partial = self._line(node, f"{c} * {b} ** {self._literal(node.right.value - 1.0)}")
+        value.partial = (base_partial, exponent_partial)
+        return value
+
+    def _emit_function(self, node: FunctionCall) -> _Value:
+        operand = self._emit(node.argument)
+        value = _Value(node, "", operand.varying, (operand,))
+        value.expr = self._line(node, f"{node.name}({operand.expr})")
+        if not operand.varying:
+            return value
+        if node.name == "sin":
+            value.partial = self._line(node, f"cos({operand.expr})")
+        elif node.name == "cos":
+            value.partial = self._line(node, f"sin({operand.expr})")  # sign applied in _back
+        elif node.name == "exp":
+            value.partial = value.expr
+        else:
+            value.partial = self._line(node, f"2.0 * {value.expr}")
+            self._check(node, f"{value.partial} == 0.0", "ZeroDivisionError('float division by zero')")
+        return value
+
+    def _back(self, value: _Value, adjoint: str | None, negated: bool) -> None:
+        """Emit the reverse sweep below a node whose adjoint is -+adjoint (None: 1)."""
+        node = value.node
+        if isinstance(node, Variable):
+            term = adjoint or "1.0"
+            if node.index in self.assigned:
+                self.reverse.append(f"g{node.index} {'-=' if negated else '+='} {term}")
+            else:
+                self.assigned.add(node.index)
+                self.reverse.append(f"g{node.index} = {'-' if negated else ''}{term}")
+            return
+        if isinstance(node, Negation):
+            self._back(value.operands[0], adjoint, not negated)
+            return
+        if adjoint is not None and not _simple(adjoint):
+            name = f"a{len(self.reverse)}"
+            self.reverse.append(f"{name} = {adjoint}")
+            adjoint = name
+        if isinstance(node, FunctionCall):
+            (operand,) = value.operands
+            if node.name == "sqrt":
+                self._back(operand, f"{adjoint or '1.0'} / {value.partial}", negated)
+            else:
+                self._back(operand, _times(adjoint, value.partial), negated != (node.name == "cos"))
+            return
+        left, right = value.operands
+        if node.op in "+-":
+            if left.varying:
+                self._back(left, adjoint, negated)
+            if right.varying:
+                self._back(right, adjoint, negated != (node.op == "-"))
+        elif node.op == "*":
+            if left.varying:
+                self._back(left, _times(adjoint, right.expr), negated)
+            if right.varying:
+                self._back(right, _times(adjoint, left.expr), negated)
+        elif node.op == "/":
+            if left.varying:
+                self._back(left, f"{adjoint or '1.0'} / {right.expr}", negated)
+            if right.varying:
+                self._back(right, f"{_times(adjoint, value.expr)} / {right.expr}", not negated)
+        else:
+            base_partial, exponent_partial = value.partial
+            if base_partial is not None:
+                self._back(left, _times(adjoint, base_partial), negated)
+            if exponent_partial is not None:
+                self._back(right, _times(adjoint, exponent_partial), negated)
+
+
+class _GradientKernel:
+    """A field compiled to one function: values of 4n floats -> (H, grad H).
+
+    Domain errors raise EvaluationError naming the subexpression whose
+    statement raised, read off the traceback's line number, so the kernel
+    costs nothing for the bookkeeping until something fails.
+    """
+
+    def __init__(self, field: ScalarField):
+        source = _KernelSource(field)
+        namespace = {**_FUNCTIONS, "log": math.log, **source.constants}
+        exec(compile(source.text, "<quatflow gradient kernel>", "exec"), namespace)
+        self._function = namespace["kernel"]
+        self._owners = source.owners
+
+    def __call__(self, values: list[float]) -> tuple[float, list[float]]:
+        try:
+            return self._function(values)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            trace = exc.__traceback__
+            while trace.tb_next is not None:
+                trace = trace.tb_next
+            index = trace.tb_lineno - _FIRST_FORWARD_LINE
+            if trace.tb_frame.f_code is not self._function.__code__ or not 0 <= index < len(self._owners):
+                raise
+            raise EvaluationError(str(exc), _format(self._owners[index], 0)) from exc
+
+
 # --- demo Hamiltonians -----------------------------------------------------
 
 def quadratic_energy_text(dim: BlockDim) -> str:
@@ -493,8 +601,3 @@ DEMO_HAMILTONIANS = {
     "oscillatory": "sin(x1) + exp(x2)/4",
 }
 
-
-def demo_hamiltonians(dim: BlockDim | None = None) -> dict[str, ScalarField]:
-    """The stock n = 1 Hamiltonians, parsed."""
-    dim = dim or BlockDim(1)
-    return {name: parse(text, dim) for name, text in DEMO_HAMILTONIANS.items()}

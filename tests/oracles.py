@@ -7,7 +7,20 @@ package, so that agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from quatflow.expressions import (
+    BinaryOp,
+    EvaluationError,
+    Negation,
+    Number,
+    ScalarField,
+    Variable,
+    format_expression,
+)
 
 
 def expm_taylor(matrix: np.ndarray) -> np.ndarray:
@@ -110,3 +123,147 @@ EXPECTED_WEDGE_PAIRS = {
 
 def expected_symplectic_matrix(label: str, n: int) -> np.ndarray:
     return wedge_matrix(EXPECTED_WEDGE_PAIRS[label], n)
+
+
+@dataclass(frozen=True, slots=True)
+class DualScalar:
+    """First-order dual number a + b*eps with eps^2 = 0."""
+
+    value: float
+    derivative: float
+
+    def __add__(self, other):
+        if isinstance(other, DualScalar):
+            return DualScalar(self.value + other.value, self.derivative + other.derivative)
+        return DualScalar(self.value + other, self.derivative)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, DualScalar):
+            return DualScalar(self.value - other.value, self.derivative - other.derivative)
+        return DualScalar(self.value - other, self.derivative)
+
+    def __rsub__(self, other):
+        return DualScalar(other - self.value, -self.derivative)
+
+    def __mul__(self, other):
+        if isinstance(other, DualScalar):
+            return DualScalar(
+                self.value * other.value,
+                self.value * other.derivative + self.derivative * other.value,
+            )
+        return DualScalar(self.value * other, self.derivative * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, DualScalar):
+            quotient = self.value / other.value
+            return DualScalar(
+                quotient,
+                (self.derivative - quotient * other.derivative) / other.value,
+            )
+        return DualScalar(self.value / other, self.derivative / other)
+
+    def __rtruediv__(self, other):
+        quotient = other / self.value
+        return DualScalar(quotient, -quotient * self.derivative / self.value)
+
+    def __neg__(self):
+        return DualScalar(-self.value, -self.derivative)
+
+    def __pow__(self, other):
+        if isinstance(other, DualScalar):
+            if other.derivative == 0.0:
+                return self._pow_constant(other.value)
+            if self.value <= 0.0:
+                raise ValueError("dual exponentiation with varying exponent needs a positive base")
+            value = self.value ** other.value
+            return DualScalar(
+                value,
+                value
+                * (other.derivative * math.log(self.value) + other.value * self.derivative / self.value),
+            )
+        return self._pow_constant(float(other))
+
+    def __rpow__(self, other):
+        return DualScalar(float(other), 0.0) ** self
+
+    def _pow_constant(self, exponent: float) -> "DualScalar":
+        value = self.value ** exponent
+        if isinstance(value, complex):
+            raise ValueError("fractional power of a negative base")
+        if exponent == 0.0:
+            return DualScalar(value, 0.0)
+        return DualScalar(value, exponent * self.value ** (exponent - 1.0) * self.derivative)
+
+
+def _dual_sin(v: DualScalar) -> DualScalar:
+    return DualScalar(math.sin(v.value), math.cos(v.value) * v.derivative)
+
+
+def _dual_cos(v: DualScalar) -> DualScalar:
+    return DualScalar(math.cos(v.value), -math.sin(v.value) * v.derivative)
+
+
+def _dual_exp(v: DualScalar) -> DualScalar:
+    value = math.exp(v.value)
+    return DualScalar(value, value * v.derivative)
+
+
+def _dual_sqrt(v: DualScalar) -> DualScalar:
+    value = math.sqrt(v.value)
+    return DualScalar(value, v.derivative / (2.0 * value))
+
+
+_DUAL_FUNCTIONS = {"sin": _dual_sin, "cos": _dual_cos, "exp": _dual_exp, "sqrt": _dual_sqrt}
+_PLAIN_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
+
+
+def _dual_eval(node, values):
+    """Walk the AST with dual numbers, naming the failing subexpression."""
+    if isinstance(node, Number):
+        return node.value
+    if isinstance(node, Variable):
+        return values[node.index - 1]
+    if isinstance(node, Negation):
+        return -_dual_eval(node.operand, values)
+    if isinstance(node, BinaryOp):
+        left = _dual_eval(node.left, values)
+        right = _dual_eval(node.right, values)
+        try:
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if node.op == "/":
+                if (right.value if isinstance(right, DualScalar) else right) == 0.0:
+                    raise ZeroDivisionError("division by zero")
+                return left / right
+            result = left ** right
+            if isinstance(result, complex):
+                raise ValueError("fractional power of a negative base")
+            return result
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise EvaluationError(str(exc), format_expression(node)) from exc
+    argument = _dual_eval(node.argument, values)
+    functions = _DUAL_FUNCTIONS if isinstance(argument, DualScalar) else _PLAIN_FUNCTIONS
+    try:
+        return functions[node.name](argument)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise EvaluationError(str(exc), format_expression(node)) from exc
+
+
+def dual_gradient(field: ScalarField, point) -> np.ndarray:
+    """Gradient by forward-mode dual numbers, one seeded AST pass per coordinate."""
+    plain = [float(v) for v in point]
+    size = len(plain)
+    components = np.empty(size)
+    for seed in range(size):
+        values = [DualScalar(plain[j], 1.0 if j == seed else 0.0) for j in range(size)]
+        result = _dual_eval(field.root, values)
+        components[seed] = result.derivative if isinstance(result, DualScalar) else 0.0
+    return components

@@ -136,7 +136,7 @@ def test_criterion_7_dual_gradients_match_finite_differences():
             dual = gradient(field, point).components
             numeric = fd_gradient(field, point, 1e-6).components
             ok = ok and np.abs(dual - numeric).max() <= 1e-5
-    _report(7, "dual-number vs central-difference gradients", ok, started, 1.0)
+    _report(7, "compiled vs central-difference gradients", ok, started, 1.0)
 
 
 def test_criterion_8_gradient_flow_negative_control():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,25 @@ def test_run_integration_abort_writes_partial(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_run_derivative_error_mid_integration_writes_partial(tmp_path, capsys):
+    # under F the field's x1 component is -dH/dx2 = -1 while x3 stays 2, so
+    # x1 falls through 0, where H is defined but log(x1) in dH/dx3 is not
+    config_path, payload = write_config(
+        tmp_path,
+        hamiltonian="x2 + x1^x3",
+        initial=[1, 0, 2, 0],
+        dt=0.1,
+        steps=100,
+    )
+    assert main(["run", str(config_path)]) == 1
+    prefix = payload["output_prefix"]
+    partial = Path(f"{prefix}.trajectory.csv.partial").read_text(encoding="utf-8").splitlines()
+    assert len(partial) >= 3
+    log = Path(f"{prefix}.error.log").read_text(encoding="utf-8")
+    assert "integration aborted" in log and "'x1^x3'" in log
+    capsys.readouterr()
+
+
 # --- batch -----------------------------------------------------------------
 
 def test_batch_runs_every_config(tmp_path):
@@ -163,6 +183,20 @@ def test_batch_propagates_operational_failures(tmp_path, capsys):
     (batch_dir / "bad.json").write_text("{broken", encoding="utf-8")
     assert main(["run", "--batch", str(batch_dir)]) == 1
     capsys.readouterr()
+
+
+def test_batch_refuses_configs_sharing_an_output_prefix(tmp_path, capsys):
+    batch_dir = tmp_path / "configs"
+    batch_dir.mkdir()
+    out = tmp_path / "out"
+    # the second spelling names the same files as the first
+    for name, prefix in (("a.json", f"{out}/run"), ("b.json", f"{out}/./run"), ("c.json", f"{out}/other")):
+        payload = dict(DEMO, steps=10, output_prefix=prefix)
+        (batch_dir / name).write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "a.json" in err and "b.json" in err and "c.json" not in err
+    assert not out.exists()  # nothing ran, not even the config that did not clash
 
 
 def test_batch_of_empty_directory_is_an_error(tmp_path, capsys):

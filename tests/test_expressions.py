@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from quatflow import (
     BlockDim,
-    DualScalar,
     EvaluationError,
     ExpressionSyntaxError,
     UnknownIdentifierError,
@@ -26,6 +25,7 @@ from quatflow.expressions import (
     Variable,
     quadratic_energy_text,
 )
+from oracles import DualScalar
 
 DIM1 = BlockDim(1)
 

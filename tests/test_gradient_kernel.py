@@ -1,0 +1,126 @@
+"""The compiled reverse-mode gradient kernel against its two oracles.
+
+The seeded dual-number passes (oracles.dual_gradient) differentiate the
+same AST in forward mode.  They round in a different order, so the two
+agree to a few ulp wherever each gradient component is one product chain;
+central differences (fd_gradient) check both from outside.
+"""
+
+import numpy as np
+import pytest
+
+from quatflow import BlockDim, EvaluationError, HamiltonianSystem, evaluate, fd_gradient, gradient, parse
+from quatflow.expressions import DEMO_HAMILTONIANS
+from oracles import dual_gradient
+
+EPS = np.finfo(np.float64).eps
+DIM1 = BlockDim(1)
+
+# the radial energies g(S), S = |x|^2, of the benchmark workloads
+RADIAL = {
+    "quadratic": "0.5*{S}",
+    "quartic": "0.25*(1+{S})^2",
+    "exponential": "exp(0.5*{S})",
+    "root": "sqrt(1+{S})",
+}
+# every operator and function, a constant and a varying exponent; each
+# coordinate occurs once, so no gradient component is a cancelling sum
+MIXED = "sin(x1)*cos(x2) - exp(x3/2)/sqrt(1+x4^2) + (2+x5^2)^(x6/3) - -x7^3 + 1.5/(3+x8)"
+
+
+def _radial(name: str, n: int):
+    squares = "+".join(f"x{a}^2" for a in range(1, 4 * n + 1))
+    return parse(RADIAL[name].format(S=f"({squares})"), BlockDim(n))
+
+
+def _sphere_points(n: int, count: int, seed: int):
+    """Random directions at |x| = 0.8, the benchmark's amplitude."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        direction = rng.standard_normal(4 * n)
+        yield 0.8 * direction / np.linalg.norm(direction)
+
+
+def _mixed_points(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng.uniform(-2.0, 2.0, 8)
+
+
+def _assert_matches_oracles(field, point):
+    kernel = gradient(field, point).components
+    dual = dual_gradient(field, point)
+    assert np.all(np.abs(kernel - dual) <= 4 * EPS * np.abs(dual))
+    fd = fd_gradient(field, point, 1e-6).components
+    assert np.abs(kernel - fd).max() <= 1e-5
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("energy", sorted(RADIAL))
+def test_kernel_matches_oracles_on_radial_energies(energy, n):
+    field = _radial(energy, n)
+    for point in _sphere_points(n, 10, seed=n):
+        _assert_matches_oracles(field, point)
+
+
+def test_kernel_matches_oracles_on_every_operator_and_function():
+    field = parse(MIXED, BlockDim(2))
+    for point in _mixed_points(50, seed=3):
+        _assert_matches_oracles(field, point)
+
+
+def _value_cases():
+    for name in sorted(RADIAL):
+        for n in (1, 8):
+            yield _radial(name, n), next(_sphere_points(n, 1, seed=11))
+    yield parse(MIXED, BlockDim(2)), next(_mixed_points(1, seed=5))
+    for text in DEMO_HAMILTONIANS.values():
+        yield parse(text, DIM1), np.array([0.3, -1.7, 2.9, 0.4])
+
+
+@pytest.mark.parametrize("field, point", list(_value_cases()))
+def test_kernel_value_equals_the_interpreter_bit_for_bit(field, point):
+    value, _ = field.gradient_kernel(point.tolist())
+    assert value.hex() == evaluate(field, point).hex()
+
+
+def test_gradient_is_deterministic_across_calls_and_parses():
+    point = next(_mixed_points(1, seed=8))
+    first = gradient(parse(MIXED, BlockDim(2)), point).components.tobytes()
+    field = parse(MIXED, BlockDim(2))
+    for _ in range(3):
+        assert gradient(field, point).components.tobytes() == first
+
+
+def test_kernel_is_compiled_on_the_first_gradient_only():
+    field = parse(DEMO_HAMILTONIANS["oscillatory"], DIM1)
+    HamiltonianSystem.build("F", field)
+    assert "gradient_kernel" not in vars(field)  # parse and build pay nothing
+    gradient(field, np.zeros(4))
+    kernel = field.gradient_kernel
+    gradient(field, np.ones(4))
+    assert field.gradient_kernel is kernel
+
+
+# --- domain errors ---------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "text, point, expression",
+    [
+        ("1/x2", [1.0, 0.0, 0.0, 0.0], "1.0/x2"),
+        ("sqrt(x1)", [0.0, 0.0, 0.0, 0.0], "sqrt(x1)"),  # only sqrt' fails
+        ("x1^0.5", [0.0, 0.0, 0.0, 0.0], "x1^0.5"),  # only 0.5*x1^-0.5 fails
+        ("x1^x2", [-1.0, 2.0, 0.0, 0.0], "x1^x2"),  # only log(x1) fails
+        ("exp(x1)", [1000.0, 0.0, 0.0, 0.0], "exp(x1)"),
+        ("2*sqrt(x1) + x2", [0.0, 1.0, 0.0, 0.0], "sqrt(x1)"),
+        ("sqrt(x1) + 1/x2", [0.0, 0.0, 0.0, 0.0], "sqrt(x1)"),  # the first in evaluation order
+    ],
+)
+def test_gradient_names_the_failing_subexpression(text, point, expression):
+    field = parse(text, DIM1)
+    with pytest.raises(EvaluationError) as kernel_error:
+        gradient(field, point)
+    with pytest.raises(EvaluationError) as oracle_error:
+        dual_gradient(field, point)
+    assert kernel_error.value.expression == oracle_error.value.expression == expression
+    assert isinstance(kernel_error.value.__cause__, (ZeroDivisionError, ValueError, OverflowError))
