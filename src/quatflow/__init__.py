@@ -1,19 +1,15 @@
 """Hamiltonian mechanics under the three quaternionic symplectic structures on R^{4n}."""
 
 from .diagnostics import (
-    DiagnosticsReport,
     default_thresholds,
     energy_drift,
     eom_residual,
-    full_report,
-    report_passes,
     symplecticity_residual,
 )
 from .dynamics import (
     HamiltonianSystem,
     IntegrationError,
     NewtonDivergenceError,
-    PhasePoint,
     Trajectory,
     hamiltonian_vector_field,
     integrate,

@@ -5,7 +5,7 @@ Subcommands:
 * ``run <config.json>`` - integrate one configured trajectory, write a CSV
   trajectory, a flat JSON diagnostics report, and optionally a gnuplot
   phase-portrait script.  ``--batch <dir>`` runs every ``*.json`` config in
-  a directory concurrently instead.
+  a directory instead, one after another in file-name order.
 * ``verify --n <int>`` - print the quaternion-relation and
   metric-compatibility residual table for all six structures.
 * ``dump --what structure|omega --label F|G|H --n <int>`` - print the
@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 on success with passing diagnostics, 1 on operational
 failure (including usage errors), 2 when a diagnostic exceeds its
-threshold.  No other codes are ever returned.  Output files carry no
+threshold; ``_render_outputs`` is the one place a run's pass/fail is
+decided.  No other codes are ever returned.  Output files carry no
 timestamps, so identical configs produce byte-identical artifacts.
 """
 
@@ -22,10 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigError, SimulationConfig, load_config
 from .diagnostics import (
@@ -35,7 +33,7 @@ from .diagnostics import (
     eom_residual,
     symplecticity_residual,
 )
-from .dynamics import HamiltonianSystem, IntegrationError, PhasePoint, Trajectory, integrate
+from .dynamics import HamiltonianSystem, IntegrationError, NewtonDivergenceError, Trajectory, integrate
 from .expressions import ExpressionError, ScalarField, evaluate, parse
 from .forms import symplectic_form
 from .structures import (
@@ -68,13 +66,13 @@ def _format_float(value: float) -> str:
 
 def trajectory_csv(trajectory: Trajectory, hamiltonian: ScalarField) -> str:
     """Render a trajectory as CSV with full double precision."""
-    size = trajectory.points[0].coordinates.size
+    size = trajectory.states.shape[1]
     header = "t," + ",".join(f"x{a}" for a in range(1, size + 1)) + ",energy"
     lines = [header]
-    for point in trajectory.points:
-        energy = evaluate(hamiltonian, point.coordinates)
-        cells = [_format_float(point.time)]
-        cells.extend(_format_float(v) for v in point.coordinates)
+    for time, state in zip(trajectory.times, trajectory.states):
+        energy = evaluate(hamiltonian, state)
+        cells = [_format_float(time)]
+        cells.extend(_format_float(v) for v in state)
         cells.append(_format_float(energy))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -113,10 +111,9 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
     dim = BlockDim(config.n)
     field = parse(config.hamiltonian, dim)
     system = HamiltonianSystem.build(config.structure, field)
-    initial = PhasePoint(np.array(config.initial), 0.0)
 
     try:
-        trajectory = integrate(system, initial, config.dt, config.steps, config.method)
+        trajectory = integrate(system, config.initial, config.dt, config.steps, config.method)
     except IntegrationError as exc:
         message = f"integration aborted: {exc}"
         print(f"error: {message}", file=sys.stderr)
@@ -130,9 +127,10 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
         _write_error_log(prefix, message)
         return 1
 
+    # the symplecticity probe takes fresh steps, which can fail like any step
     try:
         outputs = _render_outputs(config, trajectory, system, tolerance_scale)
-    except (ExpressionError, ValueError) as exc:
+    except (ExpressionError, ValueError, IntegrationError, NewtonDivergenceError) as exc:
         message = f"diagnostics failed: {exc}"
         print(f"error: {message}", file=sys.stderr)
         _write_error_log(prefix, message)
@@ -167,7 +165,7 @@ def _render_outputs(
     csv_text = trajectory_csv(trajectory, system.hamiltonian)
 
     series, drift_max = energy_drift(trajectory, system.hamiltonian)
-    symplectic = symplecticity_residual(system, trajectory.points[0], config.dt, config.method)
+    symplectic = symplecticity_residual(system, trajectory.states[0], config.dt, config.method)
     algebra = algebra_residuals(system)
     thresholds = default_thresholds(config.method, config.dt, tolerance_scale)
 
@@ -194,7 +192,7 @@ def _render_outputs(
         and all(value == 0 for value in algebra.values())
     )
     # the central-difference residual needs an interior point
-    if len(trajectory.points) >= 3:
+    if len(trajectory.states) >= 3:
         eom = eom_residual(trajectory, system)
         document["eom_residual_max"] = eom
         passed = passed and eom <= thresholds["eom_residual_max"]
@@ -247,10 +245,12 @@ def _shared_output_prefixes(paths: list[Path]) -> list[tuple[Path, Path, Path]]:
 
 
 def run_batch(directory: str | Path, tolerance_scale: float = 1.0) -> int:
-    """Run every *.json config in a directory, one trajectory per worker.
+    """Run every *.json config in a directory, in sorted order.
 
     Configs that would write to the same output prefix are refused before
-    any of them runs, since their workers would race on the same files.
+    any of them runs, since the later run would overwrite the earlier's
+    files.  The batch returns 1 if any run returned 1, else 2 if any run
+    returned 2, else 0.
     """
     paths = sorted(Path(directory).glob("*.json"))
     if not paths:
@@ -261,8 +261,7 @@ def run_batch(directory: str | Path, tolerance_scale: float = 1.0) -> int:
         print(f"error: configs {first} and {second} share output_prefix {prefix}", file=sys.stderr)
     if clashes:
         return 1
-    with ThreadPoolExecutor() as pool:
-        codes = list(pool.map(lambda p: run_config_file(p, tolerance_scale), paths))
+    codes = [run_config_file(path, tolerance_scale) for path in paths]
     if 1 in codes:
         return 1
     if 2 in codes:

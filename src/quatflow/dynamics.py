@@ -7,13 +7,15 @@ Omega^T X = grad H, so
 
     X = Omega^{-T} grad H.
 
-Omega is a skew signed permutation here, so its inverse transpose is again
-a signed permutation computed once per system; each field evaluation is one
-call of the Hamiltonian's compiled reverse-mode gradient kernel plus one
-matrix-vector product.  Two fixed-step one-step
-methods integrate the flow: classical RK4 and the implicit midpoint rule,
-the latter solved by Newton iteration with a finite-difference Jacobian
-and symplectic for any constant Omega.
+Omega is a skew signed permutation here, so Omega Omega^T = I and
+Omega^{-T} is Omega itself; HamiltonianSystem.build checks this exactly.
+Each field evaluation is one call of the Hamiltonian's compiled
+reverse-mode gradient kernel plus one matrix-vector product with Omega.
+Two fixed-step one-step methods integrate the flow: classical RK4 and the
+implicit midpoint rule, the latter solved by Newton iteration with a
+finite-difference Jacobian and symplectic for any constant Omega.  States
+are plain coordinate vectors; the flow is autonomous, so no step reads the
+time, and a trajectory's k-th state is the state at time k * dt.
 """
 
 from __future__ import annotations
@@ -52,26 +54,6 @@ class NewtonDivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class PhasePoint:
-    """A point of the phase space R^{4n} at a given time."""
-
-    coordinates: np.ndarray
-    time: float
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coordinates, dtype=np.float64)
-        if coords.ndim != 1 or coords.size == 0:
-            raise ValueError("coordinates must be a nonempty 1-D vector")
-        if not np.isfinite(coords).all():
-            raise ValueError("coordinates must be finite")
-        if not np.isfinite(self.time):
-            raise ValueError("time must be finite")
-        coords.flags.writeable = False
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "time", float(self.time))
-
-
-@dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
     """An energy function together with one of the three symplectic forms."""
 
@@ -79,75 +61,58 @@ class HamiltonianSystem:
     structure_label: str
     hamiltonian: ScalarField
     omega: ConstantTwoForm
-    omega_inverse_transpose: np.ndarray
 
     @classmethod
     def build(cls, structure_label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
         if structure_label not in LABELS:
             raise ValueError(f"structure label must be one of {LABELS}, got {structure_label!r}")
         omega = symplectic_form(structure_label, hamiltonian.dim)
-        inverse_transpose = signed_permutation_inverse(omega.matrix.T)
-        eye = np.eye(hamiltonian.dim.total)
-        if not np.array_equal(inverse_transpose @ omega.matrix.T, eye):
-            raise AssertionError("cached solver failed the exact inverse check")
-        inverse_transpose.flags.writeable = False
+        # the field applies Omega in place of Omega^{-T}, exact only if Omega is orthogonal
+        if not np.array_equal(omega.matrix @ omega.matrix.T, np.eye(hamiltonian.dim.total)):
+            raise AssertionError("Omega Omega^T != I, so Omega^{-T} is not Omega")
         return cls(
             dim=hamiltonian.dim,
             structure_label=structure_label,
             hamiltonian=hamiltonian,
             omega=omega,
-            omega_inverse_transpose=inverse_transpose,
         )
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A uniformly sampled integral curve with its defining system."""
+    """A uniformly sampled integral curve with its defining system.
+
+    states[k] is the phase point at time k * step; the (len, 4n) array is
+    made read-only in place.
+    """
 
     system: HamiltonianSystem
-    points: tuple[PhasePoint, ...]
+    states: np.ndarray
     step: float
     method: str
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise ValueError("step must be positive")
-        if not self.points:
-            raise ValueError("trajectory needs at least one point")
-        times = [p.time for p in self.points]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("timestamps must be strictly increasing")
+        states = np.asarray(self.states, dtype=np.float64)
+        if states.ndim != 2 or states.shape[0] == 0 or states.shape[1] != self.system.dim.total:
+            raise ValueError(f"states must be a nonempty (k, {self.system.dim.total}) array")
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([p.time for p in self.points])
-
-    @property
-    def coordinate_rows(self) -> np.ndarray:
-        return np.array([p.coordinates for p in self.points])
-
-
-def signed_permutation_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Exact inverse of a signed permutation matrix (its transpose)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.isin(m, (-1.0, 0.0, 1.0)).all():
-        raise ValueError("matrix entries must be in {-1, 0, +1}")
-    support = np.abs(m)
-    if (support.sum(axis=0) != 1).any() or (support.sum(axis=1) != 1).any():
-        raise ValueError("matrix must have exactly one nonzero entry per row and column")
-    return m.T.copy()
+        return self.step * np.arange(len(self.states))
 
 
 def _field_at(system: HamiltonianSystem, coords: np.ndarray) -> np.ndarray:
     grad = gradient(system.hamiltonian, coords)
-    return system.omega_inverse_transpose @ grad.components
+    return system.omega.matrix @ grad.components
 
 
-def hamiltonian_vector_field(system: HamiltonianSystem, point: PhasePoint | np.ndarray) -> np.ndarray:
-    """Solve i_X Phi = dH at a point: X = Omega^{-T} grad H."""
-    coords = point.coordinates if isinstance(point, PhasePoint) else np.asarray(point, dtype=np.float64)
+def hamiltonian_vector_field(system: HamiltonianSystem, point: np.ndarray) -> np.ndarray:
+    """Solve i_X Phi = dH at a point: X = Omega^{-T} grad H = Omega grad H."""
+    coords = np.asarray(point, dtype=np.float64)
     if coords.shape != (system.dim.total,):
         raise ValueError(f"point must have length {system.dim.total}")
     return _field_at(system, coords)
@@ -173,26 +138,25 @@ def reference_field_formula(label: str, grad: Gradient) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def step_rk4(system: HamiltonianSystem, point: PhasePoint, dt: float) -> PhasePoint:
+def step_rk4(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of the flow."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x = point.coordinates
     k1 = _field_at(system, x)
     k2 = _field_at(system, x + 0.5 * dt * k1)
     k3 = _field_at(system, x + 0.5 * dt * k2)
     k4 = _field_at(system, x + dt * k3)
     new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _finite_point(new, point.time + dt)
+    return _finite_state(new)
 
 
 def step_implicit_midpoint(
     system: HamiltonianSystem,
-    point: PhasePoint,
+    x: np.ndarray,
     dt: float,
     newton_tol: float = DEFAULT_NEWTON_TOL,
     newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-) -> PhasePoint:
+) -> np.ndarray:
     """One implicit midpoint step, y = x + dt * X((x + y)/2).
 
     The nonlinear system is solved by Newton iteration; the Jacobian of X
@@ -203,7 +167,6 @@ def step_implicit_midpoint(
         raise ValueError(f"dt must be positive, got {dt}")
     if newton_tol <= 0.0:
         raise ValueError(f"newton_tol must be positive, got {newton_tol}")
-    x = point.coordinates
     size = x.size
     h = 1e-7 * max(1.0, float(np.linalg.norm(x)))
     eye = np.eye(size)
@@ -223,17 +186,17 @@ def step_implicit_midpoint(
         delta = np.linalg.solve(newton_matrix, -residual)
         y = y + delta
         if float(np.linalg.norm(delta)) < newton_tol:
-            return _finite_point(y, point.time + dt)
+            return _finite_state(y)
     if residual_norm is None:
         mid = 0.5 * (x + y)
         residual_norm = float(np.linalg.norm(y - x - dt * _field_at(system, mid)))
     raise NewtonDivergenceError(residual_norm, newton_max_iter)
 
 
-def _finite_point(coords: np.ndarray, time: float) -> PhasePoint:
+def _finite_state(coords: np.ndarray) -> np.ndarray:
     if not np.isfinite(coords).all():
         raise IntegrationError("non-finite state after step")
-    return PhasePoint(coords, time)
+    return coords
 
 
 _STEPPERS = {"rk4": step_rk4, "implicit_midpoint": step_implicit_midpoint}
@@ -241,12 +204,12 @@ _STEPPERS = {"rk4": step_rk4, "implicit_midpoint": step_implicit_midpoint}
 
 def integrate(
     system: HamiltonianSystem,
-    initial: PhasePoint,
+    initial: np.ndarray,
     dt: float,
     steps: int,
     method: str,
 ) -> Trajectory:
-    """Repeatedly step the flow; the result includes the initial point.
+    """Repeatedly step the flow; the result includes the initial state.
 
     Any step failure aborts with the partial trajectory attached to the
     raised IntegrationError for diagnosis.
@@ -255,14 +218,20 @@ def integrate(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if initial.coordinates.shape != (system.dim.total,):
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    x0 = np.asarray(initial, dtype=np.float64)
+    if x0.shape != (system.dim.total,):
         raise ValueError(f"initial point must have length {system.dim.total}")
+    if not np.isfinite(x0).all():
+        raise ValueError("initial point must be finite")
     stepper = _STEPPERS[method]
-    points = [initial]
+    states = np.empty((steps + 1, x0.size))
+    states[0] = x0
     for k in range(steps):
         try:
-            points.append(stepper(system, points[-1], dt))
+            states[k + 1] = stepper(system, states[k], dt)
         except (ExpressionError, NewtonDivergenceError, IntegrationError, FloatingPointError, ValueError) as exc:
-            partial = Trajectory(system, tuple(points), dt, method)
+            partial = Trajectory(system, states[: k + 1].copy(), dt, method)
             raise IntegrationError(f"step {k} failed: {exc}", step_index=k, partial=partial) from exc
-    return Trajectory(system, tuple(points), dt, method)
+    return Trajectory(system, states, dt, method)

@@ -100,13 +100,6 @@ class EuclideanMetric:
 
     dim: BlockDim
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if u.shape != (self.dim.total,) or v.shape != (self.dim.total,):
-            raise ValueError(f"metric arguments must have length {self.dim.total}")
-        return float(np.dot(u, v))
-
 
 @dataclass(frozen=True)
 class AlgebraReport:

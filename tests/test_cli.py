@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quatflow import BlockDim, HamiltonianSystem, PhasePoint, integrate, parse
+from quatflow import BlockDim, HamiltonianSystem, NewtonDivergenceError, integrate, parse
+from quatflow import cli
 from quatflow.cli import main
 
 DEMO = {
@@ -20,6 +21,16 @@ DEMO = {
     "output_prefix": None,  # filled per test
     "emit_plot": False,
 }
+
+
+# the steps succeed, but the symplecticity probe's perturbed rk4 steps
+# overflow to a non-finite state
+PROBE_OVERFLOW = dict(
+    hamiltonian="2.9961438394239366e+307*x1*x2",
+    initial=[1, 1, 0, 0],
+    dt=1e-320,
+    steps=3,
+)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -66,12 +77,21 @@ def test_csv_round_trips_every_double(tmp_path):
 
     dim = BlockDim(1)
     system = HamiltonianSystem.build("F", parse(payload["hamiltonian"], dim))
-    trajectory = integrate(system, PhasePoint(np.array([1.0, 0, 0, 0]), 0.0), 0.01, 50, "rk4")
-    assert len(rows) == len(trajectory.points)
-    for row, point in zip(rows, trajectory.points):
+    trajectory = integrate(system, np.array([1.0, 0, 0, 0]), 0.01, 50, "rk4")
+    assert len(rows) == len(trajectory.states)
+    for row, time, state in zip(rows, trajectory.times, trajectory.states):
         cells = [float(cell) for cell in row.split(",")]
-        assert cells[0] == point.time
-        assert np.array_equal(np.array(cells[1:5]), point.coordinates)
+        assert cells[0] == time
+        assert np.array_equal(np.array(cells[1:5]), state)
+
+
+def test_csv_time_column_is_step_index_times_dt(tmp_path):
+    config_path, payload = write_config(tmp_path)
+    assert main(["run", str(config_path)]) == 0
+    rows = Path(f"{payload['output_prefix']}.trajectory.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [format(k * 0.01, ".17g") for k in range(629)]
+    # not 6.2799999999999105, which summing dt 628 times gives
+    assert rows[-1].split(",")[0] == "6.2800000000000002"
 
 
 def test_run_with_single_step_writes_two_rows(tmp_path):
@@ -159,29 +179,53 @@ def test_run_derivative_error_mid_integration_writes_partial(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_probe_step_failure_is_a_diagnostics_error(tmp_path, capsys):
+    config_path, payload = write_config(tmp_path, **PROBE_OVERFLOW)
+    assert main(["run", str(config_path)]) == 1
+    log = Path(f"{payload['output_prefix']}.error.log").read_text(encoding="utf-8")
+    assert log == "diagnostics failed: non-finite state after step\n"
+    assert "diagnostics failed" in capsys.readouterr().err
+    assert not Path(f"{payload['output_prefix']}.diagnostics.json").exists()
+
+
+def test_run_probe_newton_divergence_is_a_diagnostics_error(tmp_path, capsys, monkeypatch):
+    def diverging_probe(*args):
+        raise NewtonDivergenceError(1.0, 50)
+
+    monkeypatch.setattr(cli, "symplecticity_residual", diverging_probe)
+    config_path, payload = write_config(tmp_path, method="implicit_midpoint", steps=5)
+    assert main(["run", str(config_path)]) == 1
+    log = Path(f"{payload['output_prefix']}.error.log").read_text(encoding="utf-8")
+    assert log.startswith("diagnostics failed: implicit midpoint Newton iteration did not converge")
+    capsys.readouterr()
+
+
 # --- batch -----------------------------------------------------------------
 
-def test_batch_runs_every_config(tmp_path):
+def write_batch(tmp_path, configs):
+    """One config file per (name, overrides) pair; prefixes out/<name>."""
     batch_dir = tmp_path / "configs"
     batch_dir.mkdir()
-    for idx, label in enumerate(("F", "G")):
-        payload = dict(
-            DEMO,
-            structure=label,
-            steps=100,
-            output_prefix=str(tmp_path / "out" / f"run{idx}"),
-        )
-        (batch_dir / f"run{idx}.json").write_text(json.dumps(payload), encoding="utf-8")
+    for name, overrides in configs:
+        payload = dict(DEMO, steps=100, output_prefix=str(tmp_path / "out" / name))
+        payload.update(overrides)
+        (batch_dir / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+    return batch_dir
+
+
+def test_batch_runs_every_config(tmp_path):
+    batch_dir = write_batch(tmp_path, [("run0", dict(structure="F")), ("run1", dict(structure="G"))])
     assert main(["run", "--batch", str(batch_dir)]) == 0
     assert (tmp_path / "out" / "run0.trajectory.csv").exists()
     assert (tmp_path / "out" / "run1.trajectory.csv").exists()
 
 
 def test_batch_propagates_operational_failures(tmp_path, capsys):
-    batch_dir = tmp_path / "configs"
-    batch_dir.mkdir()
+    # an operational failure outranks a threshold failure, which still writes
+    batch_dir = write_batch(tmp_path, [("coarse", dict(dt=0.5, steps=10))])
     (batch_dir / "bad.json").write_text("{broken", encoding="utf-8")
     assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert (tmp_path / "out" / "coarse.diagnostics.json").exists()
     capsys.readouterr()
 
 
@@ -197,6 +241,23 @@ def test_batch_refuses_configs_sharing_an_output_prefix(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "a.json" in err and "b.json" in err and "c.json" not in err
     assert not out.exists()  # nothing ran, not even the config that did not clash
+
+
+def test_batch_returns_two_for_a_pass_and_a_threshold_failure(tmp_path):
+    batch_dir = write_batch(tmp_path, [("coarse", dict(dt=0.5, steps=10)), ("healthy", {})])
+    assert main(["run", "--batch", str(batch_dir)]) == 2
+    for name in ("coarse", "healthy"):
+        assert (tmp_path / "out" / f"{name}.trajectory.csv").exists()
+        assert (tmp_path / "out" / f"{name}.diagnostics.json").exists()
+
+
+def test_batch_survives_a_probe_step_failure(tmp_path, capsys):
+    batch_dir = write_batch(tmp_path, [("a_overflow", PROBE_OVERFLOW), ("b_healthy", {})])
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert (tmp_path / "out" / "a_overflow.error.log").exists()
+    assert (tmp_path / "out" / "b_healthy.trajectory.csv").exists()
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+    assert "diagnostics failed" in capsys.readouterr().err
 
 
 def test_batch_of_empty_directory_is_an_error(tmp_path, capsys):

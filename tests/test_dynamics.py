@@ -8,7 +8,6 @@ from quatflow import (
     HamiltonianSystem,
     IntegrationError,
     NewtonDivergenceError,
-    PhasePoint,
     Trajectory,
     gradient,
     hamiltonian_vector_field,
@@ -19,7 +18,6 @@ from quatflow import (
     step_rk4,
     evaluate,
 )
-from quatflow.dynamics import signed_permutation_inverse
 from quatflow.expressions import DEMO_HAMILTONIANS, Gradient, quadratic_energy_text
 from oracles import expm_taylor
 
@@ -44,12 +42,6 @@ def _system(label, text="0.5*(x1^2 + x2^2 + x3^2 + x4^2)", n=1):
 def test_field_for_quadratic_energy(label, expected):
     system = _system(label)
     assert np.array_equal(hamiltonian_vector_field(system, POINT), np.array(expected))
-
-
-def test_field_accepts_phase_points():
-    system = _system("F")
-    point = PhasePoint(POINT, 0.0)
-    assert np.array_equal(hamiltonian_vector_field(system, point), np.array([-2.0, 1.0, -4.0, 3.0]))
 
 
 def test_field_of_constant_energy_vanishes():
@@ -90,7 +82,7 @@ def test_generic_solve_equals_transcribed_formula(label, n):
     for _ in range(50):
         components = rng.standard_normal(4 * n)
         grad = Gradient(dim, components)
-        generic = system.omega_inverse_transpose @ components
+        generic = system.omega.matrix @ components
         assert np.array_equal(generic, reference_field_formula(label, grad))
 
 
@@ -102,26 +94,20 @@ def test_energy_gradient_is_orthogonal_to_the_field(label, name):
     for _ in range(100):
         point = rng.uniform(-2.0, 2.0, 4)
         grad = gradient(system.hamiltonian, point).components
-        field = system.omega_inverse_transpose @ grad
+        field = system.omega.matrix @ grad
         assert abs(float(np.dot(grad, field))) <= 1e-12
 
 
-# --- cached solver ---------------------------------------------------------
+# --- Omega^{-T} is Omega --------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_inverse_transpose_cache_is_exact(label, n):
+    # the field applies Omega where the dynamic equation has Omega^{-T}
     dim = BlockDim(n)
-    system = HamiltonianSystem.build(label, parse(quadratic_energy_text(dim), dim))
-    product = system.omega_inverse_transpose @ system.omega.matrix.T
-    assert np.array_equal(product, np.eye(4 * n))
-
-
-def test_signed_permutation_inverse_rejects_general_matrices():
-    with pytest.raises(ValueError):
-        signed_permutation_inverse(np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        signed_permutation_inverse(0.5 * np.eye(4))
+    omega = HamiltonianSystem.build(label, parse(quadratic_energy_text(dim), dim)).omega.matrix
+    assert np.array_equal(omega @ omega.T, np.eye(4 * n))
+    assert np.array_equal(np.linalg.inv(omega.T), omega)
 
 
 def test_system_build_rejects_unknown_label():
@@ -133,116 +119,125 @@ def test_system_build_rejects_unknown_label():
 
 def test_rk4_step_tracks_the_rotation():
     system = _system("F")
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    stepped = step_rk4(system, start, 0.1)
+    stepped = step_rk4(system, np.array([1.0, 0.0, 0.0, 0.0]), 0.1)
     exact = np.array([math.cos(0.1), math.sin(0.1), 0.0, 0.0])
-    assert np.abs(stepped.coordinates - exact).max() < 1e-7
-    assert stepped.time == 0.1
+    assert np.abs(stepped - exact).max() < 1e-7
 
 
 def test_rk4_fixed_point_for_constant_energy():
     system = _system("F", text="5")
-    start = PhasePoint(POINT, 1.5)
-    stepped = step_rk4(system, start, 0.25)
-    assert np.array_equal(stepped.coordinates, POINT)
-    assert stepped.time == 1.75
+    stepped = step_rk4(system, POINT, 0.25)
+    assert np.array_equal(stepped, POINT)
 
 
 def test_rk4_rejects_nonpositive_dt():
     system = _system("F")
-    start = PhasePoint(POINT, 0.0)
     with pytest.raises(ValueError):
-        step_rk4(system, start, 0.0)
+        step_rk4(system, POINT, 0.0)
 
 
 def test_midpoint_conserves_quadratic_energy_per_step():
     system = _system("F")
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    start = np.array([1.0, 0.0, 0.0, 0.0])
     stepped = step_implicit_midpoint(system, start, 0.1)
-    before = evaluate(system.hamiltonian, start.coordinates)
-    after = evaluate(system.hamiltonian, stepped.coordinates)
+    before = evaluate(system.hamiltonian, start)
+    after = evaluate(system.hamiltonian, stepped)
     assert abs(after - before) <= 1e-12
 
 
 def test_midpoint_fixed_point_converges_within_one_iteration():
     system = _system("H", text="5")
-    start = PhasePoint(POINT, 0.0)
-    stepped = step_implicit_midpoint(system, start, 0.1, newton_max_iter=1)
-    assert np.array_equal(stepped.coordinates, POINT)
-    assert stepped.time == 0.1
+    stepped = step_implicit_midpoint(system, POINT, 0.1, newton_max_iter=1)
+    assert np.array_equal(stepped, POINT)
 
 
 def test_midpoint_zero_iteration_budget_diverges_immediately():
     system = _system("F")
-    start = PhasePoint(POINT, 0.0)
     with pytest.raises(NewtonDivergenceError):
-        step_implicit_midpoint(system, start, 0.1, newton_max_iter=0)
+        step_implicit_midpoint(system, POINT, 0.1, newton_max_iter=0)
 
 
 def test_midpoint_rejects_bad_parameters():
     system = _system("F")
-    start = PhasePoint(POINT, 0.0)
     with pytest.raises(ValueError):
-        step_implicit_midpoint(system, start, -0.1)
+        step_implicit_midpoint(system, POINT, -0.1)
     with pytest.raises(ValueError):
-        step_implicit_midpoint(system, start, 0.1, newton_tol=0.0)
+        step_implicit_midpoint(system, POINT, 0.1, newton_tol=0.0)
 
 
 # --- trajectories ----------------------------------------------------------
 
 def test_integrate_length_contract():
     system = _system("F")
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    assert len(integrate(system, start, 0.1, 1, "rk4").points) == 2
-    assert len(integrate(system, start, 0.1, 7, "implicit_midpoint").points) == 8
+    start = np.array([1.0, 0.0, 0.0, 0.0])
+    assert integrate(system, start, 0.1, 1, "rk4").states.shape == (2, 4)
+    assert integrate(system, start, 0.1, 7, "implicit_midpoint").states.shape == (8, 4)
 
 
 def test_integrate_validates_arguments():
     system = _system("F")
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    start = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         integrate(system, start, 0.1, 0, "rk4")
     with pytest.raises(ValueError):
         integrate(system, start, 0.1, 5, "euler")
 
 
+@pytest.mark.parametrize(
+    "initial,dt",
+    [
+        ([1.0, np.nan, 0.0, 0.0], 0.1),
+        ([np.inf, 0.0, 0.0, 0.0], 0.1),
+        ([1.0, 0.0, 0.0], 0.1),
+        ([[1.0, 0.0, 0.0, 0.0]], 0.1),
+        ([1.0, 0.0, 0.0, 0.0], 0.0),
+        ([1.0, 0.0, 0.0, 0.0], -0.1),
+        ([1.0, 0.0, 0.0, 0.0], math.nan),
+    ],
+    ids=["nan", "inf", "short", "2-D", "dt-zero", "dt-negative", "dt-nan"],
+)
+def test_integrate_rejects_bad_initial_state_or_step(initial, dt):
+    with pytest.raises(ValueError):
+        integrate(_system("F"), initial, dt, 5, "rk4")
+
+
 def test_full_circle_returns_to_start():
     system = _system("F")
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    trajectory = integrate(system, start, 0.01, 628, "rk4")
+    trajectory = integrate(system, np.array([1.0, 0.0, 0.0, 0.0]), 0.01, 628, "rk4")
     exact = np.array([math.cos(6.28), math.sin(6.28), 0.0, 0.0])
-    assert np.abs(trajectory.points[-1].coordinates - exact).max() < 1e-5
+    assert np.abs(trajectory.states[-1] - exact).max() < 1e-5
 
 
 @pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_trajectory_matches_matrix_exponential_oracle(label):
     system = _system(label)
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    start = np.array([1.0, 0.0, 0.0, 0.0])
     trajectory = integrate(system, start, 0.01, 100, "rk4")
-    # quadratic energy: the flow is linear with generator Omega^{-T}
-    oracle = expm_taylor(1.0 * system.omega_inverse_transpose) @ start.coordinates
-    assert np.abs(trajectory.points[-1].coordinates - oracle).max() < 1e-9
+    # quadratic energy: the flow is linear with generator Omega^{-T} = Omega
+    oracle = expm_taylor(1.0 * system.omega.matrix) @ start
+    assert np.abs(trajectory.states[-1] - oracle).max() < 1e-9
 
 
 def test_trajectory_timestamps_are_uniform():
     system = _system("G")
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    trajectory = integrate(system, start, 0.01, 50, "rk4")
+    trajectory = integrate(system, np.array([1.0, 0.0, 0.0, 0.0]), 0.01, 50, "rk4")
     gaps = np.diff(trajectory.times)
     assert np.abs(gaps - 0.01).max() < 1e-12
+    assert trajectory.times[-1] == 50 * 0.01
 
 
 def test_integration_abort_carries_partial_trajectory():
     # the flow drives x1 through zero where sqrt stops being real
     system = _system("F", text="sqrt(x1) + x2")
-    start = PhasePoint(np.array([0.5, 0.0, 0.0, 0.0]), 0.0)
+    start = np.array([0.5, 0.0, 0.0, 0.0])
     with pytest.raises(IntegrationError) as excinfo:
         integrate(system, start, 0.01, 100, "rk4")
     error = excinfo.value
     assert error.step_index is not None
     assert error.partial is not None
-    assert 2 <= len(error.partial.points) <= 100
-    assert error.partial.points[0] is start
+    assert len(error.partial.states) == error.step_index + 1
+    assert 2 <= len(error.partial.states) <= 100
+    assert np.array_equal(error.partial.states[0], start)
 
 
 @pytest.mark.parametrize(
@@ -250,9 +245,8 @@ def test_integration_abort_carries_partial_trajectory():
 )
 def test_long_run_energy_drift(method, limit):
     system = _system("F")
-    start = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    trajectory = integrate(system, start, 0.01, 10_000, method)
-    energies = [evaluate(system.hamiltonian, p.coordinates) for p in trajectory.points]
+    trajectory = integrate(system, np.array([1.0, 0.0, 0.0, 0.0]), 0.01, 10_000, method)
+    energies = [evaluate(system.hamiltonian, x) for x in trajectory.states]
     drift = max(abs(e - energies[0]) for e in energies)
     assert drift <= limit
 
@@ -265,7 +259,7 @@ def test_exact_flow_preserves_the_symplectic_form(label):
     # exp(t * Omega^{-T})
     system = _system(label)
     omega = system.omega.matrix
-    flow = expm_taylor(0.5 * system.omega_inverse_transpose)
+    flow = expm_taylor(0.5 * system.omega.matrix)
     assert np.abs(flow.T @ omega @ flow - omega).max() <= 1e-8
 
 
@@ -275,24 +269,24 @@ def test_midpoint_step_is_discretely_symplectic(label, name):
     from quatflow import symplecticity_residual
 
     system = _system(label, text=DEMO_HAMILTONIANS[name])
-    point = PhasePoint(np.array([0.4, 0.3, -0.2, 0.5]), 0.0)
+    point = np.array([0.4, 0.3, -0.2, 0.5])
     assert symplecticity_residual(system, point, 0.01, "implicit_midpoint") <= 1e-6
 
 
 # --- value objects ---------------------------------------------------------
 
-def test_phase_point_rejects_non_finite_coordinates():
+def test_trajectory_states_are_read_only():
+    trajectory = integrate(_system("F"), np.array([1.0, 0.0, 0.0, 0.0]), 0.1, 3, "rk4")
     with pytest.raises(ValueError):
-        PhasePoint(np.array([1.0, np.nan, 0.0, 0.0]), 0.0)
-    with pytest.raises(ValueError):
-        PhasePoint(np.array([np.inf, 0.0, 0.0, 0.0]), 0.0)
-    with pytest.raises(ValueError):
-        PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), math.inf)
+        trajectory.states[1, 0] = 0.0
 
 
 def test_trajectory_requires_increasing_times():
+    # times are k * step, so they increase exactly when step is positive
     system = _system("F")
-    p0 = PhasePoint(POINT, 0.0)
-    p1 = PhasePoint(POINT, -1.0)
+    states = np.array([POINT, POINT])
+    for step in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            Trajectory(system, states, step, "rk4")
     with pytest.raises(ValueError):
-        Trajectory(system, (p0, p1), 0.1, "rk4")
+        Trajectory(system, np.empty((0, 4)), 0.1, "rk4")
