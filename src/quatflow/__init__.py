@@ -21,7 +21,6 @@ from .expressions import (
     EvaluationError,
     ExpressionError,
     ExpressionSyntaxError,
-    Gradient,
     ScalarField,
     UnknownIdentifierError,
     VariableRangeError,
@@ -48,7 +47,6 @@ from .structures import (
     EuclideanMetric,
     StructureKind,
     StructureTensor,
-    apply,
     build_structure,
     identity_tensor,
     structure_triple,

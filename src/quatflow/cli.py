@@ -34,7 +34,7 @@ from .diagnostics import (
     symplecticity_residual,
 )
 from .dynamics import HamiltonianSystem, IntegrationError, NewtonDivergenceError, Trajectory, integrate
-from .expressions import ExpressionError, ScalarField, evaluate, parse
+from .expressions import ExpressionError, evaluate, parse
 from .forms import symplectic_form
 from .structures import (
     LABELS,
@@ -42,7 +42,6 @@ from .structures import (
     EuclideanMetric,
     SPACES,
     StructureKind,
-    StructureTensor,
     build_structure,
     structure_triple,
     verify_metric_compatibility,
@@ -64,8 +63,9 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def trajectory_csv(trajectory: Trajectory, hamiltonian: ScalarField) -> str:
+def trajectory_csv(trajectory: Trajectory) -> str:
     """Render a trajectory as CSV with full double precision."""
+    hamiltonian = trajectory.system.hamiltonian
     size = trajectory.states.shape[1]
     header = "t," + ",".join(f"x{a}" for a in range(1, size + 1)) + ",energy"
     lines = [header]
@@ -120,7 +120,7 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
         if exc.partial is not None:
             try:
                 Path(f"{prefix}.trajectory.csv.partial").write_text(
-                    trajectory_csv(exc.partial, field), encoding="utf-8"
+                    trajectory_csv(exc.partial), encoding="utf-8"
                 )
             except (OSError, ExpressionError):
                 pass
@@ -129,7 +129,7 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
 
     # the symplecticity probe takes fresh steps, which can fail like any step
     try:
-        outputs = _render_outputs(config, trajectory, system, tolerance_scale)
+        outputs = _render_outputs(config, trajectory, tolerance_scale)
     except (ExpressionError, ValueError, IntegrationError, NewtonDivergenceError) as exc:
         message = f"diagnostics failed: {exc}"
         print(f"error: {message}", file=sys.stderr)
@@ -156,17 +156,14 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
 
 
 def _render_outputs(
-    config: SimulationConfig,
-    trajectory: Trajectory,
-    system: HamiltonianSystem,
-    tolerance_scale: float,
+    config: SimulationConfig, trajectory: Trajectory, tolerance_scale: float
 ) -> tuple[dict[Path, str], bool]:
     prefix = Path(config.output_prefix)
-    csv_text = trajectory_csv(trajectory, system.hamiltonian)
+    csv_text = trajectory_csv(trajectory)
 
-    series, drift_max = energy_drift(trajectory, system.hamiltonian)
-    symplectic = symplecticity_residual(system, trajectory.states[0], config.dt, config.method)
-    algebra = algebra_residuals(system)
+    series, drift_max = energy_drift(trajectory)
+    symplectic = symplecticity_residual(trajectory.system, trajectory.states[0], config.dt, config.method)
+    algebra = algebra_residuals(trajectory.system)
     thresholds = default_thresholds(config.method, config.dt, tolerance_scale)
 
     document: dict = {
@@ -193,7 +190,7 @@ def _render_outputs(
     )
     # the central-difference residual needs an interior point
     if len(trajectory.states) >= 3:
-        eom = eom_residual(trajectory, system)
+        eom = eom_residual(trajectory)
         document["eom_residual_max"] = eom
         passed = passed and eom <= thresholds["eom_residual_max"]
     document["passed"] = passed
@@ -269,20 +266,11 @@ def run_batch(directory: str | Path, tolerance_scale: float = 1.0) -> int:
     return 0
 
 
-def _corrupted_tangent_triple(dim: BlockDim):
-    f, g, _ = structure_triple("tangent", dim)
-    fake_h = StructureTensor(kind=StructureKind("H", "tangent"), dim=dim, matrix=f.matrix)
-    return f, g, fake_h
-
-
-def verify_command(n: int, inject_corrupt_h: bool = False) -> int:
+def verify_command(n: int) -> int:
     """Print the residual table for all six structures at block size n."""
     dim = BlockDim(n)
     metric = EuclideanMetric(dim)
-    if inject_corrupt_h:
-        tangent = _corrupted_tangent_triple(dim)
-    else:
-        tangent = structure_triple("tangent", dim)
+    tangent = structure_triple("tangent", dim)
     cotangent = structure_triple("cotangent", dim)
 
     tangent_report = verify_quaternion_relations(*tangent)
@@ -338,11 +326,6 @@ def _build_parser() -> _Parser:
 
     verify_parser = sub.add_parser("verify", help="check the quaternion algebra")
     verify_parser.add_argument("--n", type=int, required=True, help="block size")
-    verify_parser.add_argument(
-        "--inject-corrupt-h",
-        action="store_true",
-        help="testing aid: replace the tangent H tensor with a wrong one",
-    )
 
     dump_parser = sub.add_parser("dump", help="print a matrix as integer CSV")
     dump_parser.add_argument("--what", choices=("structure", "omega"), required=True)
@@ -377,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.n < 1:
                 print("usage error: --n must be >= 1", file=sys.stderr)
                 return 1
-            return verify_command(args.n, args.inject_corrupt_h)
+            return verify_command(args.n)
         if args.n < 1:
             print("usage error: --n must be >= 1", file=sys.stderr)
             return 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, hamiltonian_vector_field
-from .expressions import ExpressionError, ScalarField, evaluate
+from .expressions import ExpressionError, evaluate
 from .structures import structure_triple, verify_quaternion_relations
 
 # energy-drift ceilings per one-step method (quadratic well, desk scale)
@@ -37,8 +37,9 @@ class DiagnosticsError(RuntimeError):
     pass
 
 
-def energy_drift(trajectory: Trajectory, hamiltonian: ScalarField) -> tuple[np.ndarray, float]:
+def energy_drift(trajectory: Trajectory) -> tuple[np.ndarray, float]:
     """Per-point |H - H0| along the trajectory, plus its maximum."""
+    hamiltonian = trajectory.system.hamiltonian
     energies = []
     for index, state in enumerate(trajectory.states):
         try:
@@ -49,7 +50,7 @@ def energy_drift(trajectory: Trajectory, hamiltonian: ScalarField) -> tuple[np.n
     return series, float(series.max())
 
 
-def eom_residual(trajectory: Trajectory, system: HamiltonianSystem) -> float:
+def eom_residual(trajectory: Trajectory) -> float:
     """Max-norm mismatch between central-difference velocities and X.
 
     Compares (p_{k+1} - p_{k-1}) / (2 dt) with X(p_k) at every interior
@@ -62,31 +63,31 @@ def eom_residual(trajectory: Trajectory, system: HamiltonianSystem) -> float:
     worst = 0.0
     for k in range(1, len(rows) - 1):
         velocity = (rows[k + 1] - rows[k - 1]) / (2.0 * dt)
-        field = hamiltonian_vector_field(system, rows[k])
+        field = hamiltonian_vector_field(trajectory.system, rows[k])
         worst = max(worst, float(np.abs(velocity - field).max()))
     return worst
 
 
-def step_jacobian(
-    system: HamiltonianSystem,
-    point: np.ndarray,
-    dt: float,
-    method: str,
-    h: float = JACOBIAN_PROBE_STEP,
-) -> np.ndarray:
-    """Central-difference Jacobian of the one-step map at a point."""
+def step_jacobian(system: HamiltonianSystem, point: np.ndarray, dt: float, method: str) -> np.ndarray:
+    """Central-difference Jacobian of the one-step map at a point.
+
+    Each perturbed step checks its own state is finite, so numpy's overflow
+    and invalid-value warnings stay off while probing.
+    """
     stepper = _STEPPERS[method]
     base = np.asarray(point, dtype=np.float64)
     size = base.size
+    h = JACOBIAN_PROBE_STEP
     jacobian = np.empty((size, size))
-    for a in range(size):
-        forward = base.copy()
-        backward = base.copy()
-        forward[a] += h
-        backward[a] -= h
-        plus = stepper(system, forward, dt)
-        minus = stepper(system, backward, dt)
-        jacobian[:, a] = (plus - minus) / (2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(size):
+            forward = base.copy()
+            backward = base.copy()
+            forward[a] += h
+            backward[a] -= h
+            plus = stepper(system, forward, dt)
+            minus = stepper(system, backward, dt)
+            jacobian[:, a] = (plus - minus) / (2.0 * h)
     return jacobian
 
 

@@ -24,14 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ExpressionError, Gradient, ScalarField, gradient
+from .expressions import ExpressionError, ScalarField, gradient
 from .forms import ConstantTwoForm, symplectic_form
 from .structures import LABELS, BlockDim
 
 METHODS = ("rk4", "implicit_midpoint")
 
-DEFAULT_NEWTON_TOL = 1e-12
-DEFAULT_NEWTON_MAX_ITER = 50
+# Newton stops once its update norm drops below NEWTON_TOL
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 class IntegrationError(RuntimeError):
@@ -58,24 +59,18 @@ class HamiltonianSystem:
     """An energy function together with one of the three symplectic forms."""
 
     dim: BlockDim
-    structure_label: str
     hamiltonian: ScalarField
     omega: ConstantTwoForm
 
     @classmethod
-    def build(cls, structure_label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
-        if structure_label not in LABELS:
-            raise ValueError(f"structure label must be one of {LABELS}, got {structure_label!r}")
-        omega = symplectic_form(structure_label, hamiltonian.dim)
+    def build(cls, label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
+        if label not in LABELS:
+            raise ValueError(f"structure label must be one of {LABELS}, got {label!r}")
+        omega = symplectic_form(label, hamiltonian.dim)
         # the field applies Omega in place of Omega^{-T}, exact only if Omega is orthogonal
         if not np.array_equal(omega.matrix @ omega.matrix.T, np.eye(hamiltonian.dim.total)):
             raise AssertionError("Omega Omega^T != I, so Omega^{-T} is not Omega")
-        return cls(
-            dim=hamiltonian.dim,
-            structure_label=structure_label,
-            hamiltonian=hamiltonian,
-            omega=omega,
-        )
+        return cls(dim=hamiltonian.dim, hamiltonian=hamiltonian, omega=omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +84,6 @@ class Trajectory:
     system: HamiltonianSystem
     states: np.ndarray
     step: float
-    method: str
 
     def __post_init__(self) -> None:
         if not self.step > 0.0:
@@ -105,20 +99,12 @@ class Trajectory:
         return self.step * np.arange(len(self.states))
 
 
-def _field_at(system: HamiltonianSystem, coords: np.ndarray) -> np.ndarray:
-    grad = gradient(system.hamiltonian, coords)
-    return system.omega.matrix @ grad.components
-
-
 def hamiltonian_vector_field(system: HamiltonianSystem, point: np.ndarray) -> np.ndarray:
     """Solve i_X Phi = dH at a point: X = Omega^{-T} grad H = Omega grad H."""
-    coords = np.asarray(point, dtype=np.float64)
-    if coords.shape != (system.dim.total,):
-        raise ValueError(f"point must have length {system.dim.total}")
-    return _field_at(system, coords)
+    return system.omega.matrix @ gradient(system.hamiltonian, point)
 
 
-def reference_field_formula(label: str, grad: Gradient) -> np.ndarray:
+def reference_field_formula(label: str, grad: np.ndarray) -> np.ndarray:
     """Blockwise transcription of the three displayed vector fields.
 
     Kept as an independent oracle against the generic solve above; both
@@ -126,9 +112,8 @@ def reference_field_formula(label: str, grad: Gradient) -> np.ndarray:
     """
     if label not in LABELS:
         raise ValueError(f"label must be one of {LABELS}, got {label!r}")
-    n = grad.dim.n
-    g = grad.components
-    block = [g[k * n:(k + 1) * n] for k in range(4)]
+    n = len(grad) // 4
+    block = [grad[k * n:(k + 1) * n] for k in range(4)]
     if label == "F":
         parts = (-block[1], block[0], -block[3], block[2])
     elif label == "G":
@@ -142,55 +127,43 @@ def step_rk4(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of the flow."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k1 = _field_at(system, x)
-    k2 = _field_at(system, x + 0.5 * dt * k1)
-    k3 = _field_at(system, x + 0.5 * dt * k2)
-    k4 = _field_at(system, x + dt * k3)
+    k1 = hamiltonian_vector_field(system, x)
+    k2 = hamiltonian_vector_field(system, x + 0.5 * dt * k1)
+    k3 = hamiltonian_vector_field(system, x + 0.5 * dt * k2)
+    k4 = hamiltonian_vector_field(system, x + dt * k3)
     new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return _finite_state(new)
 
 
-def step_implicit_midpoint(
-    system: HamiltonianSystem,
-    x: np.ndarray,
-    dt: float,
-    newton_tol: float = DEFAULT_NEWTON_TOL,
-    newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-) -> np.ndarray:
+def step_implicit_midpoint(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
     """One implicit midpoint step, y = x + dt * X((x + y)/2).
 
-    The nonlinear system is solved by Newton iteration; the Jacobian of X
-    is approximated by forward differences with h = 1e-7 * max(1, |x|).
-    Convergence means the Newton update norm dropped below newton_tol.
+    The nonlinear system is solved by at most NEWTON_MAX_ITER Newton
+    iterations; the Jacobian of X is approximated by forward differences
+    with h = 1e-7 * max(1, |x|).
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if newton_tol <= 0.0:
-        raise ValueError(f"newton_tol must be positive, got {newton_tol}")
     size = x.size
     h = 1e-7 * max(1.0, float(np.linalg.norm(x)))
     eye = np.eye(size)
     y = x.copy()
-    residual_norm = None
-    for _ in range(newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         mid = 0.5 * (x + y)
-        field_mid = _field_at(system, mid)
+        field_mid = hamiltonian_vector_field(system, mid)
         residual = y - x - dt * field_mid
         residual_norm = float(np.linalg.norm(residual))
         jacobian = np.empty((size, size))
         for a in range(size):
             bumped = mid.copy()
             bumped[a] += h
-            jacobian[:, a] = (_field_at(system, bumped) - field_mid) / h
+            jacobian[:, a] = (hamiltonian_vector_field(system, bumped) - field_mid) / h
         newton_matrix = eye - 0.5 * dt * jacobian
         delta = np.linalg.solve(newton_matrix, -residual)
         y = y + delta
-        if float(np.linalg.norm(delta)) < newton_tol:
+        if float(np.linalg.norm(delta)) < NEWTON_TOL:
             return _finite_state(y)
-    if residual_norm is None:
-        mid = 0.5 * (x + y)
-        residual_norm = float(np.linalg.norm(y - x - dt * _field_at(system, mid)))
-    raise NewtonDivergenceError(residual_norm, newton_max_iter)
+    raise NewtonDivergenceError(residual_norm, NEWTON_MAX_ITER)
 
 
 def _finite_state(coords: np.ndarray) -> np.ndarray:
@@ -212,7 +185,9 @@ def integrate(
     """Repeatedly step the flow; the result includes the initial state.
 
     Any step failure aborts with the partial trajectory attached to the
-    raised IntegrationError for diagnosis.
+    raised IntegrationError for diagnosis.  Every state is checked to be
+    finite, so numpy's overflow and invalid-value warnings stay off while
+    stepping.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -228,10 +203,11 @@ def integrate(
     stepper = _STEPPERS[method]
     states = np.empty((steps + 1, x0.size))
     states[0] = x0
-    for k in range(steps):
-        try:
-            states[k + 1] = stepper(system, states[k], dt)
-        except (ExpressionError, NewtonDivergenceError, IntegrationError, FloatingPointError, ValueError) as exc:
-            partial = Trajectory(system, states[: k + 1].copy(), dt, method)
-            raise IntegrationError(f"step {k} failed: {exc}", step_index=k, partial=partial) from exc
-    return Trajectory(system, states, dt, method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            try:
+                states[k + 1] = stepper(system, states[k], dt)
+            except (ExpressionError, NewtonDivergenceError, IntegrationError, FloatingPointError, ValueError) as exc:
+                partial = Trajectory(system, states[: k + 1].copy(), dt)
+                raise IntegrationError(f"step {k} failed: {exc}", step_index=k, partial=partial) from exc
+    return Trajectory(system, states, dt)

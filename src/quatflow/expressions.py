@@ -121,21 +121,6 @@ class ScalarField:
         return _GradientKernel(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Gradient:
-    """The coordinate components of dH at a point."""
-
-    dim: BlockDim
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        components = np.asarray(self.components, dtype=np.float64)
-        if components.shape != (self.dim.total,):
-            raise ValueError(f"gradient must have length {self.dim.total}")
-        components.flags.writeable = False
-        object.__setattr__(self, "components", components)
-
-
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -363,15 +348,15 @@ def evaluate(field: ScalarField, point) -> float:
     return float(_eval(field.root, point.tolist()))
 
 
-def gradient(field: ScalarField, point) -> Gradient:
-    """Exact-to-machine-precision gradient from the field's compiled kernel."""
+def gradient(field: ScalarField, point) -> np.ndarray:
+    """The (4n,) gradient dH at a point, from the field's compiled kernel."""
     point = _check_point(field.dim, point)
     _, components = field.gradient_kernel(point.tolist())
-    return Gradient(field.dim, np.array(components))
+    return np.array(components)
 
 
-def fd_gradient(field: ScalarField, point, h: float) -> Gradient:
-    """Central-difference gradient, the independent cross-check."""
+def fd_gradient(field: ScalarField, point, h: float) -> np.ndarray:
+    """Central-difference (4n,) gradient, the independent cross-check."""
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     point = _check_point(field.dim, point)
@@ -383,7 +368,7 @@ def fd_gradient(field: ScalarField, point, h: float) -> Gradient:
         forward[a] += h
         backward[a] -= h
         components[a] = (evaluate(field, forward) - evaluate(field, backward)) / (2.0 * h)
-    return Gradient(field.dim, components)
+    return components
 
 
 # --- compiled reverse-mode gradient ----------------------------------------

@@ -126,13 +126,10 @@ def exterior_derivative(form: AffineOneForm) -> ConstantTwoForm:
 def symplectic_form(label: str, dim: BlockDim) -> ConstantTwoForm:
     """The symplectic 2-form -d(lambda) for the labelled structure.
 
-    Derived through the generic pipeline: pull the radial form back by the
-    cotangent structure, exterior-differentiate, negate.
+    Derived through the generic pipeline: exterior-differentiate the
+    labelled Liouville form, negate.
     """
-    dual = build_structure(StructureKind(label, "cotangent"), dim)
-    liouville = pullback_by_dual(dual, canonical_one_form(dim))
-    d_liouville = exterior_derivative(liouville)
-    return ConstantTwoForm(dim, -d_liouville.matrix)
+    return ConstantTwoForm(dim, -exterior_derivative(liouville_form(label, dim)).matrix)
 
 
 def liouville_form(label: str, dim: BlockDim) -> AffineOneForm:

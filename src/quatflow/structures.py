@@ -117,12 +117,8 @@ class AlgebraReport:
     triple_product: int
 
     @property
-    def max_residual(self) -> int:
-        return max(self.f_squared, self.g_squared, self.h_squared, self.triple_product)
-
-    @property
     def all_zero(self) -> bool:
-        return self.max_residual == 0
+        return self.f_squared == self.g_squared == self.h_squared == self.triple_product == 0
 
 
 def build_structure(kind: StructureKind, dim: BlockDim) -> StructureTensor:
@@ -155,14 +151,6 @@ def identity_tensor(dim: BlockDim, space: str = "tangent") -> StructureTensor:
 def structure_triple(space: str, dim: BlockDim) -> tuple[StructureTensor, StructureTensor, StructureTensor]:
     """The (F, G, H) triple on the requested space."""
     return tuple(build_structure(StructureKind(label, space), dim) for label in LABELS)  # type: ignore[return-value]
-
-
-def apply(tensor: StructureTensor, v: np.ndarray) -> np.ndarray:
-    """Apply a structure tensor to a coordinate vector."""
-    v = np.asarray(v)
-    if v.shape != (tensor.dim.total,):
-        raise ValueError(f"vector must have length {tensor.dim.total}, got shape {v.shape}")
-    return tensor.matrix @ v
 
 
 def _row_sum_norm(m: np.ndarray) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quatflow import BlockDim, HamiltonianSystem, NewtonDivergenceError, integrate, parse
+from quatflow import BlockDim, HamiltonianSystem, NewtonDivergenceError, StructureTensor, integrate, parse
 from quatflow import cli
 from quatflow.cli import main
 
@@ -179,12 +179,13 @@ def test_run_derivative_error_mid_integration_writes_partial(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_probe_step_failure_is_a_diagnostics_error(tmp_path, capsys):
     config_path, payload = write_config(tmp_path, **PROBE_OVERFLOW)
     assert main(["run", str(config_path)]) == 1
     log = Path(f"{payload['output_prefix']}.error.log").read_text(encoding="utf-8")
     assert log == "diagnostics failed: non-finite state after step\n"
-    assert "diagnostics failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: diagnostics failed: non-finite state after step\n"
     assert not Path(f"{payload['output_prefix']}.diagnostics.json").exists()
 
 
@@ -251,13 +252,14 @@ def test_batch_returns_two_for_a_pass_and_a_threshold_failure(tmp_path):
         assert (tmp_path / "out" / f"{name}.diagnostics.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batch_survives_a_probe_step_failure(tmp_path, capsys):
     batch_dir = write_batch(tmp_path, [("a_overflow", PROBE_OVERFLOW), ("b_healthy", {})])
     assert main(["run", "--batch", str(batch_dir)]) == 1
     assert (tmp_path / "out" / "a_overflow.error.log").exists()
     assert (tmp_path / "out" / "b_healthy.trajectory.csv").exists()
     assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
-    assert "diagnostics failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: diagnostics failed: non-finite state after step\n"
 
 
 def test_batch_of_empty_directory_is_an_error(tmp_path, capsys):
@@ -277,8 +279,17 @@ def test_verify_prints_zero_residuals(n, capsys):
     assert "2" not in [token for line in out.splitlines() for token in line.split()[1:]]
 
 
-def test_verify_with_injected_corruption_fails(capsys):
-    assert main(["verify", "--n", "1", "--inject-corrupt-h"]) == 2
+def test_verify_with_injected_corruption_fails(monkeypatch, capsys):
+    real_triple = cli.structure_triple
+
+    def corrupted_triple(space, dim):
+        f, g, h = real_triple(space, dim)
+        if space == "tangent":
+            h = StructureTensor(kind=h.kind, dim=dim, matrix=f.matrix)  # F relabelled as H
+        return f, g, h
+
+    monkeypatch.setattr(cli, "structure_triple", corrupted_triple)
+    assert main(["verify", "--n", "1"]) == 2
     out = capsys.readouterr().out
     fgh_line = next(line for line in out.splitlines() if "FGH + I" in line)
     assert fgh_line.split()[-2:] == ["2", "0"]  # tangent corrupted, cotangent clean

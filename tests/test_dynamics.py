@@ -18,7 +18,8 @@ from quatflow import (
     step_rk4,
     evaluate,
 )
-from quatflow.expressions import DEMO_HAMILTONIANS, Gradient, quadratic_energy_text
+from quatflow import dynamics
+from quatflow.expressions import DEMO_HAMILTONIANS, quadratic_energy_text
 from oracles import expm_taylor
 
 POINT = np.array([1.0, 2.0, 3.0, 4.0])
@@ -55,7 +56,7 @@ def test_field_agrees_with_dense_linear_solve():
         system = _system(label)
         for _ in range(10):
             point = rng.uniform(-2.0, 2.0, 4)
-            grad = gradient(system.hamiltonian, point).components
+            grad = gradient(system.hamiltonian, point)
             direct = np.linalg.solve(system.omega.matrix.T, grad)
             assert np.abs(hamiltonian_vector_field(system, point) - direct).max() < 1e-14
 
@@ -69,7 +70,7 @@ def test_field_agrees_with_dense_linear_solve():
     ],
 )
 def test_reference_formula_examples(label, grad, expected):
-    result = reference_field_formula(label, Gradient(BlockDim(1), np.array(grad)))
+    result = reference_field_formula(label, np.array(grad))
     assert np.array_equal(result, np.array(expected))
 
 
@@ -80,9 +81,8 @@ def test_generic_solve_equals_transcribed_formula(label, n):
     system = HamiltonianSystem.build(label, parse(quadratic_energy_text(dim), dim))
     rng = np.random.default_rng(1000 + n)
     for _ in range(50):
-        components = rng.standard_normal(4 * n)
-        grad = Gradient(dim, components)
-        generic = system.omega.matrix @ components
+        grad = rng.standard_normal(4 * n)
+        generic = system.omega.matrix @ grad
         assert np.array_equal(generic, reference_field_formula(label, grad))
 
 
@@ -93,7 +93,7 @@ def test_energy_gradient_is_orthogonal_to_the_field(label, name):
     rng = np.random.default_rng(hash((label, name)) % 2**32)
     for _ in range(100):
         point = rng.uniform(-2.0, 2.0, 4)
-        grad = gradient(system.hamiltonian, point).components
+        grad = gradient(system.hamiltonian, point)
         field = system.omega.matrix @ grad
         assert abs(float(np.dot(grad, field))) <= 1e-12
 
@@ -145,24 +145,27 @@ def test_midpoint_conserves_quadratic_energy_per_step():
     assert abs(after - before) <= 1e-12
 
 
-def test_midpoint_fixed_point_converges_within_one_iteration():
+def test_midpoint_fixed_point_converges_within_one_iteration(monkeypatch):
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
     system = _system("H", text="5")
-    stepped = step_implicit_midpoint(system, POINT, 0.1, newton_max_iter=1)
+    stepped = step_implicit_midpoint(system, POINT, 0.1)
     assert np.array_equal(stepped, POINT)
 
 
-def test_midpoint_zero_iteration_budget_diverges_immediately():
-    system = _system("F")
-    with pytest.raises(NewtonDivergenceError):
-        step_implicit_midpoint(system, POINT, 0.1, newton_max_iter=0)
+def test_midpoint_one_iteration_budget_diverges_on_a_quartic_energy(monkeypatch):
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
+    system = _system("F", text=DEMO_HAMILTONIANS["quartic"])
+    with pytest.raises(NewtonDivergenceError) as info:
+        step_implicit_midpoint(system, POINT, 0.1)
+    assert info.value.iterations == 1
+    assert info.value.residual_norm > 0.0
 
 
 def test_midpoint_rejects_bad_parameters():
     system = _system("F")
-    with pytest.raises(ValueError):
-        step_implicit_midpoint(system, POINT, -0.1)
-    with pytest.raises(ValueError):
-        step_implicit_midpoint(system, POINT, 0.1, newton_tol=0.0)
+    for dt in (-0.1, 0.0):
+        with pytest.raises(ValueError):
+            step_implicit_midpoint(system, POINT, dt)
 
 
 # --- trajectories ----------------------------------------------------------
@@ -287,6 +290,6 @@ def test_trajectory_requires_increasing_times():
     states = np.array([POINT, POINT])
     for step in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError):
-            Trajectory(system, states, step, "rk4")
+            Trajectory(system, states, step)
     with pytest.raises(ValueError):
-        Trajectory(system, np.empty((0, 4)), 0.1, "rk4")
+        Trajectory(system, np.empty((0, 4)), 0.1)

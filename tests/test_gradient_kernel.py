@@ -48,10 +48,10 @@ def _mixed_points(count: int, seed: int):
 
 
 def _assert_matches_oracles(field, point):
-    kernel = gradient(field, point).components
+    kernel = gradient(field, point)
     dual = dual_gradient(field, point)
     assert np.all(np.abs(kernel - dual) <= 4 * EPS * np.abs(dual))
-    fd = fd_gradient(field, point, 1e-6).components
+    fd = fd_gradient(field, point, 1e-6)
     assert np.abs(kernel - fd).max() <= 1e-5
 
 
@@ -86,10 +86,10 @@ def test_kernel_value_equals_the_interpreter_bit_for_bit(field, point):
 
 def test_gradient_is_deterministic_across_calls_and_parses():
     point = next(_mixed_points(1, seed=8))
-    first = gradient(parse(MIXED, BlockDim(2)), point).components.tobytes()
+    first = gradient(parse(MIXED, BlockDim(2)), point).tobytes()
     field = parse(MIXED, BlockDim(2))
     for _ in range(3):
-        assert gradient(field, point).components.tobytes() == first
+        assert gradient(field, point).tobytes() == first
 
 
 def test_kernel_is_compiled_on_the_first_gradient_only():

@@ -8,7 +8,6 @@ from quatflow import (
     EuclideanMetric,
     StructureKind,
     StructureTensor,
-    apply,
     build_structure,
     identity_tensor,
     verify_metric_compatibility,
@@ -36,7 +35,7 @@ def test_f_tangent_matrix_n1():
 
 def test_g_sends_e4_to_e2():
     e4 = np.array([0, 0, 0, 1])
-    assert np.array_equal(apply(tensor("G"), e4), np.array([0, 1, 0, 0]))
+    assert np.array_equal(tensor("G").matrix @ e4, np.array([0, 1, 0, 0]))
 
 
 def test_cotangent_h_applied_twice_negates_basis():
@@ -44,7 +43,7 @@ def test_cotangent_h_applied_twice_negates_basis():
     for a in range(8):
         e = np.zeros(8, dtype=np.int64)
         e[a] = 1
-        assert np.array_equal(apply(h_star, apply(h_star, e)), -e)
+        assert np.array_equal(h_star.matrix @ h_star.matrix @ e, -e)
 
 
 @pytest.mark.parametrize("label", ["F", "G", "H"])
@@ -53,14 +52,9 @@ def test_tangent_and_cotangent_share_the_matrix_pattern(label):
 
 
 def test_apply_examples():
-    assert np.array_equal(apply(tensor("F"), np.array([1, 0, 0, 0])), np.array([0, 1, 0, 0]))
-    assert np.array_equal(apply(tensor("F"), np.zeros(4)), np.zeros(4))
-    assert np.array_equal(apply(tensor("G"), np.ones(4)), np.array([-1, 1, 1, -1]))
-
-
-def test_apply_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        apply(tensor("F"), np.zeros(5))
+    assert np.array_equal(tensor("F").matrix @ np.array([1, 0, 0, 0]), np.array([0, 1, 0, 0]))
+    assert np.array_equal(tensor("F").matrix @ np.zeros(4), np.zeros(4))
+    assert np.array_equal(tensor("G").matrix @ np.ones(4), np.array([-1, 1, 1, -1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -122,7 +116,7 @@ def test_double_application_negates_basis_vectors(n, label, space):
     for a in range(4 * n):
         e = np.zeros(4 * n, dtype=np.int64)
         e[a] = 1
-        assert np.array_equal(apply(t, apply(t, e)), -e)
+        assert np.array_equal(t.matrix @ t.matrix @ e, -e)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -152,7 +146,7 @@ def test_apply_is_linear_in_exact_arithmetic(coeffs, vectors, label):
     a, b = coeffs
     u, v = (np.array(w, dtype=np.int64) for w in vectors)
     t = tensor(label)
-    assert np.array_equal(apply(t, a * u + b * v), a * apply(t, u) + b * apply(t, v))
+    assert np.array_equal(t.matrix @ (a * u + b * v), a * (t.matrix @ u) + b * (t.matrix @ v))
 
 
 @pytest.mark.parametrize("bad", [0, -3, 1.5, True])
