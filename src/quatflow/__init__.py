@@ -13,7 +13,6 @@ from .dynamics import (
     Trajectory,
     hamiltonian_vector_field,
     integrate,
-    reference_field_formula,
     step_implicit_midpoint,
     step_rk4,
 )
@@ -25,7 +24,6 @@ from .expressions import (
     UnknownIdentifierError,
     VariableRangeError,
     evaluate,
-    fd_gradient,
     format_expression,
     gradient,
     parse,

@@ -104,25 +104,6 @@ def hamiltonian_vector_field(system: HamiltonianSystem, point: np.ndarray) -> np
     return system.omega.matrix @ gradient(system.hamiltonian, point)
 
 
-def reference_field_formula(label: str, grad: np.ndarray) -> np.ndarray:
-    """Blockwise transcription of the three displayed vector fields.
-
-    Kept as an independent oracle against the generic solve above; both
-    must agree exactly for every label and gradient.
-    """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
-    n = len(grad) // 4
-    block = [grad[k * n:(k + 1) * n] for k in range(4)]
-    if label == "F":
-        parts = (-block[1], block[0], -block[3], block[2])
-    elif label == "G":
-        parts = (-block[2], block[3], block[0], -block[1])
-    else:
-        parts = (-block[3], -block[2], block[1], block[0])
-    return np.concatenate(parts)
-
-
 def step_rk4(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of the flow."""
     if dt <= 0.0:
@@ -140,7 +121,8 @@ def step_implicit_midpoint(system: HamiltonianSystem, x: np.ndarray, dt: float) 
 
     The nonlinear system is solved by at most NEWTON_MAX_ITER Newton
     iterations; the Jacobian of X is approximated by forward differences
-    with h = 1e-7 * max(1, |x|).
+    with h = 1e-7 * max(1, |x|).  A non-finite residual stops the iteration
+    at once with the non-finite-state IntegrationError.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -152,6 +134,8 @@ def step_implicit_midpoint(system: HamiltonianSystem, x: np.ndarray, dt: float) 
         mid = 0.5 * (x + y)
         field_mid = hamiltonian_vector_field(system, mid)
         residual = y - x - dt * field_mid
+        if not np.isfinite(residual).all():
+            raise IntegrationError("non-finite state after step")
         residual_norm = float(np.linalg.norm(residual))
         jacobian = np.empty((size, size))
         for a in range(size):

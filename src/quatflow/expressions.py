@@ -10,16 +10,17 @@ binding looser than '^' so that -x1^2 means -(x1^2)):
     atom   := NUMBER | IDENT | '(' expr ')' | FUNC '(' expr ')'
 
 Identifiers are the coordinates x1 .. x{4n}; the function set is sin, cos,
-exp, sqrt; numeric literals are IEEE doubles.  `evaluate` interprets the
-AST directly.  `gradient` runs a kernel compiled from the AST on first use:
-one straight-line Python function that makes a forward sweep over plain
-floats and one reverse (adjoint) sweep, so the whole gradient costs a small
-multiple of one evaluation whatever the dimension (the cheap-gradient
-principle; Griewank & Walther, Evaluating Derivatives, 2nd ed., 2008).  A
-domain error, whether of the value or only of its derivative, raises
-EvaluationError naming the offending subexpression.  A central-difference gradient is provided as an
-independent cross-check; the seeded dual-number passes the kernel replaced
-live on in the tests as a second oracle.
+exp, sqrt; numeric literals are IEEE doubles.  Each field compiles, on the
+first `evaluate` or `gradient` call, into one kernel with two entry points
+over plain floats: a straight-line forward sweep that computes H, and the
+same sweep followed by one reverse (adjoint) sweep, so the whole gradient
+costs a small multiple of one evaluation whatever the dimension (the
+cheap-gradient principle; Griewank & Walther, Evaluating Derivatives, 2nd
+ed., 2008).  `evaluate` runs only the statements H needs, so it returns a
+value wherever H is defined, even where its derivative is not.  A domain
+error raises EvaluationError naming the offending subexpression.  The tests
+keep two independent oracles: an AST interpreter with central differences,
+and the seeded dual-number passes the kernel replaced.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ class ScalarField:
     root: Node
 
     @cached_property
-    def gradient_kernel(self) -> "_GradientKernel":
-        """The compiled value-and-gradient function, built on first use."""
-        return _GradientKernel(self)
+    def gradient_kernel(self) -> "_Kernel":
+        """The compiled value and value-and-gradient functions, built on first use."""
+        return _Kernel(self)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -299,42 +300,6 @@ def format_expression(field_or_node: ScalarField | Node) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
-
-
-def _eval(node: Node, values: list[float]) -> float:
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Variable):
-        return values[node.index - 1]
-    if isinstance(node, Negation):
-        return -_eval(node.operand, values)
-    if isinstance(node, BinaryOp):
-        left = _eval(node.left, values)
-        right = _eval(node.right, values)
-        op = node.op
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                return left / right
-            result = left ** right
-            if isinstance(result, complex):
-                raise ValueError("fractional power of a negative base")
-            return result
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvaluationError(str(exc), _format(node, 0)) from exc
-    argument = _eval(node.argument, values)
-    try:
-        return _FUNCTIONS[node.name](argument)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise EvaluationError(str(exc), _format(node, 0)) from exc
-
-
 def _check_point(dim: BlockDim, point) -> np.ndarray:
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (dim.total,):
@@ -343,9 +308,9 @@ def _check_point(dim: BlockDim, point) -> np.ndarray:
 
 
 def evaluate(field: ScalarField, point) -> float:
-    """Evaluate the field at a point with IEEE double arithmetic."""
+    """H at a point, from the value statements of the field's compiled kernel."""
     point = _check_point(field.dim, point)
-    return float(_eval(field.root, point.tolist()))
+    return field.gradient_kernel.value(point.tolist())
 
 
 def gradient(field: ScalarField, point) -> np.ndarray:
@@ -355,27 +320,9 @@ def gradient(field: ScalarField, point) -> np.ndarray:
     return np.array(components)
 
 
-def fd_gradient(field: ScalarField, point, h: float) -> np.ndarray:
-    """Central-difference (4n,) gradient, the independent cross-check."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    point = _check_point(field.dim, point)
-    size = field.dim.total
-    components = np.empty(size)
-    for a in range(size):
-        forward = point.copy()
-        backward = point.copy()
-        forward[a] += h
-        backward[a] -= h
-        components[a] = (evaluate(field, forward) - evaluate(field, backward)) / (2.0 * h)
-    return components
+# --- compiled kernel -------------------------------------------------------
 
-
-# --- compiled reverse-mode gradient ----------------------------------------
-
-# the kernel source opens with its def line and the unpacking of x, so
-# forward statement k sits on line k + 3
-_FIRST_FORWARD_LINE = 3
+_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "log": math.log}
 
 
 @dataclass(slots=True)
@@ -399,23 +346,25 @@ def _times(adjoint: str | None, factor: str) -> str:
 
 
 class _KernelSource:
-    """Straight-line Python source for one field's value and gradient.
+    """Straight-line Python source of one field's two kernel functions.
 
-    The forward sweep assigns one temporary per operator node, in the
-    interpreter's evaluation order, so its value is the interpreter's bit
-    for bit.  Right after each value it forms the local partial derivatives
-    that the reverse sweep needs, which is where the domain errors that only
-    a derivative meets surface: sqrt' at 0, c*x^(c-1) at x = 0 for c < 1,
-    and log(x) for a base x <= 0 under an exponent that depends on a
-    coordinate.  The reverse sweep then carries adjoints from the root down
-    to the coordinates with products, quotients by checked nonzero values
-    and sums only, so it cannot raise.  owners[k] is the node whose
-    evaluation forward statement k belongs to.
+    The forward sweep assigns one temporary per operator node, evaluating
+    operands left to right before their operator.  Right after each value
+    it forms the local partial derivatives that the reverse sweep needs,
+    which is where the domain errors that only a derivative meets surface:
+    sqrt' at 0, c*x^(c-1) at x = 0 for c < 1, and log(x) for a base x <= 0
+    under an exponent that depends on a coordinate.  The reverse sweep then
+    carries adjoints from the root down to the coordinates with products,
+    quotients by checked nonzero values and sums only, so it cannot raise.
+
+    The text defines value(x), the forward statements without those
+    partials, returning H, and kernel(x), the whole forward sweep and the
+    reverse sweep, returning (H, grad H).  owners maps the line number of
+    each forward statement in the text to the node it belongs to.
     """
 
     def __init__(self, field: ScalarField):
-        self.forward: list[str] = []
-        self.owners: list[Node] = []
+        self.forward: list[tuple[str, Node, bool]] = []  # (statement, owner, gradient only)
         self.reverse: list[str] = []
         self.constants: dict[str, float] = {}
         self.assigned: set[int] = set()
@@ -425,11 +374,18 @@ class _KernelSource:
         size = field.dim.total
         unpack = ", ".join(f"x{a}" for a in range(1, size + 1))
         components = ", ".join(f"g{a}" if a in self.assigned else "0.0" for a in range(1, size + 1))
-        self.text = "\n".join(
-            ["def kernel(x):", f"    {unpack}, = x"]
-            + [f"    {line}" for line in self.forward + self.reverse]
-            + [f"    return {root.expr}, [{components}]", ""]
-        )
+        lines: list[str] = []
+        self.owners: dict[int, Node] = {}
+        for name, gradient, result in (("value", False, root.expr), ("kernel", True, f"{root.expr}, [{components}]")):
+            lines += [f"def {name}(x):", f"    {unpack}, = x"]
+            for statement, owner, partial in self.forward:
+                if gradient or not partial:
+                    lines.append(f"    {statement}")
+                    self.owners[len(lines)] = owner
+            if gradient:
+                lines += [f"    {line}" for line in self.reverse]
+            lines.append(f"    return {result}")
+        self.text = "\n".join(lines) + "\n"
 
     def _literal(self, value: float) -> str:
         if not math.isfinite(value):
@@ -438,15 +394,13 @@ class _KernelSource:
             return name
         return repr(value) if math.copysign(1.0, value) > 0.0 else f"({value!r})"
 
-    def _line(self, node: Node, expr: str) -> str:
+    def _line(self, node: Node, expr: str, partial: bool = False) -> str:
         name = f"t{len(self.forward)}"
-        self.forward.append(f"{name} = {expr}")
-        self.owners.append(node)
+        self.forward.append((f"{name} = {expr}", node, partial))
         return name
 
-    def _check(self, node: Node, condition: str, error: str) -> None:
-        self.forward.append(f"if {condition}: raise {error}")
-        self.owners.append(node)
+    def _check(self, node: Node, condition: str, error: str, partial: bool = False) -> None:
+        self.forward.append((f"if {condition}: raise {error}", node, partial))
 
     def _emit(self, node: Node) -> _Value:
         if isinstance(node, Number):
@@ -469,12 +423,12 @@ class _KernelSource:
             self._check(node, f"{power}.__class__ is complex", "ValueError('fractional power of a negative base')")
         base_partial = exponent_partial = None
         if right.varying:  # log raises for a base <= 0
-            exponent_partial = self._line(node, f"{power} * log({b})")
+            exponent_partial = self._line(node, f"{power} * log({b})", partial=True)
         if left.varying:
             if not isinstance(node.right, Number):
-                base_partial = self._line(node, f"{c} * {b} ** ({c} - 1.0) if {c} != 0.0 else 0.0")
+                base_partial = self._line(node, f"{c} * {b} ** ({c} - 1.0) if {c} != 0.0 else 0.0", partial=True)
             elif node.right.value != 0.0:
-                base_partial = self._line(node, f"{c} * {b} ** {self._literal(node.right.value - 1.0)}")
+                base_partial = self._line(node, f"{c} * {b} ** {self._literal(node.right.value - 1.0)}", partial=True)
         value.partial = (base_partial, exponent_partial)
         return value
 
@@ -485,14 +439,14 @@ class _KernelSource:
         if not operand.varying:
             return value
         if node.name == "sin":
-            value.partial = self._line(node, f"cos({operand.expr})")
+            value.partial = self._line(node, f"cos({operand.expr})", partial=True)
         elif node.name == "cos":
-            value.partial = self._line(node, f"sin({operand.expr})")  # sign applied in _back
+            value.partial = self._line(node, f"sin({operand.expr})", partial=True)  # sign applied in _back
         elif node.name == "exp":
             value.partial = value.expr
         else:
-            value.partial = self._line(node, f"2.0 * {value.expr}")
-            self._check(node, f"{value.partial} == 0.0", "ZeroDivisionError('float division by zero')")
+            value.partial = self._line(node, f"2.0 * {value.expr}", partial=True)
+            self._check(node, f"{value.partial} == 0.0", "ZeroDivisionError('float division by zero')", partial=True)
         return value
 
     def _back(self, value: _Value, adjoint: str | None, negated: bool) -> None:
@@ -544,40 +498,48 @@ class _KernelSource:
                 self._back(right, _times(adjoint, exponent_partial), negated)
 
 
-class _GradientKernel:
-    """A field compiled to one function: values of 4n floats -> (H, grad H).
+class _Kernel:
+    """A field compiled to two functions of the values of its 4n coordinates.
 
-    Domain errors raise EvaluationError naming the subexpression whose
-    statement raised, read off the traceback's line number, so the kernel
-    costs nothing for the bookkeeping until something fails.
+    value(values) returns H; calling the kernel returns (H, grad H).  Domain
+    errors raise EvaluationError naming the subexpression whose statement
+    raised, read off the traceback's line number, so the kernel costs
+    nothing for the bookkeeping until something fails.
     """
 
     def __init__(self, field: ScalarField):
         source = _KernelSource(field)
-        namespace = {**_FUNCTIONS, "log": math.log, **source.constants}
-        exec(compile(source.text, "<quatflow gradient kernel>", "exec"), namespace)
-        self._function = namespace["kernel"]
+        namespace = {**_NAMESPACE, **source.constants}
+        exec(compile(source.text, "<quatflow kernel>", "exec"), namespace)
+        self._value = namespace["value"]
+        self._gradient = namespace["kernel"]
         self._owners = source.owners
+
+    def value(self, values: list[float]) -> float:
+        try:
+            return self._value(values)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            self._name(exc, self._value)
+            raise
 
     def __call__(self, values: list[float]) -> tuple[float, list[float]]:
         try:
-            return self._function(values)
+            return self._gradient(values)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            trace = exc.__traceback__
-            while trace.tb_next is not None:
-                trace = trace.tb_next
-            index = trace.tb_lineno - _FIRST_FORWARD_LINE
-            if trace.tb_frame.f_code is not self._function.__code__ or not 0 <= index < len(self._owners):
-                raise
-            raise EvaluationError(str(exc), _format(self._owners[index], 0)) from exc
+            self._name(exc, self._gradient)
+            raise
+
+    def _name(self, exc: Exception, function) -> None:
+        """Raise EvaluationError if exc came from a forward statement of function."""
+        trace = exc.__traceback__
+        while trace.tb_next is not None:
+            trace = trace.tb_next
+        owner = self._owners.get(trace.tb_lineno)
+        if trace.tb_frame.f_code is function.__code__ and owner is not None:
+            raise EvaluationError(str(exc), _format(owner, 0)) from exc
 
 
 # --- demo Hamiltonians -----------------------------------------------------
-
-def quadratic_energy_text(dim: BlockDim) -> str:
-    """Source text of the isotropic quadratic energy 1/2 sum x_a^2."""
-    return "0.5*(" + " + ".join(f"x{a}^2" for a in range(1, dim.total + 1)) + ")"
-
 
 # the three stock Hamiltonians used throughout tests and docs, n = 1
 DEMO_HAMILTONIANS = {

@@ -21,6 +21,7 @@ from quatflow.expressions import (
     Variable,
     format_expression,
 )
+from quatflow.structures import LABELS, BlockDim
 
 
 def expm_taylor(matrix: np.ndarray) -> np.ndarray:
@@ -125,6 +126,30 @@ def expected_symplectic_matrix(label: str, n: int) -> np.ndarray:
     return wedge_matrix(EXPECTED_WEDGE_PAIRS[label], n)
 
 
+def reference_field_formula(label: str, grad: np.ndarray) -> np.ndarray:
+    """Blockwise transcription of the three displayed vector fields.
+
+    Kept as an independent oracle against the generic solve X = Omega grad H;
+    both must agree exactly for every label and gradient.
+    """
+    if label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+    n = len(grad) // 4
+    block = [grad[k * n:(k + 1) * n] for k in range(4)]
+    if label == "F":
+        parts = (-block[1], block[0], -block[3], block[2])
+    elif label == "G":
+        parts = (-block[2], block[3], block[0], -block[1])
+    else:
+        parts = (-block[3], -block[2], block[1], block[0])
+    return np.concatenate(parts)
+
+
+def quadratic_energy_text(dim: BlockDim) -> str:
+    """Source text of the isotropic quadratic energy 1/2 sum x_a^2."""
+    return "0.5*(" + " + ".join(f"x{a}^2" for a in range(1, dim.total + 1)) + ")"
+
+
 @dataclass(frozen=True, slots=True)
 class DualScalar:
     """First-order dual number a + b*eps with eps^2 = 0."""
@@ -222,7 +247,7 @@ _PLAIN_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": m
 
 
 def _dual_eval(node, values):
-    """Walk the AST with dual numbers, naming the failing subexpression."""
+    """Walk the AST with dual numbers or plain floats, naming the failing subexpression."""
     if isinstance(node, Number):
         return node.value
     if isinstance(node, Variable):
@@ -266,4 +291,24 @@ def dual_gradient(field: ScalarField, point) -> np.ndarray:
         values = [DualScalar(plain[j], 1.0 if j == seed else 0.0) for j in range(size)]
         result = _dual_eval(field.root, values)
         components[seed] = result.derivative if isinstance(result, DualScalar) else 0.0
+    return components
+
+
+def interpret(field: ScalarField, point) -> float:
+    """H at a point by walking the AST with plain floats, never the compiled kernel."""
+    return float(_dual_eval(field.root, [float(v) for v in point]))
+
+
+def fd_gradient(field: ScalarField, point, h: float) -> np.ndarray:
+    """Central differences of the interpreter oracle, one pair per coordinate."""
+    if h <= 0.0:
+        raise ValueError(f"step size must be positive, got {h}")
+    point = np.asarray(point, dtype=np.float64)
+    components = np.empty(point.size)
+    for a in range(point.size):
+        forward = point.copy()
+        backward = point.copy()
+        forward[a] += h
+        backward[a] -= h
+        components[a] = (interpret(field, forward) - interpret(field, backward)) / (2.0 * h)
     return components

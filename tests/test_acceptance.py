@@ -14,19 +14,24 @@ from quatflow import (
     HamiltonianSystem,
     Trajectory,
     energy_drift,
-    fd_gradient,
     gradient,
     integrate,
     parse,
-    reference_field_formula,
     symplectic_form,
     symplecticity_residual,
     verify_quaternion_relations,
 )
 from quatflow.cli import main
-from quatflow.expressions import DEMO_HAMILTONIANS, quadratic_energy_text
+from quatflow.expressions import DEMO_HAMILTONIANS
 from quatflow.structures import structure_triple
-from oracles import expected_symplectic_matrix, expm_taylor, rk4_on_field
+from oracles import (
+    expected_symplectic_matrix,
+    expm_taylor,
+    fd_gradient,
+    quadratic_energy_text,
+    reference_field_formula,
+    rk4_on_field,
+)
 
 LABELS = ("F", "G", "H")
 

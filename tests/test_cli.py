@@ -189,6 +189,21 @@ def test_run_probe_step_failure_is_a_diagnostics_error(tmp_path, capsys):
     assert not Path(f"{payload['output_prefix']}.diagnostics.json").exists()
 
 
+def test_run_midpoint_with_a_non_finite_field_names_the_state(tmp_path, capsys):
+    config_path, payload = write_config(
+        tmp_path,
+        hamiltonian="1e300*x1*x2",
+        initial=[1e10, 1e10, 0, 0],
+        dt=0.1,
+        steps=3,
+        method="implicit_midpoint",
+    )
+    assert main(["run", str(config_path)]) == 1
+    log = Path(f"{payload['output_prefix']}.error.log").read_text(encoding="utf-8")
+    assert log == "integration aborted: step 0 failed: non-finite state after step\n"
+    assert capsys.readouterr().err == f"error: {log}"
+
+
 def test_run_probe_newton_divergence_is_a_diagnostics_error(tmp_path, capsys, monkeypatch):
     def diverging_probe(*args):
         raise NewtonDivergenceError(1.0, 50)

@@ -13,14 +13,13 @@ from quatflow import (
     hamiltonian_vector_field,
     integrate,
     parse,
-    reference_field_formula,
     step_implicit_midpoint,
     step_rk4,
     evaluate,
 )
 from quatflow import dynamics
-from quatflow.expressions import DEMO_HAMILTONIANS, quadratic_energy_text
-from oracles import expm_taylor
+from quatflow.expressions import DEMO_HAMILTONIANS
+from oracles import expm_taylor, quadratic_energy_text, reference_field_formula
 
 POINT = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -159,6 +158,24 @@ def test_midpoint_one_iteration_budget_diverges_on_a_quartic_energy(monkeypatch)
         step_implicit_midpoint(system, POINT, 0.1)
     assert info.value.iterations == 1
     assert info.value.residual_norm > 0.0
+
+
+def test_midpoint_stops_at_a_non_finite_residual(monkeypatch):
+    # grad H = 1e300 * (x2, x1) overflows to inf at the start, which no
+    # Newton update can repair: stop before the first Jacobian is used
+    calls = []
+
+    def counted_gradient(field, point):
+        calls.append(point)
+        return gradient(field, point)
+
+    monkeypatch.setattr(dynamics, "gradient", counted_gradient)
+    system = _system("F", text="1e300*x1*x2")
+    with pytest.raises(IntegrationError) as info:
+        integrate(system, np.array([1e10, 1e10, 0.0, 0.0]), 0.1, 3, "implicit_midpoint")
+    assert str(info.value) == "step 0 failed: non-finite state after step"
+    assert isinstance(info.value.__cause__, IntegrationError)
+    assert 1 <= len(calls) <= 4 * system.dim.n + 1
 
 
 def test_midpoint_rejects_bad_parameters():

@@ -10,7 +10,6 @@ from quatflow import (
     UnknownIdentifierError,
     VariableRangeError,
     evaluate,
-    fd_gradient,
     format_expression,
     gradient,
     parse,
@@ -23,9 +22,8 @@ from quatflow.expressions import (
     Number,
     ScalarField,
     Variable,
-    quadratic_energy_text,
 )
-from oracles import DualScalar
+from oracles import DualScalar, fd_gradient, quadratic_energy_text
 
 DIM1 = BlockDim(1)
 

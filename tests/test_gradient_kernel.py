@@ -1,17 +1,20 @@
-"""The compiled reverse-mode gradient kernel against its two oracles.
+"""The compiled kernel against its oracles.
 
-The seeded dual-number passes (oracles.dual_gradient) differentiate the
-same AST in forward mode.  They round in a different order, so the two
-agree to a few ulp wherever each gradient component is one product chain;
-central differences (fd_gradient) check both from outside.
+The AST interpreter (oracles.interpret) computes H in the kernel's order,
+so both kernel entry points agree with it bit for bit.  The seeded
+dual-number passes (oracles.dual_gradient) differentiate the same AST in
+forward mode.  They round in a different order, so the two agree to a few
+ulp wherever each gradient component is one product chain; central
+differences of the interpreter (oracles.fd_gradient) check both from
+outside.
 """
 
 import numpy as np
 import pytest
 
-from quatflow import BlockDim, EvaluationError, HamiltonianSystem, evaluate, fd_gradient, gradient, parse
+from quatflow import BlockDim, EvaluationError, HamiltonianSystem, evaluate, gradient, parse
 from quatflow.expressions import DEMO_HAMILTONIANS
-from oracles import dual_gradient
+from oracles import dual_gradient, fd_gradient, interpret
 
 EPS = np.finfo(np.float64).eps
 DIM1 = BlockDim(1)
@@ -81,7 +84,7 @@ def _value_cases():
 @pytest.mark.parametrize("field, point", list(_value_cases()))
 def test_kernel_value_equals_the_interpreter_bit_for_bit(field, point):
     value, _ = field.gradient_kernel(point.tolist())
-    assert value.hex() == evaluate(field, point).hex()
+    assert value.hex() == evaluate(field, point).hex() == interpret(field, point).hex()
 
 
 def test_gradient_is_deterministic_across_calls_and_parses():
@@ -94,12 +97,29 @@ def test_gradient_is_deterministic_across_calls_and_parses():
 
 def test_kernel_is_compiled_on_the_first_gradient_only():
     field = parse(DEMO_HAMILTONIANS["oscillatory"], DIM1)
+    assert "gradient_kernel" not in vars(field)  # parse pays nothing
     HamiltonianSystem.build("F", field)
-    assert "gradient_kernel" not in vars(field)  # parse and build pay nothing
+    assert "gradient_kernel" not in vars(field)  # nor does build
     gradient(field, np.zeros(4))
     kernel = field.gradient_kernel
     gradient(field, np.ones(4))
+    evaluate(field, np.ones(4))
     assert field.gradient_kernel is kernel
+
+
+def test_evaluate_compiles_the_kernel_that_gradient_then_reuses():
+    field = parse(DEMO_HAMILTONIANS["oscillatory"], DIM1)
+    evaluate(field, np.zeros(4))
+    kernel = vars(field)["gradient_kernel"]
+    gradient(field, np.ones(4))
+    assert field.gradient_kernel is kernel
+
+
+def test_the_finite_difference_oracle_never_compiles_the_kernel():
+    field = parse(MIXED, BlockDim(2))
+    numeric = fd_gradient(field, next(_mixed_points(1, seed=4)), 1e-6)
+    assert np.isfinite(numeric).all()
+    assert "gradient_kernel" not in vars(field)
 
 
 # --- domain errors ---------------------------------------------------------
@@ -122,5 +142,42 @@ def test_gradient_names_the_failing_subexpression(text, point, expression):
         gradient(field, point)
     with pytest.raises(EvaluationError) as oracle_error:
         dual_gradient(field, point)
+    assert kernel_error.value.expression == oracle_error.value.expression == expression
+    assert isinstance(kernel_error.value.__cause__, (ZeroDivisionError, ValueError, OverflowError))
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        ("sqrt(x1)", [0.0, 0.0, 0.0, 0.0]),
+        ("x1^0.5", [0.0, 0.0, 0.0, 0.0]),
+        ("x1^x2", [-1.0, 2.0, 0.0, 0.0]),
+        ("2*sqrt(x1) + x2", [0.0, 1.0, 0.0, 0.0]),
+    ],
+)
+def test_evaluate_returns_the_value_where_only_the_derivative_fails(text, point):
+    field = parse(text, DIM1)
+    assert evaluate(field, point).hex() == interpret(field, point).hex()
+    with pytest.raises(EvaluationError):
+        gradient(field, point)
+
+
+@pytest.mark.parametrize(
+    "text, point, expression",
+    [
+        ("1/x2", [1.0, 0.0, 0.0, 0.0], "1.0/x2"),
+        ("sqrt(x1)", [-1.0, 0.0, 0.0, 0.0], "sqrt(x1)"),
+        ("exp(x1)", [1000.0, 0.0, 0.0, 0.0], "exp(x1)"),
+        ("x1^0.5", [-2.0, 0.0, 0.0, 0.0], "x1^0.5"),
+        # gradient names sqrt(x1), whose derivative fails first; the value fails only at 1/x2
+        ("sqrt(x1) + 1/x2", [0.0, 0.0, 0.0, 0.0], "1.0/x2"),
+    ],
+)
+def test_evaluate_names_the_same_subexpression_as_the_interpreter(text, point, expression):
+    field = parse(text, DIM1)
+    with pytest.raises(EvaluationError) as kernel_error:
+        evaluate(field, point)
+    with pytest.raises(EvaluationError) as oracle_error:
+        interpret(field, point)
     assert kernel_error.value.expression == oracle_error.value.expression == expression
     assert isinstance(kernel_error.value.__cause__, (ZeroDivisionError, ValueError, OverflowError))
