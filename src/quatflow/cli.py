@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,23 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _format_float(value: float) -> str:
-    # 17 significant digits round-trip any IEEE double exactly
-    return format(float(value), ".17g")
-
-
 def trajectory_csv(trajectory: Trajectory) -> str:
-    """Render a trajectory as CSV with full double precision."""
+    """Render a trajectory as CSV with full double precision.
+
+    Every cell is %.17g, the same text as format(v, ".17g"): 17 significant
+    digits round-trip any IEEE double exactly.
+    """
     hamiltonian = trajectory.system.hamiltonian
-    size = trajectory.states.shape[1]
+    states = trajectory.states
+    size = states.shape[1]
     header = "t," + ",".join(f"x{a}" for a in range(1, size + 1)) + ",energy"
+    row = ",".join(["%.17g"] * (size + 2))
     lines = [header]
-    for time, state in zip(trajectory.times, trajectory.states):
-        energy = evaluate(hamiltonian, state)
-        cells = [_format_float(time)]
-        cells.extend(_format_float(v) for v in state)
-        cells.append(_format_float(energy))
-        lines.append(",".join(cells))
+    for time, state, cells in zip(trajectory.times.tolist(), states, states.tolist()):
+        lines.append(row % (time, *cells, evaluate(hamiltonian, state)))
     return "\n".join(lines) + "\n"
 
 
@@ -350,8 +348,8 @@ def main(argv: list[str] | None = None) -> int:
             if (args.config is None) == (args.batch is None):
                 print("usage error: provide exactly one of <config.json> or --batch DIR", file=sys.stderr)
                 return 1
-            if args.tolerance_scale <= 0:
-                print("usage error: --tolerance-scale must be positive", file=sys.stderr)
+            if not 0.0 < args.tolerance_scale < math.inf:
+                print("usage error: --tolerance-scale must be a positive finite number", file=sys.stderr)
                 return 1
             if args.batch is not None:
                 return run_batch(args.batch, args.tolerance_scale)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, hamiltonian_vector_field
+from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, vector_field_rows
 from .expressions import ExpressionError, evaluate
 from .structures import structure_triple, verify_quaternion_relations
 
@@ -40,13 +40,13 @@ class DiagnosticsError(RuntimeError):
 def energy_drift(trajectory: Trajectory) -> tuple[np.ndarray, float]:
     """Per-point |H - H0| along the trajectory, plus its maximum."""
     hamiltonian = trajectory.system.hamiltonian
-    energies = []
+    energies = np.empty(len(trajectory.states))
     for index, state in enumerate(trajectory.states):
         try:
-            energies.append(evaluate(hamiltonian, state))
+            energies[index] = evaluate(hamiltonian, state)
         except ExpressionError as exc:
             raise DiagnosticsError(f"energy evaluation failed at point {index}: {exc}") from exc
-    series = np.abs(np.array(energies) - energies[0])
+    series = np.abs(energies - energies[0])
     return series, float(series.max())
 
 
@@ -59,13 +59,8 @@ def eom_residual(trajectory: Trajectory) -> float:
     rows = trajectory.states
     if len(rows) < 3:
         raise ValueError("equation-of-motion residual needs at least 3 points")
-    dt = trajectory.step
-    worst = 0.0
-    for k in range(1, len(rows) - 1):
-        velocity = (rows[k + 1] - rows[k - 1]) / (2.0 * dt)
-        field = hamiltonian_vector_field(trajectory.system, rows[k])
-        worst = max(worst, float(np.abs(velocity - field).max()))
-    return worst
+    velocities = (rows[2:] - rows[:-2]) / (2.0 * trajectory.step)
+    return float(np.abs(velocities - vector_field_rows(trajectory.system, rows[1:-1])).max())
 
 
 def step_jacobian(system: HamiltonianSystem, point: np.ndarray, dt: float, method: str) -> np.ndarray:

@@ -8,9 +8,12 @@ Omega^T X = grad H, so
     X = Omega^{-T} grad H.
 
 Omega is a skew signed permutation here, so Omega Omega^T = I and
-Omega^{-T} is Omega itself; HamiltonianSystem.build checks this exactly.
-Each field evaluation is one call of the Hamiltonian's compiled
-reverse-mode gradient kernel plus one matrix-vector product with Omega.
+Omega^{-T} is Omega itself.  HamiltonianSystem.build reads Omega as
+(order, signs), with (Omega v)_i = signs_i v_{order_i}, and checks exactly
+that Omega is that signed permutation.  Each field evaluation is one call
+of the Hamiltonian's compiled reverse-mode gradient kernel, reordered and
+signed; negation and reordering are exact, so this gives the bits of the
+product Omega grad H, except that a -0.0 component stays -0.0.
 Two fixed-step one-step methods integrate the flow: classical RK4 and the
 implicit midpoint rule, the latter solved by Newton iteration with a
 finite-difference Jacobian and symplectic for any constant Omega.  States
@@ -30,7 +33,7 @@ from .structures import LABELS, BlockDim
 
 METHODS = ("rk4", "implicit_midpoint")
 
-# Newton stops once its update norm drops below NEWTON_TOL
+# Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
@@ -56,21 +59,37 @@ class NewtonDivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
-    """An energy function together with one of the three symplectic forms."""
+    """An energy function together with one of the three symplectic forms.
+
+    order and signs hold Omega as a signed permutation:
+    Omega v == signs * v[order] for every vector v.
+    """
 
     dim: BlockDim
     hamiltonian: ScalarField
     omega: ConstantTwoForm
+    order: np.ndarray
+    signs: np.ndarray
 
     @classmethod
     def build(cls, label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
         if label not in LABELS:
             raise ValueError(f"structure label must be one of {LABELS}, got {label!r}")
         omega = symplectic_form(label, hamiltonian.dim)
-        # the field applies Omega in place of Omega^{-T}, exact only if Omega is orthogonal
-        if not np.array_equal(omega.matrix @ omega.matrix.T, np.eye(hamiltonian.dim.total)):
-            raise AssertionError("Omega Omega^T != I, so Omega^{-T} is not Omega")
-        return cls(dim=hamiltonian.dim, hamiltonian=hamiltonian, omega=omega)
+        size = hamiltonian.dim.total
+        order = np.abs(omega.matrix).argmax(axis=1)
+        signs = omega.matrix[np.arange(size), order]
+        # the field applies Omega in place of Omega^{-T}, exact only for a signed permutation
+        signed_permutation = (
+            np.array_equal(np.sort(order), np.arange(size))
+            and np.array_equal(np.abs(signs), np.ones(size))
+            and np.array_equal(omega.matrix, signs[:, None] * np.eye(size)[order])
+        )
+        if not signed_permutation:
+            raise AssertionError("Omega is not a signed permutation, so Omega^{-T} is not Omega")
+        order.flags.writeable = False
+        signs.flags.writeable = False
+        return cls(dim=hamiltonian.dim, hamiltonian=hamiltonian, omega=omega, order=order, signs=signs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,34 +120,57 @@ class Trajectory:
 
 def hamiltonian_vector_field(system: HamiltonianSystem, point: np.ndarray) -> np.ndarray:
     """Solve i_X Phi = dH at a point: X = Omega^{-T} grad H = Omega grad H."""
-    return system.omega.matrix @ gradient(system.hamiltonian, point)
+    return system.signs * gradient(system.hamiltonian, point)[system.order]
+
+
+def vector_field_rows(system: HamiltonianSystem, points: np.ndarray) -> np.ndarray:
+    """X at each row of a (k, 4n) array, one gradient call per row."""
+    hamiltonian = system.hamiltonian
+    grads = np.array([gradient(hamiltonian, point) for point in points])
+    return system.signs * grads[:, system.order]
 
 
 def step_rk4(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of the flow."""
+    """One classical fourth-order Runge-Kutta step of the flow.
+
+    The stages k_i = Omega g_i are kept as the gradients g_i: each stage
+    point is x + (h signs) * g[order], and k1 + 2 k2 + 2 k3 + k4 is summed
+    in gradient space and permuted once, which gives the bits of the
+    textbook formula because negation and reordering are exact.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k1 = hamiltonian_vector_field(system, x)
-    k2 = hamiltonian_vector_field(system, x + 0.5 * dt * k1)
-    k3 = hamiltonian_vector_field(system, x + 0.5 * dt * k2)
-    k4 = hamiltonian_vector_field(system, x + dt * k3)
-    new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _finite_state(new)
+    hamiltonian, order, signs = system.hamiltonian, system.order, system.signs
+    half = (0.5 * dt) * signs
+    g1 = gradient(hamiltonian, x)
+    g2 = gradient(hamiltonian, x + half * g1[order])
+    g3 = gradient(hamiltonian, x + half * g2[order])
+    g4 = gradient(hamiltonian, x + (dt * signs) * g3[order])
+    g2 *= 2.0
+    g3 *= 2.0
+    g1 += g2
+    g1 += g3
+    g1 += g4
+    return _finite_state(x + ((dt / 6.0) * signs) * g1[order])
 
 
 def step_implicit_midpoint(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
     """One implicit midpoint step, y = x + dt * X((x + y)/2).
 
     The nonlinear system is solved by at most NEWTON_MAX_ITER Newton
-    iterations; the Jacobian of X is approximated by forward differences
-    with h = 1e-7 * max(1, |x|).  A non-finite residual stops the iteration
-    at once with the non-finite-state IntegrationError.
+    iterations, which stop once the update norm drops below
+    NEWTON_TOL * max(1, |y|); the Jacobian of X is approximated by forward
+    differences with h = 1e-7 * max(1, |x|), from one field call at each
+    row of the midpoint tiled 4n times with h added on the diagonal.  A
+    non-finite residual stops the iteration at once with the
+    non-finite-state IntegrationError.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     size = x.size
     h = 1e-7 * max(1.0, float(np.linalg.norm(x)))
     eye = np.eye(size)
+    diagonal = np.diag_indices(size)
     y = x.copy()
     for _ in range(NEWTON_MAX_ITER):
         mid = 0.5 * (x + y)
@@ -137,15 +179,13 @@ def step_implicit_midpoint(system: HamiltonianSystem, x: np.ndarray, dt: float) 
         if not np.isfinite(residual).all():
             raise IntegrationError("non-finite state after step")
         residual_norm = float(np.linalg.norm(residual))
-        jacobian = np.empty((size, size))
-        for a in range(size):
-            bumped = mid.copy()
-            bumped[a] += h
-            jacobian[:, a] = (hamiltonian_vector_field(system, bumped) - field_mid) / h
+        bumped = np.tile(mid, (size, 1))
+        bumped[diagonal] += h
+        jacobian = ((vector_field_rows(system, bumped) - field_mid) / h).T
         newton_matrix = eye - 0.5 * dt * jacobian
         delta = np.linalg.solve(newton_matrix, -residual)
         y = y + delta
-        if float(np.linalg.norm(delta)) < NEWTON_TOL:
+        if float(np.linalg.norm(delta)) < NEWTON_TOL * max(1.0, float(np.linalg.norm(y))):
             return _finite_state(y)
     raise NewtonDivergenceError(residual_norm, NEWTON_MAX_ITER)
 

@@ -300,23 +300,30 @@ def format_expression(field_or_node: ScalarField | Node) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-def _check_point(dim: BlockDim, point) -> np.ndarray:
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (dim.total,):
-        raise ValueError(f"point must have length {dim.total}, got shape {point.shape}")
-    return point
-
-
 def evaluate(field: ScalarField, point) -> float:
     """H at a point, from the value statements of the field's compiled kernel."""
-    point = _check_point(field.dim, point)
-    return field.gradient_kernel.value(point.tolist())
+    kernel = field.gradient_kernel
+    point = np.asarray(point, dtype=np.float64)
+    if point.shape != kernel.shape:
+        raise ValueError(f"point must have length {kernel.shape[0]}, got shape {point.shape}")
+    try:
+        return kernel.value(point.tolist())
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        kernel.name(exc, kernel.value)
+        raise
 
 
 def gradient(field: ScalarField, point) -> np.ndarray:
     """The (4n,) gradient dH at a point, from the field's compiled kernel."""
-    point = _check_point(field.dim, point)
-    _, components = field.gradient_kernel(point.tolist())
+    kernel = field.gradient_kernel
+    point = np.asarray(point, dtype=np.float64)
+    if point.shape != kernel.shape:
+        raise ValueError(f"point must have length {kernel.shape[0]}, got shape {point.shape}")
+    try:
+        _, components = kernel.gradient(point.tolist())
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        kernel.name(exc, kernel.gradient)
+        raise
     return np.array(components)
 
 
@@ -501,35 +508,24 @@ class _KernelSource:
 class _Kernel:
     """A field compiled to two functions of the values of its 4n coordinates.
 
-    value(values) returns H; calling the kernel returns (H, grad H).  Domain
-    errors raise EvaluationError naming the subexpression whose statement
-    raised, read off the traceback's line number, so the kernel costs
-    nothing for the bookkeeping until something fails.
+    value(values) returns H and gradient(values) returns (H, grad H); shape
+    is the (4n,) shape of a point.  Callers run them inside a try that
+    passes a domain error to name(), which raises EvaluationError naming the
+    subexpression whose statement raised, read off the traceback's line
+    number, so the kernel costs nothing for the bookkeeping until something
+    fails.
     """
 
     def __init__(self, field: ScalarField):
         source = _KernelSource(field)
         namespace = {**_NAMESPACE, **source.constants}
         exec(compile(source.text, "<quatflow kernel>", "exec"), namespace)
-        self._value = namespace["value"]
-        self._gradient = namespace["kernel"]
+        self.value = namespace["value"]
+        self.gradient = namespace["kernel"]
+        self.shape = (field.dim.total,)
         self._owners = source.owners
 
-    def value(self, values: list[float]) -> float:
-        try:
-            return self._value(values)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            self._name(exc, self._value)
-            raise
-
-    def __call__(self, values: list[float]) -> tuple[float, list[float]]:
-        try:
-            return self._gradient(values)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            self._name(exc, self._gradient)
-            raise
-
-    def _name(self, exc: Exception, function) -> None:
+    def name(self, exc: Exception, function) -> None:
         """Raise EvaluationError if exc came from a forward statement of function."""
         trace = exc.__traceback__
         while trace.tb_next is not None:

@@ -20,6 +20,7 @@ from quatflow.expressions import (
     ScalarField,
     Variable,
     format_expression,
+    gradient,
 )
 from quatflow.structures import LABELS, BlockDim
 
@@ -97,6 +98,38 @@ def rk4_on_field(field, x0, dt: float, steps: int) -> list[np.ndarray]:
         k4 = field(x + dt * k3)
         states.append(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return states
+
+
+def midpoint_newton_reference(system, x: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+    """The implicit midpoint step's Newton loop as first written: (y, iterations).
+
+    Each field value is the matrix product Omega grad H, the Jacobian is
+    filled one forward-difference column per bumped copy of the midpoint,
+    and the loop stops once the update norm drops below the absolute 1e-12.
+    """
+
+    def field(point):
+        return system.omega.matrix @ gradient(system.hamiltonian, point)
+
+    size = x.size
+    h = 1e-7 * max(1.0, float(np.linalg.norm(x)))
+    eye = np.eye(size)
+    y = x.copy()
+    for iteration in range(1, 51):
+        mid = 0.5 * (x + y)
+        field_mid = field(mid)
+        residual = y - x - dt * field_mid
+        jacobian = np.empty((size, size))
+        for a in range(size):
+            bumped = mid.copy()
+            bumped[a] += h
+            jacobian[:, a] = (field(bumped) - field_mid) / h
+        newton_matrix = eye - 0.5 * dt * jacobian
+        delta = np.linalg.solve(newton_matrix, -residual)
+        y = y + delta
+        if float(np.linalg.norm(delta)) < 1e-12:
+            return y, iteration
+    raise AssertionError("the reference Newton loop did not converge in 50 iterations")
 
 
 def wedge_matrix(pairs, n: int) -> np.ndarray:

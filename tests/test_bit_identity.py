@@ -1,0 +1,178 @@
+"""The array loops of the steppers, the EOM probe and the CSV writer
+against the plain formulas they replace, compared bit for bit.
+
+The field applies Omega as (order, signs) instead of a matrix product,
+RK4 sums its stages in gradient space, the Newton Jacobian is built from
+one tiled point array, the EOM residual is one vectorised expression and
+each CSV row is one %-format.  Negation, reordering and elementwise
+arithmetic in the same order are exact, so each must equal its reference
+with np.array_equal (or ==), not merely to a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from quatflow import (
+    BlockDim,
+    HamiltonianSystem,
+    Trajectory,
+    eom_residual,
+    gradient,
+    hamiltonian_vector_field,
+    integrate,
+    parse,
+    step_implicit_midpoint,
+    step_rk4,
+)
+from quatflow import dynamics
+from quatflow.cli import trajectory_csv
+import oracles
+from oracles import rk4_on_field
+
+SIZES = (1, 2, 8)
+
+
+def _energy(n: int) -> str:
+    squares = " + ".join(f"x{a}^2" for a in range(1, 4 * n + 1))
+    return f"0.5*({squares}) + 0.1*x1^4 + 0.05*sin(x2)"
+
+
+def _system(label: str, n: int) -> HamiltonianSystem:
+    return HamiltonianSystem.build(label, parse(_energy(n), BlockDim(n)))
+
+
+def _points(n: int, count: int, seed: int):
+    """Random directions at |x| = 0.8, the benchmark's amplitude."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        direction = rng.standard_normal(4 * n)
+        yield 0.8 * direction / np.linalg.norm(direction)
+
+
+def _matrix_field(system):
+    return lambda point: system.omega.matrix @ gradient(system.hamiltonian, point)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_signed_permutation_field_equals_the_matrix_product(label, n):
+    system = _system(label, n)
+    size = 4 * n
+    assert np.array_equal(system.signs[:, None] * np.eye(size)[system.order], system.omega.matrix)
+    for point in _points(n, 20, seed=n):
+        assert np.array_equal(hamiltonian_vector_field(system, point), _matrix_field(system)(point))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_rk4_step_equals_the_textbook_formula(label, n):
+    system = _system(label, n)
+    for point in _points(n, 10, seed=10 + n):
+        textbook = rk4_on_field(_matrix_field(system), point, 0.01, 1)[-1]
+        assert np.array_equal(step_rk4(system, point, 0.01), textbook)
+    start = next(_points(n, 1, seed=20 + n))
+    trajectory = integrate(system, start, 0.02, 50, "rk4")
+    assert np.array_equal(trajectory.states, np.array(rk4_on_field(_matrix_field(system), start, 0.02, 50)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
+    # the points the field is evaluated at include every Newton iterate, so
+    # equal point sequences mean equal Jacobians and updates, not only an
+    # equal converged state
+    system = _system(label, n)
+    points = []
+
+    def recording_gradient(field, point):
+        points.append(np.array(point))
+        return gradient(field, point)
+
+    monkeypatch.setattr(dynamics, "gradient", recording_gradient)
+    monkeypatch.setattr(oracles, "gradient", recording_gradient)
+    for start in _points(n, 5, seed=30 + n):
+        points.clear()
+        reference, iterations = oracles.midpoint_newton_reference(system, start, 0.05)
+        reference_points = np.array(points)
+        points.clear()
+        assert np.array_equal(step_implicit_midpoint(system, start, 0.05), reference)
+        assert np.array_equal(np.array(points), reference_points)
+        assert len(points) == iterations * (4 * n + 1)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_eom_residual_equals_the_per_row_loop(label, n):
+    system = _system(label, n)
+    trajectory = integrate(system, next(_points(n, 1, seed=40 + n)), 0.05, 30, "rk4")
+    rows, dt = trajectory.states, trajectory.step
+    worst = 0.0
+    for k in range(1, len(rows) - 1):
+        velocity = (rows[k + 1] - rows[k - 1]) / (2.0 * dt)
+        worst = max(worst, float(np.abs(velocity - _matrix_field(system)(rows[k])).max()))
+    assert eom_residual(trajectory) == worst
+
+
+def test_csv_rows_equal_per_cell_formatting():
+    system = HamiltonianSystem.build("F", parse("x1 - 0.5*x4", BlockDim(1)))
+    states = np.array(
+        [
+            [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+            [0.1, -0.0, -5e-324, 1.0 / 3.0],
+            [2.0**-1074, 1e-300, 123456789.123456789, -0.0],
+        ]
+    )
+    trajectory = Trajectory(system, states, 0.1)
+    expected = ["t,x1,x2,x3,x4,energy"]
+    for time, state in zip(trajectory.times, states):
+        energy = float(state[0]) - 0.5 * float(state[3])
+        cells = [format(float(v), ".17g") for v in (time, *state, energy)]
+        expected.append(",".join(cells))
+    assert trajectory_csv(trajectory) == "\n".join(expected) + "\n"
+    assert ",-0," in trajectory_csv(trajectory)
+
+
+# --- the Newton stopping rule ------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e5, 1e7])
+def test_midpoint_converges_far_from_the_origin(scale, monkeypatch):
+    # an absolute 1e-12 update norm is below the rounding of states this
+    # large; the relative stop accepts an update at machine precision
+    system = HamiltonianSystem.build("G", parse("0.5*(x1^2 + x2^2 + x3^2 + x4^2)", BlockDim(1)))
+    calls = []
+
+    def counted_gradient(field, point):
+        calls.append(1)
+        return gradient(field, point)
+
+    monkeypatch.setattr(dynamics, "gradient", counted_gradient)
+    for _ in range(3):
+        calls.clear()
+        start = np.array([scale, 0.0, 0.0, 0.0])
+        stepped = step_implicit_midpoint(system, start, 0.01)
+        assert calls and len(calls) % 5 == 0
+        assert len(calls) < 5 * dynamics.NEWTON_MAX_ITER
+        # the midpoint rule conserves a quadratic energy, so |y| = |x| to rounding
+        assert abs(np.linalg.norm(stepped) / scale - 1.0) <= 4 * np.finfo(float).eps
+
+
+def _scaled(matrix):
+    return 2.0 * matrix
+
+
+def _with_an_extra_pair(matrix):
+    matrix = matrix.copy()
+    matrix[0, 2], matrix[2, 0] = 1.0, -1.0  # F at n = 1 has zeros there
+    return matrix
+
+
+@pytest.mark.parametrize("change", [_scaled, _with_an_extra_pair], ids=["scaled", "extra-pair"])
+def test_build_rejects_an_omega_that_is_not_a_signed_permutation(change, monkeypatch):
+    from quatflow.forms import ConstantTwoForm, symplectic_form
+
+    def changed_form(label, dim):
+        return ConstantTwoForm(dim, change(symplectic_form(label, dim).matrix))
+
+    monkeypatch.setattr(dynamics, "symplectic_form", changed_form)
+    with pytest.raises(AssertionError):
+        HamiltonianSystem.build("F", parse("x1", BlockDim(1)))

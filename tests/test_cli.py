@@ -277,6 +277,17 @@ def test_batch_survives_a_probe_step_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "error: diagnostics failed: non-finite state after step\n"
 
 
+def test_batch_runs_the_configs_after_an_oversized_integer(tmp_path, capsys):
+    batch_dir = write_batch(tmp_path, [("b_healthy", {})])
+    payload = dict(DEMO, output_prefix=str(tmp_path / "out" / "a_huge"))
+    text = json.dumps(payload).replace('"initial": [1, 0, 0, 0]', '"initial": [1' + "0" * 400 + ", 0, 0, 0]")
+    (batch_dir / "a_huge.json").write_text(text, encoding="utf-8")
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert "field 'initial'" in capsys.readouterr().err
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+    assert not (tmp_path / "out" / "a_huge.trajectory.csv").exists()
+
+
 def test_batch_of_empty_directory_is_an_error(tmp_path, capsys):
     batch_dir = tmp_path / "empty"
     batch_dir.mkdir()
@@ -366,9 +377,12 @@ def test_dump_rejects_unknown_label(capsys):
 
 
 def test_nonpositive_tolerance_scale_rejected(tmp_path, capsys):
-    config_path, _ = write_config(tmp_path)
-    assert main(["run", str(config_path), "--tolerance-scale", "-1"]) == 1
-    capsys.readouterr()
+    # nan and inf would disable every gate or write NaN into the JSON report
+    config_path, payload = write_config(tmp_path)
+    for scale in ("-1", "0", "nan", "inf", "-inf"):
+        assert main(["run", str(config_path), f"--tolerance-scale={scale}"]) == 1
+        assert capsys.readouterr().err == "usage error: --tolerance-scale must be a positive finite number\n"
+    assert not Path(f"{payload['output_prefix']}.diagnostics.json").exists()
 
 
 def test_module_invocation_smoke():

@@ -121,3 +121,21 @@ def test_field_validation(tmp_path, field, value):
     with pytest.raises(ConfigError) as excinfo:
         load_config(write(tmp_path, payload))
     assert f"'{field}'" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("field", ["initial", "dt"])
+def test_integer_too_large_for_a_double_is_a_config_error(tmp_path, field):
+    # json reads such a literal as an exact int, which math.isfinite cannot convert
+    huge = "1" + "0" * 400
+    text = json.dumps(DEMO)
+    if field == "initial":
+        text = text.replace('"initial": [1, 0, 0, 0]', f'"initial": [{huge}, 0, 0, 0]')
+    else:
+        text = text.replace('"dt": 0.01', f'"dt": {huge}')
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert excinfo.value.problems == [
+        "field 'initial': must be a list of finite numbers" if field == "initial" else "field 'dt': must be a positive number"
+    ]
