@@ -110,12 +110,13 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
     field = parse(config.hamiltonian, dim)
     system = HamiltonianSystem.build(config.structure, field)
 
+    # a steps count too large for the trajectory array fails its allocation
     try:
         trajectory = integrate(system, config.initial, config.dt, config.steps, config.method)
-    except IntegrationError as exc:
+    except (IntegrationError, ValueError, MemoryError) as exc:
         message = f"integration aborted: {exc}"
         print(f"error: {message}", file=sys.stderr)
-        if exc.partial is not None:
+        if isinstance(exc, IntegrationError) and exc.partial is not None:
             try:
                 Path(f"{prefix}.trajectory.csv.partial").write_text(
                     trajectory_csv(exc.partial), encoding="utf-8"

@@ -7,8 +7,9 @@ a Hamiltonian flow:
   at zero;
 * equation-of-motion residual - central-difference velocities against the
   vector field at interior points, O(dt^2) for a genuine integral curve;
-* symplecticity - the finite-difference Jacobian J of one step map must
-  satisfy J^T Omega J = Omega.
+* symplecticity - the central-difference Jacobian J of one step map, with
+  a step that grows with |x| past 1, must satisfy J^T Omega J = Omega; its
+  implicit midpoint steps start Newton from their neighbour's step.
 
 algebra_residuals re-verifies the quaternion algebra of the structure
 triples backing the system, in exact arithmetic, and default_thresholds
@@ -19,6 +20,8 @@ ever mutated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, vector_field_rows
@@ -28,8 +31,9 @@ from .structures import structure_triple, verify_quaternion_relations
 # energy-drift ceilings per one-step method (quadratic well, desk scale)
 ENERGY_DRIFT_LIMITS = {"rk4": 1e-8, "implicit_midpoint": 1e-10}
 SYMPLECTICITY_LIMIT = 1e-6
-# FD step for the step-map Jacobian; a power of two keeps perturbed
-# coordinates exact at unit scale
+# FD step for the step-map Jacobian at |x| <= 1, scaled up by the smallest
+# power of two >= |x| beyond; a power of two keeps perturbed coordinates
+# exact at unit scale
 JACOBIAN_PROBE_STEP = 2.0 ** -17
 
 
@@ -66,23 +70,37 @@ def eom_residual(trajectory: Trajectory) -> float:
 def step_jacobian(system: HamiltonianSystem, point: np.ndarray, dt: float, method: str) -> np.ndarray:
     """Central-difference Jacobian of the one-step map at a point.
 
-    Each perturbed step checks its own state is finite, so numpy's overflow
-    and invalid-value warnings stay off while probing.
+    The step is JACOBIAN_PROBE_STEP times the smallest power of two that is
+    >= max(1, |x|), so the difference stays well above the rounding of the
+    stepped states at any scale.  Each implicit midpoint step after the
+    first in a direction starts Newton from the previous step in that
+    direction shifted by the difference of the two perturbed points, which
+    is within O(h dt) of its solution.  Each perturbed step checks its own
+    state is finite, so numpy's overflow and invalid-value warnings stay off
+    while probing.
     """
     stepper = _STEPPERS[method]
     base = np.asarray(point, dtype=np.float64)
     size = base.size
-    h = JACOBIAN_PROBE_STEP
+    mantissa, exponent = math.frexp(max(1.0, math.sqrt(base @ base)))
+    h = math.ldexp(JACOBIAN_PROBE_STEP, exponent - (mantissa == 0.5))
+    warm = method == "implicit_midpoint"
+    previous = {}  # direction -> (last perturbed point, its step)
     jacobian = np.empty((size, size))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(size):
-            forward = base.copy()
-            backward = base.copy()
-            forward[a] += h
-            backward[a] -= h
-            plus = stepper(system, forward, dt)
-            minus = stepper(system, backward, dt)
-            jacobian[:, a] = (plus - minus) / (2.0 * h)
+            stepped = []
+            for direction in (h, -h):
+                perturbed = base.copy()
+                perturbed[a] += direction
+                if warm and a > 0:
+                    last_point, last_step = previous[direction]
+                    result = stepper(system, perturbed, dt, start=last_step + (perturbed - last_point))
+                else:
+                    result = stepper(system, perturbed, dt)
+                previous[direction] = (perturbed, result)
+                stepped.append(result)
+            jacobian[:, a] = (stepped[0] - stepped[1]) / (2.0 * h)
     return jacobian
 
 

@@ -435,7 +435,10 @@ class _KernelSource:
             if not isinstance(node.right, Number):
                 base_partial = self._line(node, f"{c} * {b} ** ({c} - 1.0) if {c} != 0.0 else 0.0", partial=True)
             elif node.right.value != 0.0:
-                base_partial = self._line(node, f"{c} * {b} ** {self._literal(node.right.value - 1.0)}", partial=True)
+                # b ** 1.0 is b for every double, so c * b is the same partial without a pow
+                reduced = node.right.value - 1.0
+                factor = b if reduced == 1.0 else f"{b} ** {self._literal(reduced)}"
+                base_partial = self._line(node, f"{c} * {factor}", partial=True)
         value.partial = (base_partial, exponent_partial)
         return value
 

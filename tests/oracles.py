@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quatflow.dynamics import step_implicit_midpoint, step_rk4
 from quatflow.expressions import (
     BinaryOp,
     EvaluationError,
@@ -100,12 +101,13 @@ def rk4_on_field(field, x0, dt: float, steps: int) -> list[np.ndarray]:
     return states
 
 
-def midpoint_newton_reference(system, x: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> tuple[np.ndarray, int]:
     """The implicit midpoint step's Newton loop as first written: (y, iterations).
 
-    Each field value is the matrix product Omega grad H, the Jacobian is
-    filled one forward-difference column per bumped copy of the midpoint,
-    and the loop stops once the update norm drops below the absolute 1e-12.
+    Newton starts from y = start, or from x when start is None.  Each field
+    value is the matrix product Omega grad H, the Jacobian is filled one
+    forward-difference column per bumped copy of the midpoint, and the loop
+    stops once the update norm drops below the absolute 1e-12.
     """
 
     def field(point):
@@ -114,7 +116,7 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float) -> tuple[np.ndar
     size = x.size
     h = 1e-7 * max(1.0, float(np.linalg.norm(x)))
     eye = np.eye(size)
-    y = x.copy()
+    y = x.copy() if start is None else np.array(start, dtype=np.float64)
     for iteration in range(1, 51):
         mid = 0.5 * (x + y)
         field_mid = field(mid)
@@ -130,6 +132,26 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float) -> tuple[np.ndar
         if float(np.linalg.norm(delta)) < 1e-12:
             return y, iteration
     raise AssertionError("the reference Newton loop did not converge in 50 iterations")
+
+
+def cold_step_jacobian(system, point, dt: float, method: str, h: float) -> np.ndarray:
+    """Central-difference Jacobian of one step map, every step started cold.
+
+    Each perturbed point base +- h e_a is stepped on its own by the
+    package's stepper with no start, so each implicit midpoint step runs
+    Newton from its own point.
+    """
+    stepper = step_rk4 if method == "rk4" else step_implicit_midpoint
+    base = np.asarray(point, dtype=np.float64)
+    size = base.size
+    jacobian = np.empty((size, size))
+    for a in range(size):
+        forward = base.copy()
+        backward = base.copy()
+        forward[a] += h
+        backward[a] -= h
+        jacobian[:, a] = (stepper(system, forward, dt) - stepper(system, backward, dt)) / (2.0 * h)
+    return jacobian
 
 
 def wedge_matrix(pairs, n: int) -> np.ndarray:

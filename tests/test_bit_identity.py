@@ -75,29 +75,51 @@ def test_rk4_step_equals_the_textbook_formula(label, n):
     assert np.array_equal(trajectory.states, np.array(rk4_on_field(_matrix_field(system), start, 0.02, 50)))
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("label", ["F", "G", "H"])
-def test_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
-    # the points the field is evaluated at include every Newton iterate, so
-    # equal point sequences mean equal Jacobians and updates, not only an
-    # equal converged state
-    system = _system(label, n)
+def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) -> int:
+    """Same state and gradient evaluation points as the reference loop; its iterations.
+
+    The points the field is evaluated at include every Newton iterate, so
+    equal point sequences mean equal Jacobians and updates, not only an
+    equal converged state.
+    """
     points = []
 
     def recording_gradient(field, point):
         points.append(np.array(point))
         return gradient(field, point)
 
-    monkeypatch.setattr(dynamics, "gradient", recording_gradient)
-    monkeypatch.setattr(oracles, "gradient", recording_gradient)
-    for start in _points(n, 5, seed=30 + n):
-        points.clear()
-        reference, iterations = oracles.midpoint_newton_reference(system, start, 0.05)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "gradient", recording_gradient)
+        patch.setattr(oracles, "gradient", recording_gradient)
+        reference, iterations = oracles.midpoint_newton_reference(system, x, 0.05, start=start)
         reference_points = np.array(points)
         points.clear()
-        assert np.array_equal(step_implicit_midpoint(system, start, 0.05), reference)
-        assert np.array_equal(np.array(points), reference_points)
-        assert len(points) == iterations * (4 * n + 1)
+        assert np.array_equal(step_implicit_midpoint(system, x, 0.05, start=start), reference)
+    assert np.array_equal(np.array(points), reference_points)
+    assert len(points) == iterations * (x.size + 1)  # 4n + 1 field calls per iteration
+    return iterations
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
+    system = _system(label, n)
+    for start in _points(n, 5, seed=30 + n):
+        _assert_midpoint_step_equals_the_reference(system, start, None, monkeypatch)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_warm_started_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
+    # the start the symplecticity probe gives a step: the step of a nearby
+    # point, shifted by the difference of the two points
+    system = _system(label, n)
+    for x in _points(n, 5, seed=50 + n):
+        neighbour = x.copy()
+        neighbour[0] += 2.0**-17
+        start = step_implicit_midpoint(system, neighbour, 0.05) + (x - neighbour)
+        warm = _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch)
+        assert warm < oracles.midpoint_newton_reference(system, x, 0.05)[1]
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -288,6 +288,17 @@ def test_batch_runs_the_configs_after_an_oversized_integer(tmp_path, capsys):
     assert not (tmp_path / "out" / "a_huge.trajectory.csv").exists()
 
 
+def test_batch_runs_the_configs_after_a_steps_count_too_large_to_allocate(tmp_path, capsys):
+    # the trajectory array of 10^400 + 1 rows fails numpy's dimension check
+    # before any memory is asked for
+    batch_dir = write_batch(tmp_path, [("a_huge", dict(steps=10**400)), ("b_healthy", {})])
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert "error: integration aborted:" in capsys.readouterr().err
+    assert (tmp_path / "out" / "a_huge.error.log").read_text(encoding="utf-8").startswith("integration aborted:")
+    assert not (tmp_path / "out" / "a_huge.trajectory.csv").exists()
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
 def test_batch_of_empty_directory_is_an_error(tmp_path, capsys):
     batch_dir = tmp_path / "empty"
     batch_dir.mkdir()

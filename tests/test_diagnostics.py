@@ -15,9 +15,17 @@ from quatflow import (
     parse,
     symplecticity_residual,
 )
+from quatflow import dynamics
 from quatflow.cli import main
-from quatflow.diagnostics import DiagnosticsError, algebra_residuals, default_thresholds
-from oracles import rk4_on_field
+from quatflow.diagnostics import (
+    JACOBIAN_PROBE_STEP,
+    SYMPLECTICITY_LIMIT,
+    DiagnosticsError,
+    algebra_residuals,
+    default_thresholds,
+    step_jacobian,
+)
+from oracles import cold_step_jacobian, rk4_on_field
 
 QUAD = "0.5*(x1^2 + x2^2 + x3^2 + x4^2)"
 
@@ -198,3 +206,99 @@ def test_cli_and_library_report_the_same_diagnostics(tmp_path, method):
     assert document["symplecticity_residual"] == symplecticity_residual(
         system, trajectory.states[0], config["dt"], method
     )
+
+
+# --- the step-map probe ------------------------------------------------------
+
+def _layer_system(label: str, n: int) -> HamiltonianSystem:
+    squares = " + ".join(f"x{a}^2" for a in range(1, 4 * n + 1))
+    return HamiltonianSystem.build(label, parse(f"0.5*({squares}) + 0.1*x1^4 + 0.05*sin(x2)", BlockDim(n)))
+
+
+def _point(n: int, seed: int, radius: float = 0.8) -> np.ndarray:
+    direction = np.random.default_rng(seed).standard_normal(4 * n)
+    return radius * direction / np.linalg.norm(direction)
+
+
+class _ProbeSteps:
+    """Wraps a stepper inside step_jacobian: each step's point, start and gradient calls."""
+
+    def __init__(self, monkeypatch, method: str):
+        self.points, self.starts, self.gradient_calls = [], [], []
+        self.total_calls = 0
+        stepper = dynamics._STEPPERS[method]
+
+        def counted_gradient(field, point):
+            self.total_calls += 1
+            return gradient(field, point)
+
+        def recorded_step(system, x, dt, **options):
+            before = self.total_calls
+            result = stepper(system, x, dt, **options)
+            self.points.append(np.array(x))
+            self.starts.append(options.get("start"))
+            self.gradient_calls.append(self.total_calls - before)
+            return result
+
+        monkeypatch.setattr(dynamics, "gradient", counted_gradient)
+        monkeypatch.setitem(dynamics._STEPPERS, method, recorded_step)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_probe_jacobian_agrees_with_cold_started_steps(method, label, n):
+    system = _layer_system(label, n)
+    point = _point(n, seed=n)
+    warm = step_jacobian(system, point, 0.05, method)
+    cold = cold_step_jacobian(system, point, 0.05, method, JACOBIAN_PROBE_STEP)
+    if method == "rk4":
+        assert np.array_equal(warm, cold)  # RK4 steps take no start
+    else:
+        assert np.abs(warm - cold).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_probe_midpoint_steps_do_whole_newton_iterations(n, monkeypatch):
+    # the first step in each direction starts cold, the rest from their neighbour
+    steps = _ProbeSteps(monkeypatch, "implicit_midpoint")
+    step_jacobian(_layer_system("G", n), _point(n, seed=10 + n), 0.05, "implicit_midpoint")
+    assert len(steps.gradient_calls) == 8 * n
+    assert all(calls > 0 and calls % (4 * n + 1) == 0 for calls in steps.gradient_calls)
+    assert [start is None for start in steps.starts] == [True, True] + [False] * (8 * n - 2)
+
+
+def test_warm_started_probe_takes_at_most_sixty_percent_of_the_gradient_calls(monkeypatch):
+    # the midpoint benchmark's system, where a cold step takes 4 Newton
+    # iterations and a warm one 2; where a cold step takes 3 the saving is a third
+    squares = "+".join(f"x{a}^2" for a in range(1, 17))
+    system = HamiltonianSystem.build("G", parse(f"exp(0.5*({squares}))", BlockDim(4)))
+    point = _point(4, seed=4)
+    steps = _ProbeSteps(monkeypatch, "implicit_midpoint")
+    step_jacobian(system, point, 0.05, "implicit_midpoint")
+    warm = sum(steps.gradient_calls)
+    before = steps.total_calls
+    cold_step_jacobian(system, point, 0.05, "implicit_midpoint", JACOBIAN_PROBE_STEP)
+    cold = steps.total_calls - before
+    assert warm <= 0.6 * cold
+
+
+@pytest.mark.parametrize(
+    "radius, h",
+    [(0.5, 2.0**-17), (1.0, 2.0**-17), (1.5, 2.0**-16), (2.0, 2.0**-16), (2.0 + 1e-15, 2.0**-15), (1e3, 2.0**-7)],
+)
+def test_probe_step_is_the_smallest_power_of_two_scaling(radius, h, monkeypatch):
+    steps = _ProbeSteps(monkeypatch, "rk4")
+    base = np.array([radius, 0.0, 0.0, 0.0])
+    step_jacobian(_system("G"), base, 0.01, "rk4")
+    assert steps.points[0][0] - base[0] == h
+    assert steps.points[1][0] - base[0] == -h
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e7])
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_probe_passes_a_symplectic_flow_far_from_the_origin(method, scale):
+    # a fixed step of 2^-17 is below the rounding of states of size 1e7,
+    # where it read 5e-5 on this exactly symplectic linear flow
+    point = np.array([scale, 0.0, 0.0, 0.0])
+    assert symplecticity_residual(_system("G"), point, 0.01, method) <= SYMPLECTICITY_LIMIT

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from quatflow import BlockDim, EvaluationError, HamiltonianSystem, evaluate, gradient, parse
-from quatflow.expressions import DEMO_HAMILTONIANS
+from quatflow.expressions import DEMO_HAMILTONIANS, _KernelSource
 from oracles import dual_gradient, fd_gradient, interpret
 
 EPS = np.finfo(np.float64).eps
@@ -181,3 +181,16 @@ def test_evaluate_names_the_same_subexpression_as_the_interpreter(text, point, e
         interpret(field, point)
     assert kernel_error.value.expression == oracle_error.value.expression == expression
     assert isinstance(kernel_error.value.__cause__, (ZeroDivisionError, ValueError, OverflowError))
+
+
+def test_a_square_differentiates_to_two_times_the_base_without_a_pow():
+    # b ** 1.0 is b for every double, so 2.0 * b gives the partial's bits
+    field = parse("x1^2 + x2^3", DIM1)
+    text = _KernelSource(field).text
+    assert "** 1.0" not in text
+    assert "x2 ** 2.0" in text
+    rng = np.random.default_rng(7)
+    samples = rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-300.0, 150.0, 2000)
+    for value in (-0.0, 0.0, 5e-324, -5e-324, 1e154, -1e154, *samples):
+        component = gradient(field, [value, 0.0, 0.0, 0.0])[0]
+        assert component.hex() == (2.0 * value).hex()
