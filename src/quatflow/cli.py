@@ -14,8 +14,12 @@ Subcommands:
 Exit codes: 0 on success with passing diagnostics, 1 on operational
 failure (including usage errors), 2 when a diagnostic exceeds its
 threshold; ``_render_outputs`` is the one place a run's pass/fail is
-decided.  No other codes are ever returned.  Output files carry no
-timestamps, so identical configs produce byte-identical artifacts.
+decided, and ``_fail`` the one place a run that fails once its config has
+loaded is reported: an ``error:`` line on stderr and the same message in
+``<prefix>.error.log``.  A config that cannot be read or is invalid fails
+alone, so a batch runs on past it.  No other codes are ever returned.
+Output files carry no timestamps, so identical configs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .diagnostics import (
     eom_residual,
     symplecticity_residual,
 )
-from .dynamics import HamiltonianSystem, IntegrationError, NewtonDivergenceError, Trajectory, integrate
+from .dynamics import HamiltonianSystem, IntegrationError, Trajectory, integrate
 from .expressions import ExpressionError, evaluate, parse
 from .forms import symplectic_form
 from .structures import (
@@ -89,11 +93,14 @@ def gnuplot_script(csv_name: str, n: int) -> str:
     ) + "\n"
 
 
-def _write_error_log(prefix: Path, message: str) -> None:
+def _fail(prefix: Path, message: str) -> int:
+    """Report a failed run on stderr and in <prefix>.error.log; return 1."""
+    print(f"error: {message}", file=sys.stderr)
     try:
         Path(f"{prefix}.error.log").write_text(message + "\n", encoding="utf-8")
     except OSError:
         pass  # best effort; the message already went to stderr
+    return 1
 
 
 def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
@@ -103,8 +110,8 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
         if str(prefix.parent) not in ("", "."):
             prefix.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory for {prefix}: {exc}", file=sys.stderr)
-        return 1
+        # the log would go in the directory that could not be made
+        return _fail(prefix, f"cannot create output directory for {prefix}: {exc}")
 
     dim = BlockDim(config.n)
     field = parse(config.hamiltonian, dim)
@@ -114,8 +121,6 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
     try:
         trajectory = integrate(system, config.initial, config.dt, config.steps, config.method)
     except (IntegrationError, ValueError, MemoryError) as exc:
-        message = f"integration aborted: {exc}"
-        print(f"error: {message}", file=sys.stderr)
         if isinstance(exc, IntegrationError) and exc.partial is not None:
             try:
                 Path(f"{prefix}.trajectory.csv.partial").write_text(
@@ -123,18 +128,13 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
                 )
             except (OSError, ExpressionError):
                 pass
-        _write_error_log(prefix, message)
-        return 1
+        return _fail(prefix, f"integration aborted: {exc}")
 
     # the symplecticity probe takes fresh steps, which can fail like any step
     try:
-        outputs = _render_outputs(config, trajectory, tolerance_scale)
-    except (ExpressionError, ValueError, IntegrationError, NewtonDivergenceError) as exc:
-        message = f"diagnostics failed: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        _write_error_log(prefix, message)
-        return 1
-    contents, passed = outputs
+        contents, passed = _render_outputs(config, trajectory, tolerance_scale)
+    except (IntegrationError, ValueError) as exc:
+        return _fail(prefix, f"diagnostics failed: {exc}")
 
     written: list[Path] = []
     try:
@@ -147,10 +147,7 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
                 path.unlink()
             except OSError:
                 pass
-        message = f"cannot write outputs for {prefix}: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        _write_error_log(prefix, message)
-        return 1
+        return _fail(prefix, f"cannot write outputs for {prefix}: {exc}")
     return 0 if passed else 2
 
 
@@ -210,6 +207,9 @@ def run_config_file(path: str | Path, tolerance_scale: float = 1.0) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {path}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a directory named *.json, say
+        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"error: invalid config {path}: {exc}", file=sys.stderr)
         return 1
@@ -227,7 +227,7 @@ def _shared_output_prefixes(paths: list[Path]) -> list[tuple[Path, Path, Path]]:
     for path in paths:
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             continue
         prefix = raw.get("output_prefix") if isinstance(raw, dict) else None
         if not isinstance(prefix, str) or not prefix:
@@ -364,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
             print("usage error: --n must be >= 1", file=sys.stderr)
             return 1
         return dump_command(args.what, args.label, args.n, args.space)
-    except (ConfigError, ExpressionError, ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a --n too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,24 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dynamics import METHODS
 from .expressions import ExpressionError, parse
 from .structures import LABELS, BlockDim
-
-REQUIRED_FIELDS = (
-    "n",
-    "structure",
-    "hamiltonian",
-    "initial",
-    "dt",
-    "steps",
-    "method",
-    "output_prefix",
-    "emit_plot",
-)
 
 
 class ConfigError(ValueError):
@@ -45,6 +33,9 @@ class SimulationConfig:
     emit_plot: bool
 
 
+REQUIRED_FIELDS = tuple(field.name for field in fields(SimulationConfig))
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -61,14 +52,14 @@ def _is_real(value) -> bool:
 def load_config(path: str | Path) -> SimulationConfig:
     """Read and validate a simulation config.
 
-    A missing file raises FileNotFoundError; everything else (bad JSON,
-    schema violations, an unparseable Hamiltonian) raises ConfigError with
+    A file that cannot be read raises OSError (FileNotFoundError when it
+    is missing); everything else (bytes that are not UTF-8, bad or too
+    deeply nested JSON, schema violations, an unparseable Hamiltonian) raises ConfigError with
     every problem reported at once.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])

@@ -14,8 +14,11 @@ a Hamiltonian flow:
 algebra_residuals re-verifies the quaternion algebra of the structure
 triples backing the system, in exact arithmetic, and default_thresholds
 gives the pass/fail ceilings; `quatflow run` combines all of them into a
-run's report.  All functions are pure: neither trajectory nor system is
-ever mutated.
+run's report.  A probe raises what the layer below it raised: an energy
+that cannot be evaluated raises the kernel's EvaluationError naming the
+subexpression, and a failed probe step raises the stepper's
+IntegrationError.  All functions are pure: neither trajectory nor system
+is ever mutated.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, vector_field_rows
-from .expressions import ExpressionError, evaluate
+from .expressions import evaluate
 from .structures import structure_triple, verify_quaternion_relations
 
 # energy-drift ceilings per one-step method (quadratic well, desk scale)
@@ -37,19 +40,12 @@ SYMPLECTICITY_LIMIT = 1e-6
 JACOBIAN_PROBE_STEP = 2.0 ** -17
 
 
-class DiagnosticsError(RuntimeError):
-    pass
-
-
 def energy_drift(trajectory: Trajectory) -> tuple[np.ndarray, float]:
     """Per-point |H - H0| along the trajectory, plus its maximum."""
     hamiltonian = trajectory.system.hamiltonian
     energies = np.empty(len(trajectory.states))
     for index, state in enumerate(trajectory.states):
-        try:
-            energies[index] = evaluate(hamiltonian, state)
-        except ExpressionError as exc:
-            raise DiagnosticsError(f"energy evaluation failed at point {index}: {exc}") from exc
+        energies[index] = evaluate(hamiltonian, state)
     series = np.abs(energies - energies[0])
     return series, float(series.max())
 

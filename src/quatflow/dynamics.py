@@ -18,7 +18,8 @@ Two fixed-step one-step methods integrate the flow: classical RK4 and the
 implicit midpoint rule, the latter solved by Newton iteration with a
 finite-difference Jacobian and symplectic for any constant Omega.  Newton
 starts from the step's own point unless the caller passes a better start;
-the symplecticity probe does, for its runs of neighbouring steps.  States
+the symplecticity probe does, for its runs of neighbouring steps.  Every
+failed step is an IntegrationError, NewtonDivergenceError included.  States
 are plain coordinate vectors; the flow is autonomous, so no step reads the
 time, and a trajectory's k-th state is the state at time k * dt.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ExpressionError, ScalarField, gradient
+from .expressions import ScalarField, gradient
 from .forms import ConstantTwoForm, symplectic_form
 from .structures import LABELS, BlockDim
 
@@ -42,15 +43,16 @@ NEWTON_MAX_ITER = 50
 
 
 class IntegrationError(RuntimeError):
-    """A step produced an unusable state; carries what was computed so far."""
+    """A step failed; integrate attaches the trajectory computed so far."""
 
-    def __init__(self, message: str, step_index: int | None = None, partial: "Trajectory | None" = None):
+    def __init__(self, message: str, partial: "Trajectory | None" = None):
         super().__init__(message)
-        self.step_index = step_index
         self.partial = partial
 
 
-class NewtonDivergenceError(RuntimeError):
+class NewtonDivergenceError(IntegrationError):
+    """The implicit midpoint Newton iteration ran out of iterations."""
+
     def __init__(self, residual_norm: float, iterations: int):
         super().__init__(
             f"implicit midpoint Newton iteration did not converge after {iterations} iterations"
@@ -218,10 +220,13 @@ def integrate(
 ) -> Trajectory:
     """Repeatedly step the flow; the result includes the initial state.
 
-    Any step failure aborts with the partial trajectory attached to the
-    raised IntegrationError for diagnosis.  Every state is checked to be
-    finite, so numpy's overflow and invalid-value warnings stay off while
-    stepping.
+    A failed step k, whether an IntegrationError of the stepper (a
+    non-finite state, Newton divergence) or a ValueError such as an
+    EvaluationError of the energy, aborts with IntegrationError("step k
+    failed: ...") carrying the partial trajectory for diagnosis.  Every
+    state is checked to be finite, so numpy's overflow and invalid-value
+    warnings stay off while stepping; a FloatingPointError from a global
+    np.seterr(under="raise") is a failed step too.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -241,7 +246,7 @@ def integrate(
         for k in range(steps):
             try:
                 states[k + 1] = stepper(system, states[k], dt)
-            except (ExpressionError, NewtonDivergenceError, IntegrationError, FloatingPointError, ValueError) as exc:
+            except (IntegrationError, ValueError, FloatingPointError) as exc:
                 partial = Trajectory(system, states[: k + 1].copy(), dt)
-                raise IntegrationError(f"step {k} failed: {exc}", step_index=k, partial=partial) from exc
+                raise IntegrationError(f"step {k} failed: {exc}", partial=partial) from exc
     return Trajectory(system, states, dt)

@@ -299,6 +299,31 @@ def test_batch_runs_the_configs_after_a_steps_count_too_large_to_allocate(tmp_pa
     assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"initial": [1' + b"0" * 5000 + b", 0, 0, 0]}",  # past Python's int digit limit
+        b"[" * 100_000,  # past the JSON decoder's recursion limit
+    ],
+    ids=["undecodable", "long_integer", "deep_nesting"],
+)
+def test_batch_runs_the_configs_after_an_unparseable_file(tmp_path, capsys, content):
+    batch_dir = write_batch(tmp_path, [("b_healthy", {})])
+    (batch_dir / "a.json").write_bytes(content)
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert f"error: invalid config {batch_dir / 'a.json'}: " in capsys.readouterr().err
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
+def test_batch_runs_the_configs_after_an_unreadable_config(tmp_path, capsys):
+    batch_dir = write_batch(tmp_path, [("b_healthy", {})])
+    (batch_dir / "a.json").mkdir()
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {batch_dir / 'a.json'}: ")
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
 def test_batch_of_empty_directory_is_an_error(tmp_path, capsys):
     batch_dir = tmp_path / "empty"
     batch_dir.mkdir()
@@ -335,6 +360,18 @@ def test_verify_with_injected_corruption_fails(monkeypatch, capsys):
 def test_verify_rejects_bad_n(capsys):
     assert main(["verify", "--n", "0"]) == 1
     capsys.readouterr()
+
+
+# n = 10^7 asks numpy for 11.4 PiB, which it refuses without allocating
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--n", "10000000"], ["dump", "--what", "omega", "--label", "F", "--n", "10000000"]],
+    ids=["verify", "dump"],
+)
+def test_an_n_too_large_to_allocate_is_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- dump ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from quatflow import (
     BlockDim,
+    EvaluationError,
     HamiltonianSystem,
     Trajectory,
     energy_drift,
@@ -20,7 +21,6 @@ from quatflow.cli import main
 from quatflow.diagnostics import (
     JACOBIAN_PROBE_STEP,
     SYMPLECTICITY_LIMIT,
-    DiagnosticsError,
     algebra_residuals,
     default_thresholds,
     step_jacobian,
@@ -94,9 +94,9 @@ def test_gradient_descent_flow_fails_the_energy_check():
 def test_energy_drift_reports_failing_point_index():
     system = _system(text="1/x1")
     trajectory = Trajectory(system, [[1.0, 0, 0, 0], [0.0, 0, 0, 0]], 0.5)
-    with pytest.raises(DiagnosticsError) as excinfo:
+    with pytest.raises(EvaluationError) as excinfo:
         energy_drift(trajectory)
-    assert "point 1" in str(excinfo.value)
+    assert "'1.0/x1'" in str(excinfo.value)
 
 
 def test_eom_residual_on_the_exact_rotation():

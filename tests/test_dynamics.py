@@ -160,6 +160,22 @@ def test_midpoint_one_iteration_budget_diverges_on_a_quartic_energy(monkeypatch)
     assert info.value.residual_norm > 0.0
 
 
+def test_newton_divergence_is_an_integration_error():
+    assert issubclass(NewtonDivergenceError, IntegrationError)
+
+
+def test_integrate_reports_a_newton_divergence_as_a_failed_step(monkeypatch):
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
+    system = _system("F", text=DEMO_HAMILTONIANS["quartic"])
+    with pytest.raises(IntegrationError) as info:
+        integrate(system, POINT, 0.1, 3, "implicit_midpoint")
+    assert str(info.value).startswith(
+        "step 0 failed: implicit midpoint Newton iteration did not converge after 1 iterations"
+    )
+    assert isinstance(info.value.__cause__, NewtonDivergenceError)
+    assert np.array_equal(info.value.partial.states, [POINT])
+
+
 def test_midpoint_stops_at_a_non_finite_residual(monkeypatch):
     # grad H = 1e300 * (x2, x1) overflows to inf at the start, which no
     # Newton update can repair: stop before the first Jacobian is used
@@ -253,9 +269,8 @@ def test_integration_abort_carries_partial_trajectory():
     with pytest.raises(IntegrationError) as excinfo:
         integrate(system, start, 0.01, 100, "rk4")
     error = excinfo.value
-    assert error.step_index is not None
     assert error.partial is not None
-    assert len(error.partial.states) == error.step_index + 1
+    assert str(error).startswith(f"step {len(error.partial.states) - 1} failed: ")
     assert 2 <= len(error.partial.states) <= 100
     assert np.array_equal(error.partial.states[0], start)
 
