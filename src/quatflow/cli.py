@@ -14,12 +14,14 @@ Subcommands:
 Exit codes: 0 on success with passing diagnostics, 1 on operational
 failure (including usage errors), 2 when a diagnostic exceeds its
 threshold; ``_render_outputs`` is the one place a run's pass/fail is
-decided, and ``_fail`` the one place a run that fails once its config has
-loaded is reported: an ``error:`` line on stderr and the same message in
-``<prefix>.error.log``.  A config that cannot be read or is invalid fails
-alone, so a batch runs on past it.  No other codes are ever returned.
-Output files carry no timestamps, so identical configs produce
-byte-identical artifacts.
+decided, from one table of checks and their thresholds, and ``_fail`` the
+one place a run that fails once its config has loaded is reported: an
+``error:`` line on stderr and the same message in ``<prefix>.error.log``.
+A config that cannot be read or is invalid fails alone, so a batch runs on
+past it; the batch's clash check reads configs through
+``config.read_config`` and skips a prefix it cannot resolve.  No other
+codes are ever returned.  Output files carry no timestamps, so identical
+configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, SimulationConfig, load_config
+from .config import ConfigError, SimulationConfig, is_output_prefix, load_config, read_config
 from .diagnostics import (
     algebra_residuals,
     default_thresholds,
@@ -159,38 +161,27 @@ def _render_outputs(
 
     series, drift_max = energy_drift(trajectory)
     symplectic = symplecticity_residual(trajectory.system, trajectory.states[0], config.dt, config.method)
+    checks = {"energy_drift_max": drift_max, "symplecticity_residual": symplectic}
+    # the central-difference residual needs an interior point
+    if len(trajectory.states) >= 3:
+        checks["eom_residual_max"] = eom_residual(trajectory)
     algebra = algebra_residuals(trajectory.system)
     thresholds = default_thresholds(config.method, config.dt, tolerance_scale)
+    passed = all(checks[key] <= thresholds[key] for key in checks) and not any(algebra.values())
 
-    document: dict = {
+    document = {
         "n": config.n,
         "structure": config.structure,
         "method": config.method,
         "dt": config.dt,
         "steps": config.steps,
         "tolerance_scale": tolerance_scale,
-        "energy_drift_max": drift_max,
         "energy_drift_series": [float(v) for v in series],
-        "symplecticity_residual": symplectic,
-        "threshold_energy_drift_max": thresholds["energy_drift_max"],
-        "threshold_eom_residual_max": thresholds["eom_residual_max"],
-        "threshold_symplecticity_residual": thresholds["symplecticity_residual"],
+        "passed": passed,
+        **checks,
+        **{f"threshold_{key}": value for key, value in thresholds.items()},
+        **{f"algebra_residual_{key}": value for key, value in algebra.items()},
     }
-    for key, value in algebra.items():
-        document[f"algebra_residual_{key}"] = value
-
-    passed = (
-        drift_max <= thresholds["energy_drift_max"]
-        and symplectic <= thresholds["symplecticity_residual"]
-        and all(value == 0 for value in algebra.values())
-    )
-    # the central-difference residual needs an interior point
-    if len(trajectory.states) >= 3:
-        eom = eom_residual(trajectory)
-        document["eom_residual_max"] = eom
-        passed = passed and eom <= thresholds["eom_residual_max"]
-    document["passed"] = passed
-
     contents = {
         Path(f"{prefix}.trajectory.csv"): csv_text,
         Path(f"{prefix}.diagnostics.json"): json.dumps(document, sort_keys=True, indent=2) + "\n",
@@ -219,20 +210,20 @@ def run_config_file(path: str | Path, tolerance_scale: float = 1.0) -> int:
 def _shared_output_prefixes(paths: list[Path]) -> list[tuple[Path, Path, Path]]:
     """(earlier config, later config, resolved prefix) for each reused output prefix.
 
-    Only the raw output_prefix field is read; a config without a readable
-    one cannot clash and reports its own error when it runs.
+    Only the raw output_prefix field is read; a config without a valid one,
+    or whose prefix cannot be resolved (a symlink loop, say), cannot clash
+    and reports its own error when it runs.
     """
     owners: dict[Path, Path] = {}
     clashes = []
     for path in paths:
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError):
+            prefix = read_config(path).get("output_prefix")
+            if not is_output_prefix(prefix):
+                continue
+            resolved = Path(prefix).resolve()
+        except (OSError, ConfigError, RuntimeError):  # RuntimeError: a symlink loop before Python 3.13
             continue
-        prefix = raw.get("output_prefix") if isinstance(raw, dict) else None
-        if not isinstance(prefix, str) or not prefix:
-            continue
-        resolved = Path(prefix).resolve()
         if resolved in owners:
             clashes.append((owners[resolved], path, resolved))
         else:
@@ -355,14 +346,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.batch is not None:
                 return run_batch(args.batch, args.tolerance_scale)
             return run_config_file(args.config, args.tolerance_scale)
-        if args.command == "verify":
-            if args.n < 1:
-                print("usage error: --n must be >= 1", file=sys.stderr)
-                return 1
-            return verify_command(args.n)
         if args.n < 1:
             print("usage error: --n must be >= 1", file=sys.stderr)
             return 1
+        if args.command == "verify":
+            return verify_command(args.n)
         return dump_command(args.what, args.label, args.n, args.space)
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a --n too large to allocate
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,8 @@
-"""Simulation configuration: a flat JSON object with a strict schema."""
+"""Simulation configuration: a flat JSON object with a strict schema.
+
+read_config decodes a file and is_output_prefix states what an output
+prefix may be; load_config and the batch clash check in cli share both.
+"""
 
 from __future__ import annotations
 
@@ -49,13 +53,12 @@ def _is_real(value) -> bool:
         return False
 
 
-def load_config(path: str | Path) -> SimulationConfig:
-    """Read and validate a simulation config.
+def read_config(path: str | Path) -> dict:
+    """Read and decode a config file to its top-level JSON object.
 
     A file that cannot be read raises OSError (FileNotFoundError when it
-    is missing); everything else (bytes that are not UTF-8, bad or too
-    deeply nested JSON, schema violations, an unparseable Hamiltonian) raises ConfigError with
-    every problem reported at once.
+    is missing); bytes that are not UTF-8, bad or too deeply nested JSON
+    and a top level that is not an object raise ConfigError.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -63,6 +66,21 @@ def load_config(path: str | Path) -> SimulationConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
+    return raw
+
+
+def is_output_prefix(value) -> bool:
+    """A nonempty path string the OS can take: no NUL byte."""
+    return isinstance(value, str) and value != "" and "\0" not in value
+
+
+def load_config(path: str | Path) -> SimulationConfig:
+    """Read and validate a simulation config.
+
+    Past read_config's errors, schema violations and an unparseable
+    Hamiltonian raise ConfigError with every problem reported at once.
+    """
+    raw = read_config(path)
 
     problems: list[str] = []
     for key in sorted(set(raw) - set(REQUIRED_FIELDS)):
@@ -76,8 +94,7 @@ def load_config(path: str | Path) -> SimulationConfig:
     if "n" in raw and not n_ok:
         problems.append("field 'n': must be a positive integer")
 
-    structure = raw.get("structure")
-    if "structure" in raw and structure not in LABELS:
+    if "structure" in raw and raw["structure"] not in LABELS:
         problems.append(f"field 'structure': must be one of {list(LABELS)}")
 
     hamiltonian = raw.get("hamiltonian")
@@ -97,37 +114,21 @@ def load_config(path: str | Path) -> SimulationConfig:
         elif n_ok and len(initial) != 4 * n:
             problems.append(f"field 'initial': must have length {4 * n}, got {len(initial)}")
 
-    dt = raw.get("dt")
-    if "dt" in raw and not (_is_real(dt) and dt > 0):
+    if "dt" in raw and not (_is_real(raw["dt"]) and raw["dt"] > 0):
         problems.append("field 'dt': must be a positive number")
 
-    steps = raw.get("steps")
-    if "steps" in raw and not (_is_int(steps) and steps >= 1):
+    if "steps" in raw and not (_is_int(raw["steps"]) and raw["steps"] >= 1):
         problems.append("field 'steps': must be a positive integer")
 
-    method = raw.get("method")
-    if "method" in raw and method not in METHODS:
+    if "method" in raw and raw["method"] not in METHODS:
         problems.append(f"field 'method': must be one of {list(METHODS)}")
 
-    output_prefix = raw.get("output_prefix")
-    if "output_prefix" in raw and (not isinstance(output_prefix, str) or not output_prefix):
+    if "output_prefix" in raw and not is_output_prefix(raw["output_prefix"]):
         problems.append("field 'output_prefix': must be a nonempty path string")
 
-    emit_plot = raw.get("emit_plot")
-    if "emit_plot" in raw and not isinstance(emit_plot, bool):
+    if "emit_plot" in raw and not isinstance(raw["emit_plot"], bool):
         problems.append("field 'emit_plot': must be a boolean")
 
     if problems:
         raise ConfigError(problems)
-
-    return SimulationConfig(
-        n=n,
-        structure=structure,
-        hamiltonian=hamiltonian,
-        initial=tuple(float(v) for v in initial),
-        dt=float(dt),
-        steps=steps,
-        method=method,
-        output_prefix=output_prefix,
-        emit_plot=emit_plot,
-    )
+    return SimulationConfig(**{**raw, "initial": tuple(float(v) for v in initial), "dt": float(raw["dt"])})

@@ -35,8 +35,6 @@ from .expressions import ScalarField, gradient
 from .forms import ConstantTwoForm, symplectic_form
 from .structures import LABELS, BlockDim
 
-METHODS = ("rk4", "implicit_midpoint")
-
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -209,6 +207,7 @@ def _finite_state(coords: np.ndarray) -> np.ndarray:
 
 
 _STEPPERS = {"rk4": step_rk4, "implicit_midpoint": step_implicit_midpoint}
+METHODS = tuple(_STEPPERS)
 
 
 def integrate(

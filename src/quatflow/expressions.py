@@ -18,9 +18,11 @@ costs a small multiple of one evaluation whatever the dimension (the
 cheap-gradient principle; Griewank & Walther, Evaluating Derivatives, 2nd
 ed., 2008).  `evaluate` runs only the statements H needs, so it returns a
 value wherever H is defined, even where its derivative is not.  A domain
-error raises EvaluationError naming the offending subexpression.  The tests
-keep two independent oracles: an AST interpreter with central differences,
-and the seeded dual-number passes the kernel replaced.
+error raises EvaluationError naming the offending subexpression, and nesting
+too deep for the recursive parser or code generator an ExpressionError,
+never a RecursionError.  The tests keep two independent oracles: an AST
+interpreter with central differences, and the seeded dual-number passes the
+kernel replaced.
 """
 
 from __future__ import annotations
@@ -119,7 +121,10 @@ class ScalarField:
     @cached_property
     def gradient_kernel(self) -> "_Kernel":
         """The compiled value and value-and-gradient functions, built on first use."""
-        return _Kernel(self)
+        try:
+            return _Kernel(self)
+        except RecursionError:  # the code generator recurses once per AST level
+            raise ExpressionError("expression nested too deeply to compile") from None
 
 
 # --- parsing ---------------------------------------------------------------
@@ -144,7 +149,7 @@ def _tokenize(text: str) -> list[_Token]:
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == match.start():
+        if match is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
@@ -255,7 +260,10 @@ def parse(text: str, dim: BlockDim) -> ScalarField:
     """Parse an expression into a scalar field over R^{4n}."""
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return ScalarField(dim, _Parser(_tokenize(text), dim).parse())
+    try:
+        return ScalarField(dim, _Parser(_tokenize(text), dim).parse())
+    except RecursionError:  # the parser recurses once per nesting level
+        raise ExpressionSyntaxError("expression nested too deeply", 0) from None
 
 
 # --- formatting ------------------------------------------------------------

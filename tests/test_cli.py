@@ -144,6 +144,54 @@ def test_run_unwritable_prefix_exits_one(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == {blocker, config_path}
 
 
+def test_run_rejects_an_output_prefix_with_a_nul_byte(tmp_path, capsys):
+    config_path, _ = write_config(tmp_path, output_prefix=str(tmp_path / "out" / "a\0x"))
+    assert main(["run", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config {config_path}: field 'output_prefix': must be a nonempty path string\n"
+    )
+    assert set(tmp_path.iterdir()) == {config_path}  # refused before anything ran
+
+
+def test_run_with_integer_dt_reports_a_float(tmp_path):
+    config_path, payload = write_config(tmp_path, dt=1, steps=2)
+    assert main(["run", str(config_path)]) == 2  # a step of 1 fails the drift gate
+    text = open(f"{payload['output_prefix']}.diagnostics.json", encoding="utf-8").read()
+    assert '"dt": 1.0,' in text and json.loads(text)["dt"] == 1.0
+
+
+REPORT_KEYS = [
+    "algebra_residual_f_squared",
+    "algebra_residual_g_squared",
+    "algebra_residual_h_squared",
+    "algebra_residual_triple_product",
+    "dt",
+    "energy_drift_max",
+    "energy_drift_series",
+    "eom_residual_max",
+    "method",
+    "n",
+    "passed",
+    "steps",
+    "structure",
+    "symplecticity_residual",
+    "threshold_energy_drift_max",
+    "threshold_eom_residual_max",
+    "threshold_symplecticity_residual",
+    "tolerance_scale",
+]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 50])
+def test_report_keys(tmp_path, steps):
+    config_path, payload = write_config(tmp_path, steps=steps)
+    assert main(["run", str(config_path)]) == 0
+    text = open(f"{payload['output_prefix']}.diagnostics.json", encoding="utf-8").read()
+    # steps = 1 leaves no interior point for the equation-of-motion residual
+    expected = [key for key in REPORT_KEYS if steps >= 2 or key != "eom_residual_max"]
+    assert list(json.loads(text)) == expected  # sort_keys keeps this order in the file
+
+
 def test_run_integration_abort_writes_partial(tmp_path, capsys):
     config_path, payload = write_config(
         tmp_path,
@@ -321,6 +369,51 @@ def test_batch_runs_the_configs_after_an_unreadable_config(tmp_path, capsys):
     (batch_dir / "a.json").mkdir()
     assert main(["run", "--batch", str(batch_dir)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read config {batch_dir / 'a.json'}: ")
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
+def test_batch_runs_the_configs_after_an_output_prefix_with_a_nul_byte(tmp_path, capsys):
+    batch_dir = write_batch(tmp_path, [("a_nul", dict(output_prefix=str(tmp_path / "out" / "a\0x"))), ("b_healthy", {})])
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config {batch_dir / 'a_nul.json'}: field 'output_prefix': must be a nonempty path string\n"
+    )
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
+def test_batch_runs_the_configs_after_an_output_prefix_in_a_symlink_loop(tmp_path, capsys):
+    (tmp_path / "loop_a").symlink_to(tmp_path / "loop_b")
+    (tmp_path / "loop_b").symlink_to(tmp_path / "loop_a")
+    batch_dir = write_batch(tmp_path, [("a_loop", dict(output_prefix=str(tmp_path / "loop_a" / "run"))), ("b_healthy", {})])
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory for {tmp_path / 'loop_a' / 'run'}: ")
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
+# 3000 levels overflow the default recursion limit of 1000 at any stack depth
+@pytest.mark.parametrize(
+    "hamiltonian,message",
+    [
+        ("(" * 3000 + "x1" + ")" * 3000, "invalid config {config}: field 'hamiltonian': expression nested too deeply at offset 0"),
+        ("-" * 3000 + "x1", "invalid config {config}: field 'hamiltonian': expression nested too deeply at offset 0"),
+        ("+".join(["x1"] * 3000), "integration aborted: step 0 failed: expression nested too deeply to compile"),
+    ],
+    ids=["parentheses", "unary_minus", "flat_sum"],
+)
+def test_batch_runs_the_configs_after_a_hamiltonian_nested_too_deeply(tmp_path, capsys, hamiltonian, message):
+    batch_dir = write_batch(tmp_path, [("a_deep", dict(hamiltonian=hamiltonian)), ("b_healthy", {})])
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert capsys.readouterr().err == "error: " + message.format(config=batch_dir / "a_deep.json") + "\n"
+    assert not (tmp_path / "out" / "a_deep.trajectory.csv").exists()
+    assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
+def test_clash_check_skips_a_config_that_is_not_an_object(tmp_path, capsys):
+    batch_dir = write_batch(tmp_path, [("b_healthy", {})])
+    (batch_dir / "a.json").write_text(json.dumps([DEMO]), encoding="utf-8")
+    assert cli._shared_output_prefixes(sorted(batch_dir.glob("*.json"))) == []
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config {batch_dir / 'a.json'}: top level must be a JSON object\n"
     assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quatflow.config import ConfigError, load_config
+from quatflow.config import ConfigError, is_output_prefix, load_config, read_config
 
 DEMO = {
     "n": 1,
@@ -75,6 +75,31 @@ def test_non_object_top_level_rejected(tmp_path):
         load_config(path)
 
 
+def test_read_config_returns_the_decoded_object(tmp_path):
+    assert read_config(write(tmp_path, DEMO)) == DEMO
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^top level must be a JSON object$"):
+        read_config(path)
+    with pytest.raises(FileNotFoundError):
+        read_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "value,valid",
+    [("out/run", True), ("out/a\0x", False), ("", False), (None, False), (3, False), (["out"], False)],
+)
+def test_is_output_prefix(value, valid):
+    assert is_output_prefix(value) is valid
+
+
+def test_integer_dt_and_initial_load_as_floats(tmp_path):
+    config = load_config(write(tmp_path, dict(DEMO, dt=1, initial=[1, 0, 0, 0])))
+    assert type(config.dt) is float and config.dt == 1.0
+    assert all(type(v) is float for v in config.initial)
+    assert type(config.n) is int and type(config.steps) is int
+
+
 def test_hamiltonian_parse_failure_names_the_field(tmp_path):
     payload = dict(DEMO, hamiltonian="x9 + 1")
     with pytest.raises(ConfigError) as excinfo:
@@ -112,6 +137,7 @@ def test_missing_fields_are_each_named(tmp_path):
         ("initial", "nope"),
         ("initial", [1, 0, 0, "x"]),
         ("output_prefix", ""),
+        ("output_prefix", "out/a\0x"),
         ("emit_plot", "yes"),
         ("hamiltonian", ""),
     ],

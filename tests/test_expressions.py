@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from quatflow import (
     BlockDim,
     EvaluationError,
+    ExpressionError,
     ExpressionSyntaxError,
     UnknownIdentifierError,
     VariableRangeError,
@@ -83,6 +84,26 @@ def test_unexpected_character():
 def test_empty_text_rejected():
     with pytest.raises(ExpressionSyntaxError):
         parse("   ", DIM1)
+
+
+# 3000 levels overflow the default recursion limit of 1000 at any stack depth
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "x1" + ")" * 3000, "sin(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"],
+    ids=["parentheses", "sin", "unary_minus"],
+)
+def test_nesting_too_deep_to_parse_is_a_syntax_error(text):
+    with pytest.raises(ExpressionSyntaxError) as excinfo:
+        parse(text, DIM1)
+    assert str(excinfo.value) == "expression nested too deeply at offset 0"
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_a_flat_chain_too_deep_to_compile_is_an_expression_error(op):
+    field = parse(op.join(["x1"] * 3000), DIM1)  # the parser loops over a chain
+    for entry_point in (evaluate, gradient):
+        with pytest.raises(ExpressionError, match="^expression nested too deeply to compile$"):
+            entry_point(field, np.ones(4))
 
 
 def test_power_is_right_associative():
