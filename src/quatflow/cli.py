@@ -77,8 +77,8 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     header = "t," + ",".join(f"x{a}" for a in range(1, size + 1)) + ",energy"
     row = ",".join(["%.17g"] * (size + 2))
     lines = [header]
-    for time, state, cells in zip(trajectory.times.tolist(), states, states.tolist()):
-        lines.append(row % (time, *cells, evaluate(hamiltonian, state)))
+    for time, cells in zip(trajectory.times.tolist(), states.tolist()):
+        lines.append(row % (time, *cells, evaluate(hamiltonian, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +176,7 @@ def _render_outputs(
         "dt": config.dt,
         "steps": config.steps,
         "tolerance_scale": tolerance_scale,
-        "energy_drift_series": [float(v) for v in series],
+        "energy_drift_series": series.tolist(),
         "passed": passed,
         **checks,
         **{f"threshold_{key}": value for key, value in thresholds.items()},

@@ -45,7 +45,7 @@ def energy_drift(trajectory: Trajectory) -> tuple[np.ndarray, float]:
     hamiltonian = trajectory.system.hamiltonian
     energies = np.empty(len(trajectory.states))
     for index, state in enumerate(trajectory.states):
-        energies[index] = evaluate(hamiltonian, state)
+        energies[index] = evaluate(hamiltonian, state.tolist())
     series = np.abs(energies - energies[0])
     return series, float(series.max())
 

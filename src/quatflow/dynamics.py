@@ -14,20 +14,22 @@ that Omega is that signed permutation.  Each field evaluation is one call
 of the Hamiltonian's compiled reverse-mode gradient kernel, reordered and
 signed; negation and reordering are exact, so this gives the bits of the
 product Omega grad H, except that a -0.0 component stays -0.0.
-Two fixed-step one-step methods integrate the flow: classical RK4 and the
-implicit midpoint rule, the latter solved by Newton iteration with a
-finite-difference Jacobian and symplectic for any constant Omega.  Newton
-starts from the step's own point unless the caller passes a better start;
-the symplecticity probe does, for its runs of neighbouring steps.  Every
-failed step is an IntegrationError, NewtonDivergenceError included.  States
-are plain coordinate vectors; the flow is autonomous, so no step reads the
-time, and a trajectory's k-th state is the state at time k * dt.
+Two fixed-step one-step methods integrate the flow: classical RK4, which
+steps on lists of Python floats and hands each stage point to gradient as
+such a list, and the implicit midpoint rule, solved by Newton iteration
+with a finite-difference Jacobian and symplectic for any constant Omega.
+Newton starts from the step's own point unless the caller passes a better
+start; the symplecticity probe does, for its runs of neighbouring steps.
+Every failed step is an IntegrationError, NewtonDivergenceError included.
+States are plain coordinate vectors; the flow is autonomous, so no step
+reads the time, and a trajectory's k-th state is the state at time k * dt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +96,11 @@ class HamiltonianSystem:
         signs.flags.writeable = False
         return cls(dim=hamiltonian.dim, hamiltonian=hamiltonian, omega=omega, order=order, signs=signs)
 
+    @cached_property
+    def _order_and_signs(self) -> tuple[list[int], list[float]]:
+        """order and signs as Python lists, for the float-list RK4 step."""
+        return self.order.tolist(), self.signs.tolist()
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -131,32 +138,37 @@ def vector_field_rows(system: HamiltonianSystem, points: np.ndarray) -> np.ndarr
     hamiltonian = system.hamiltonian
     grads = np.empty(points.shape)
     for k, point in enumerate(points):
-        grads[k] = gradient(hamiltonian, point)
+        grads[k] = gradient(hamiltonian, point.tolist())
     return system.signs * grads[:, system.order]
 
 
 def step_rk4(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of the flow.
 
-    The stages k_i = Omega g_i are kept as the gradients g_i: each stage
-    point is x + (h signs) * g[order], and k1 + 2 k2 + 2 k3 + k4 is summed
-    in gradient space and permuted once, which gives the bits of the
-    textbook formula because negation and reordering are exact.
+    The step runs on lists of Python floats: x and each stage's gradient
+    array are turned into lists once.  The stages k_i = Omega g_i are kept
+    as the gradients g_i: each stage point is x_a + (h signs_a) *
+    g[order_a], and k1 + 2 k2 + 2 k3 + k4 is summed as ((g1 + 2 g2) + 2 g3)
+    + g4 in gradient space and permuted once.  Negation and reordering are
+    exact, so these float operations, in this order, give the bits of the
+    textbook formula.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    hamiltonian, order, signs = system.hamiltonian, system.order, system.signs
-    half = (0.5 * dt) * signs
-    g1 = gradient(hamiltonian, x)
-    g2 = gradient(hamiltonian, x + half * g1[order])
-    g3 = gradient(hamiltonian, x + half * g2[order])
-    g4 = gradient(hamiltonian, x + (dt * signs) * g3[order])
-    g2 *= 2.0
-    g3 *= 2.0
-    g1 += g2
-    g1 += g3
-    g1 += g4
-    return _finite_state(x + ((dt / 6.0) * signs) * g1[order])
+    hamiltonian = system.hamiltonian
+    x = x.tolist()
+    order, signs = system._order_and_signs
+    half = 0.5 * dt
+    g1 = gradient(hamiltonian, x).tolist()
+    g2 = gradient(hamiltonian, [a + (half * s) * g1[o] for a, s, o in zip(x, signs, order)]).tolist()
+    g3 = gradient(hamiltonian, [a + (half * s) * g2[o] for a, s, o in zip(x, signs, order)]).tolist()
+    g4 = gradient(hamiltonian, [a + (dt * s) * g3[o] for a, s, o in zip(x, signs, order)]).tolist()
+    total = [((a + 2.0 * b) + 2.0 * c) + d for a, b, c, d in zip(g1, g2, g3, g4)]
+    sixth = dt / 6.0
+    y = [a + (sixth * s) * total[o] for a, s, o in zip(x, signs, order)]
+    if not all(map(math.isfinite, y)):
+        raise IntegrationError("non-finite state after step")
+    return np.array(y)
 
 
 def step_implicit_midpoint(
@@ -175,7 +187,7 @@ def step_implicit_midpoint(
     saves iterations; it changes the result only within the Newton
     tolerance.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     size = x.size
     h = 1e-7 * max(1.0, math.sqrt(x @ x))

@@ -16,13 +16,17 @@ over plain floats: a straight-line forward sweep that computes H, and the
 same sweep followed by one reverse (adjoint) sweep, so the whole gradient
 costs a small multiple of one evaluation whatever the dimension (the
 cheap-gradient principle; Griewank & Walther, Evaluating Derivatives, 2nd
-ed., 2008).  `evaluate` runs only the statements H needs, so it returns a
-value wherever H is defined, even where its derivative is not.  A domain
-error raises EvaluationError naming the offending subexpression, and nesting
-too deep for the recursive parser or code generator an ExpressionError,
-never a RecursionError.  The tests keep two independent oracles: an AST
-interpreter with central differences, and the seeded dual-number passes the
-kernel replaced.
+ed., 2008).  Both entry points use a point that is a list of 4n Python
+floats as it is, and convert any other point (an array, or a list holding
+ints or numpy scalars) with np.asarray and check its shape first, so every
+form of a point gives the same bits.  `evaluate` runs only the statements
+H needs, so it returns a value wherever H is defined, even where its
+derivative is not.  A domain error raises EvaluationError naming the
+offending subexpression, and nesting too deep for the recursive parser or
+code generator an ExpressionError, never a RecursionError; a field too deep
+to compile is compiled once and raises the same error on every later use.
+The tests keep two independent oracles: an AST interpreter with central
+differences, and the seeded dual-number passes the kernel replaced.
 """
 
 from __future__ import annotations
@@ -120,11 +124,17 @@ class ScalarField:
 
     @cached_property
     def gradient_kernel(self) -> "_Kernel":
-        """The compiled value and value-and-gradient functions, built on first use."""
-        try:
-            return _Kernel(self)
-        except RecursionError:  # the code generator recurses once per AST level
-            raise ExpressionError("expression nested too deeply to compile") from None
+        """The compiled value and value-and-gradient functions, built on first use.
+
+        A field that fails to compile is not compiled again: the failure is
+        kept with the field and raised afresh on every later use.
+        """
+        if "_too_deep" not in vars(self):
+            try:
+                return _Kernel(self)
+            except RecursionError:  # the code generator recurses once per AST level
+                vars(self)["_too_deep"] = True
+        raise ExpressionError("expression nested too deeply to compile")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -311,11 +321,8 @@ def format_expression(field_or_node: ScalarField | Node) -> str:
 def evaluate(field: ScalarField, point) -> float:
     """H at a point, from the value statements of the field's compiled kernel."""
     kernel = field.gradient_kernel
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != kernel.shape:
-        raise ValueError(f"point must have length {kernel.shape[0]}, got shape {point.shape}")
     try:
-        return kernel.value(point.tolist())
+        return kernel.value(point)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         kernel.name(exc, kernel.value)
         raise
@@ -324,15 +331,20 @@ def evaluate(field: ScalarField, point) -> float:
 def gradient(field: ScalarField, point) -> np.ndarray:
     """The (4n,) gradient dH at a point, from the field's compiled kernel."""
     kernel = field.gradient_kernel
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != kernel.shape:
-        raise ValueError(f"point must have length {kernel.shape[0]}, got shape {point.shape}")
     try:
-        _, components = kernel.gradient(point.tolist())
+        _, components = kernel.gradient(point)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         kernel.name(exc, kernel.gradient)
         raise
     return np.array(components)
+
+
+def _coordinates(point, size: int) -> list:
+    """A point that is not a list of floats, as one; the kernel's fallback."""
+    point = np.asarray(point, dtype=np.float64)
+    if point.shape != (size,):
+        raise ValueError(f"point must have length {size}, got shape {point.shape}")
+    return point.tolist()
 
 
 # --- compiled kernel -------------------------------------------------------
@@ -374,8 +386,11 @@ class _KernelSource:
 
     The text defines value(x), the forward statements without those
     partials, returning H, and kernel(x), the whole forward sweep and the
-    reverse sweep, returning (H, grad H).  owners maps the line number of
-    each forward statement in the text to the node it belongs to.
+    reverse sweep, returning (H, grad H).  Each starts by unpacking x into
+    x1 .. x{4n}: a list of 4n entries as it is, unless one is not a float,
+    and any other x through coordinates(x, 4n), so a list of floats costs
+    one unpack and one chain of class tests.  owners maps the line number
+    of each forward statement in the text to the node it belongs to.
     """
 
     def __init__(self, field: ScalarField):
@@ -391,8 +406,16 @@ class _KernelSource:
         components = ", ".join(f"g{a}" if a in self.assigned else "0.0" for a in range(1, size + 1))
         lines: list[str] = []
         self.owners: dict[int, Node] = {}
+        classes = " is ".join(f"x{a}.__class__" for a in range(1, size + 1))
         for name, gradient, result in (("value", False, root.expr), ("kernel", True, f"{root.expr}, [{components}]")):
-            lines += [f"def {name}(x):", f"    {unpack}, = x"]
+            lines += [
+                f"def {name}(x):",
+                f"    if x.__class__ is list and len(x) == {size}:",
+                f"        {unpack}, = x",
+                f"        if not {classes} is float: {unpack}, = coordinates(x, {size})",
+                "    else:",
+                f"        {unpack}, = coordinates(x, {size})",
+            ]
             for statement, owner, partial in self.forward:
                 if gradient or not partial:
                     lines.append(f"    {statement}")
@@ -519,8 +542,8 @@ class _KernelSource:
 class _Kernel:
     """A field compiled to two functions of the values of its 4n coordinates.
 
-    value(values) returns H and gradient(values) returns (H, grad H); shape
-    is the (4n,) shape of a point.  Callers run them inside a try that
+    value(x) returns H and gradient(x) returns (H, grad H) at a point x,
+    best a list of 4n floats.  Callers run them inside a try that
     passes a domain error to name(), which raises EvaluationError naming the
     subexpression whose statement raised, read off the traceback's line
     number, so the kernel costs nothing for the bookkeeping until something
@@ -529,11 +552,10 @@ class _Kernel:
 
     def __init__(self, field: ScalarField):
         source = _KernelSource(field)
-        namespace = {**_NAMESPACE, **source.constants}
+        namespace = {**_NAMESPACE, **source.constants, "coordinates": _coordinates}
         exec(compile(source.text, "<quatflow kernel>", "exec"), namespace)
         self.value = namespace["value"]
         self.gradient = namespace["kernel"]
-        self.shape = (field.dim.total,)
         self._owners = source.owners
 
     def name(self, exc: Exception, function) -> None:

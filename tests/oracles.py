@@ -101,6 +101,29 @@ def rk4_on_field(field, x0, dt: float, steps: int) -> list[np.ndarray]:
     return states
 
 
+def rk4_step_on_arrays(system, x: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step as numpy arrays, the form the float-list step replaced.
+
+    Each stage point is x + (h signs) * g[order], and g1 + 2 g2 + 2 g3 + g4
+    is summed in place in gradient space and permuted once; a non-finite
+    state raises AssertionError.
+    """
+    order, signs = system.order, system.signs
+    half = (0.5 * dt) * signs
+    g1 = gradient(system.hamiltonian, x)
+    g2 = gradient(system.hamiltonian, x + half * g1[order])
+    g3 = gradient(system.hamiltonian, x + half * g2[order])
+    g4 = gradient(system.hamiltonian, x + (dt * signs) * g3[order])
+    g2 *= 2.0
+    g3 *= 2.0
+    g1 += g2
+    g1 += g3
+    g1 += g4
+    y = x + ((dt / 6.0) * signs) * g1[order]
+    assert np.isfinite(y).all(), "non-finite state after step"
+    return y
+
+
 def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> tuple[np.ndarray, int]:
     """The implicit midpoint step's Newton loop as first written: (y, iterations).
 

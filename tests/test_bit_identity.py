@@ -1,12 +1,13 @@
-"""The array loops of the steppers, the EOM probe and the CSV writer
-against the plain formulas they replace, compared bit for bit.
+"""The loops of the steppers, the EOM probe and the CSV writer against the
+plain formulas they replace, compared bit for bit.
 
 The field applies Omega as (order, signs) instead of a matrix product,
-RK4 sums its stages in gradient space, the Newton Jacobian is built from
-one tiled point array, the EOM residual is one vectorised expression and
-each CSV row is one %-format.  Negation, reordering and elementwise
-arithmetic in the same order are exact, so each must equal its reference
-with np.array_equal (or ==), not merely to a tolerance.
+RK4 runs on lists of floats and sums its stages in gradient space, the
+Newton Jacobian is built from one tiled point array, the EOM residual is
+one vectorised expression and each CSV row is one %-format.  Negation,
+reordering and elementwise arithmetic in the same order are exact, so each
+must equal its reference with np.array_equal (or ==, or byte for byte
+where a signed zero must survive), not merely to a tolerance.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ from quatflow import (
 from quatflow import dynamics
 from quatflow.cli import trajectory_csv
 import oracles
-from oracles import rk4_on_field
+from oracles import rk4_on_field, rk4_step_on_arrays
 
 SIZES = (1, 2, 8)
 
@@ -63,7 +64,7 @@ def test_signed_permutation_field_equals_the_matrix_product(label, n):
         assert np.array_equal(hamiltonian_vector_field(system, point), _matrix_field(system)(point))
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", (1, 2, 4, 8))
 @pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_rk4_step_equals_the_textbook_formula(label, n):
     system = _system(label, n)
@@ -73,6 +74,24 @@ def test_rk4_step_equals_the_textbook_formula(label, n):
     start = next(_points(n, 1, seed=20 + n))
     trajectory = integrate(system, start, 0.02, 50, "rk4")
     assert np.array_equal(trajectory.states, np.array(rk4_on_field(_matrix_field(system), start, 0.02, 50)))
+
+
+def _signed_zeros(n: int) -> np.ndarray:
+    return np.array([-0.0 if a % 2 else 0.0 for a in range(4 * n)])
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 8))
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+@pytest.mark.parametrize("energy", ["mixed", "constant"])
+def test_rk4_step_equals_the_array_step_byte_for_byte(energy, label, n):
+    # tobytes tells -0.0 from 0.0, which np.array_equal does not
+    text = _energy(n) if energy == "mixed" else "5"
+    system = HamiltonianSystem.build(label, parse(text, BlockDim(n)))
+    starts = [_signed_zeros(n), -_signed_zeros(n), *_points(n, 5, seed=60 + n)]
+    for start in starts:
+        stepped = step_rk4(system, start, 0.01)
+        assert stepped.dtype == np.float64 and stepped.shape == (4 * n,)
+        assert stepped.tobytes() == rk4_step_on_arrays(system, start, 0.01).tobytes()
 
 
 def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) -> int:

@@ -408,6 +408,28 @@ def test_batch_runs_the_configs_after_a_hamiltonian_nested_too_deeply(tmp_path, 
     assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
 
 
+def test_a_hamiltonian_too_deep_to_compile_is_compiled_once_per_run(tmp_path, capsys, monkeypatch):
+    # step 0 fails to compile it; the one-state partial CSV then reuses the failure
+    from quatflow import expressions
+
+    constructions = []
+
+    class CountedKernel(expressions._Kernel):
+        def __init__(self, field):
+            constructions.append(field)
+            super().__init__(field)
+
+    monkeypatch.setattr(expressions, "_Kernel", CountedKernel)
+    config_path, payload = write_config(tmp_path, hamiltonian="+".join(["x1"] * 3000))
+    assert main(["run", str(config_path)]) == 1
+    assert len(constructions) == 1
+    message = "integration aborted: step 0 failed: expression nested too deeply to compile"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    prefix = payload["output_prefix"]
+    assert Path(f"{prefix}.error.log").read_text(encoding="utf-8") == message + "\n"
+    assert not Path(f"{prefix}.trajectory.csv.partial").exists()
+
+
 def test_clash_check_skips_a_config_that_is_not_an_object(tmp_path, capsys):
     batch_dir = write_batch(tmp_path, [("b_healthy", {})])
     (batch_dir / "a.json").write_text(json.dumps([DEMO]), encoding="utf-8")

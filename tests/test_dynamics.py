@@ -130,9 +130,11 @@ def test_rk4_fixed_point_for_constant_energy():
 
 
 def test_rk4_rejects_nonpositive_dt():
+    # a NaN dt fails dt > 0.0 like any other, before a state is computed
     system = _system("F")
-    with pytest.raises(ValueError):
-        step_rk4(system, POINT, 0.0)
+    for dt in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="^dt must be positive, got "):
+            step_rk4(system, POINT, dt)
 
 
 def test_midpoint_conserves_quadratic_energy_per_step():
@@ -196,8 +198,8 @@ def test_midpoint_stops_at_a_non_finite_residual(monkeypatch):
 
 def test_midpoint_rejects_bad_parameters():
     system = _system("F")
-    for dt in (-0.1, 0.0):
-        with pytest.raises(ValueError):
+    for dt in (-0.1, 0.0, math.nan):
+        with pytest.raises(ValueError, match="^dt must be positive, got "):
             step_implicit_midpoint(system, POINT, dt)
 
 

@@ -99,11 +99,23 @@ def test_nesting_too_deep_to_parse_is_a_syntax_error(text):
 
 
 @pytest.mark.parametrize("op", ["+", "*"])
-def test_a_flat_chain_too_deep_to_compile_is_an_expression_error(op):
+def test_a_flat_chain_too_deep_to_compile_is_an_expression_error(op, monkeypatch):
+    from quatflow import expressions
+
+    constructions = []
+
+    class CountedKernel(expressions._Kernel):
+        def __init__(self, field):
+            constructions.append(field)
+            super().__init__(field)
+
+    monkeypatch.setattr(expressions, "_Kernel", CountedKernel)
     field = parse(op.join(["x1"] * 3000), DIM1)  # the parser loops over a chain
-    for entry_point in (evaluate, gradient):
-        with pytest.raises(ExpressionError, match="^expression nested too deeply to compile$"):
+    for entry_point in (evaluate, gradient, evaluate):
+        with pytest.raises(ExpressionError, match="^expression nested too deeply to compile$") as info:
             entry_point(field, np.ones(4))
+        assert info.value.__context__ is None
+    assert len(constructions) == 1  # the failure is kept, not compiled again
 
 
 def test_power_is_right_associative():

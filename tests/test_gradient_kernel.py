@@ -194,3 +194,87 @@ def test_a_square_differentiates_to_two_times_the_base_without_a_pow():
     for value in (-0.0, 0.0, 5e-324, -5e-324, 1e154, -1e154, *samples):
         component = gradient(field, [value, 0.0, 0.0, 0.0])[0]
         assert component.hex() == (2.0 * value).hex()
+
+
+# --- list points ------------------------------------------------------------
+
+# every operator and function, as in MIXED, over the 2n coordinate pairs
+MIXED_PAIRS = ("sin({v})*cos({w})", "-exp({v}/2)/sqrt(1+{w}^2)", "(2+{v}^2)^({w}/3)", "- -{v}^3 + 1.5/(3+{w})")
+
+
+def _mixed(n: int):
+    terms = [MIXED_PAIRS[k % 4].format(v=f"x{2 * k + 1}", w=f"x{2 * k + 2}") for k in range(2 * n)]
+    return parse(" + ".join(terms), BlockDim(n))
+
+
+def _list_cases(n: int):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(10):
+        yield rng.uniform(-2.0, 2.0, 4 * n)
+    yield np.array([-0.0 if a % 2 else 0.0 for a in range(4 * n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_list_and_array_points_give_the_same_bits(n):
+    field = _mixed(n)
+    for point in _list_cases(n):
+        values = point.tolist()
+        from_list = gradient(field, values)
+        assert from_list.dtype == np.float64 and from_list.shape == (4 * n,)
+        assert from_list.tobytes() == gradient(field, point).tobytes()
+        assert evaluate(field, values).hex() == evaluate(field, point).hex()
+        assert values == point.tolist()  # the kernel only reads the list
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_list_and_array_points_name_the_same_subexpression(n):
+    field = _mixed(n)
+    point = np.full(4 * n, 0.5)
+    point[2] = 2000.0  # exp(x3/2) overflows
+    failures = [point]
+    if n >= 2:
+        point = np.full(4 * n, 0.5)
+        point[7] = -3.0  # 1.5/(3+x8) divides by zero
+        failures.append(point)
+    for point in failures:
+        for entry_point in (evaluate, gradient):
+            with pytest.raises(EvaluationError) as from_array:
+                entry_point(field, point)
+            with pytest.raises(EvaluationError) as from_list:
+                entry_point(field, point.tolist())
+            assert from_list.value.expression == from_array.value.expression
+            assert str(from_list.value) == str(from_array.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_a_list_of_ints_or_numpy_scalars_is_taken_as_floats(n):
+    field = _mixed(n)
+    ints = [a % 3 for a in range(4 * n)]
+    floats = [float(v) for v in ints]
+    for values in (ints, [np.float64(v) for v in floats], [*floats[:-1], ints[-1]]):
+        grad = gradient(field, values)
+        assert grad.dtype == np.float64
+        assert grad.tobytes() == gradient(field, floats).tobytes()
+        value = evaluate(field, values)
+        assert type(value) is float and value.hex() == evaluate(field, floats).hex()
+    # a numpy scalar divides by zero as a float does, instead of returning inf
+    quotient = parse("1/x2", DIM1)
+    with pytest.raises(EvaluationError):
+        evaluate(quotient, [np.float64(1.0), np.float64(0.0), 0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_malformed_list_points_raise_value_error(n):
+    field = _mixed(n)
+    size = 4 * n
+    cases = {
+        "short": ([0.5] * (size - 1), (size - 1,)),
+        "long": ([0.5] * (size + 1), (size + 1,)),
+        "nested": ([[0.5] * size], (1, size)),
+        "2-D array": (np.full((2, size), 0.5), (2, size)),
+    }
+    for point, shape in cases.values():
+        for entry_point in (evaluate, gradient):
+            with pytest.raises(ValueError) as info:
+                entry_point(field, point)
+            assert str(info.value) == f"point must have length {size}, got shape {shape}"
