@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, vector_field_rows
+from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, _scale, vector_field_rows
 from .expressions import evaluate
 from .structures import structure_triple, verify_quaternion_relations
 
@@ -68,24 +68,24 @@ def step_jacobian(system: HamiltonianSystem, point: np.ndarray, dt: float, metho
 
     The step is JACOBIAN_PROBE_STEP times the smallest power of two that is
     >= max(1, |x|), so the difference stays well above the rounding of the
-    stepped states at any scale.  Each implicit midpoint step after the
-    first in a direction starts Newton from the previous step in that
-    direction shifted by the difference of the two perturbed points, which
-    is within O(h dt) of its solution.  Each perturbed step checks its own
-    state is finite, so numpy's overflow and invalid-value warnings stay off
-    while probing.
+    stepped states at any scale; the size is the steppers' _scale, which
+    cannot overflow.  Column a is read from the steps of x +- h e_a.
+    Each implicit midpoint step after the first in a direction starts
+    Newton from the previous step in that direction shifted by the
+    difference of the two perturbed points, which is within O(h dt) of its
+    solution.  Each perturbed step checks its own state is finite, so
+    numpy's overflow and invalid-value warnings stay off while probing.
     """
     stepper = _STEPPERS[method]
     base = np.asarray(point, dtype=np.float64)
     size = base.size
-    mantissa, exponent = math.frexp(max(1.0, math.sqrt(base @ base)))
+    mantissa, exponent = math.frexp(_scale(base))
     h = math.ldexp(JACOBIAN_PROBE_STEP, exponent - (mantissa == 0.5))
     warm = method == "implicit_midpoint"
     previous = {}  # direction -> (last perturbed point, its step)
     jacobian = np.empty((size, size))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(size):
-            stepped = []
             for direction in (h, -h):
                 perturbed = base.copy()
                 perturbed[a] += direction
@@ -95,8 +95,7 @@ def step_jacobian(system: HamiltonianSystem, point: np.ndarray, dt: float, metho
                 else:
                     result = stepper(system, perturbed, dt)
                 previous[direction] = (perturbed, result)
-                stepped.append(result)
-            jacobian[:, a] = (stepped[0] - stepped[1]) / (2.0 * h)
+            jacobian[:, a] = (previous[h][1] - previous[-h][1]) / (2.0 * h)
     return jacobian
 
 

@@ -20,7 +20,9 @@ such a list, and the implicit midpoint rule, solved by Newton iteration
 with a finite-difference Jacobian and symplectic for any constant Omega.
 Newton starts from the step's own point unless the caller passes a better
 start; the symplecticity probe does, for its runs of neighbouring steps.
-Every failed step is an IntegrationError, NewtonDivergenceError included.
+Both size a point by _scale, max(1, |x|) with an |x| that cannot overflow.
+Every failed step is an IntegrationError, NewtonDivergenceError included;
+the steppers check each new state through _require_finite.
 States are plain coordinate vectors; the flow is autonomous, so no step
 reads the time, and a trajectory's k-th state is the state at time k * dt.
 """
@@ -166,8 +168,7 @@ def step_rk4(system: HamiltonianSystem, x: np.ndarray, dt: float) -> np.ndarray:
     total = [((a + 2.0 * b) + 2.0 * c) + d for a, b, c, d in zip(g1, g2, g3, g4)]
     sixth = dt / 6.0
     y = [a + (sixth * s) * total[o] for a, s, o in zip(x, signs, order)]
-    if not all(map(math.isfinite, y)):
-        raise IntegrationError("non-finite state after step")
+    _require_finite(y)
     return np.array(y)
 
 
@@ -181,16 +182,17 @@ def step_implicit_midpoint(
     drops below NEWTON_TOL * max(1, |y|); the Jacobian of X is approximated
     by forward differences with h = 1e-7 * max(1, |x|), from one field call
     at each row of the midpoint tiled 4n times with h added on the
-    diagonal.  A non-finite residual stops the iteration at once with the
-    non-finite-state IntegrationError.  A start near the solution, such as
-    the step of a nearby point shifted by the difference of the two points,
-    saves iterations; it changes the result only within the Newton
-    tolerance.
+    diagonal.  Every norm is math.hypot's, which does not overflow past
+    |x| ~ 1.34e154 as |x|^2 does.  A non-finite residual stops the
+    iteration at once with the non-finite-state IntegrationError.  A start
+    near the solution, such as the step of a nearby point shifted by the
+    difference of the two points, saves iterations; it changes the result
+    only within the Newton tolerance.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     size = x.size
-    h = 1e-7 * max(1.0, math.sqrt(x @ x))
+    h = 1e-7 * _scale(x)
     eye = np.eye(size)
     diagonal = np.diag_indices(size)
     y = x if start is None else start
@@ -198,24 +200,27 @@ def step_implicit_midpoint(
         mid = 0.5 * (x + y)
         field_mid = hamiltonian_vector_field(system, mid)
         residual = y - x - dt * field_mid
-        if not np.isfinite(residual).all():
-            raise IntegrationError("non-finite state after step")
-        residual_norm = math.sqrt(residual @ residual)
+        _require_finite(residual)
+        residual_norm = math.hypot(*residual.tolist())
         bumped = np.tile(mid, (size, 1))
         bumped[diagonal] += h
         jacobian = ((vector_field_rows(system, bumped) - field_mid) / h).T
         newton_matrix = eye - 0.5 * dt * jacobian
         delta = np.linalg.solve(newton_matrix, -residual)
         y = y + delta
-        if math.sqrt(delta @ delta) < NEWTON_TOL * max(1.0, math.sqrt(y @ y)):
-            return _finite_state(y)
+        if math.hypot(*delta.tolist()) < NEWTON_TOL * _scale(y):
+            _require_finite(y)
+            return y
     raise NewtonDivergenceError(residual_norm, NEWTON_MAX_ITER)
 
 
-def _finite_state(coords: np.ndarray) -> np.ndarray:
-    if not np.isfinite(coords).all():
+def _scale(point: np.ndarray) -> float:
+    return max(1.0, math.hypot(*point.tolist()))
+
+
+def _require_finite(values) -> None:
+    if not all(map(math.isfinite, values)):
         raise IntegrationError("non-finite state after step")
-    return coords
 
 
 _STEPPERS = {"rk4": step_rk4, "implicit_midpoint": step_implicit_midpoint}

@@ -48,11 +48,6 @@ class AffineOneForm:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "constant", constant)
 
-    @classmethod
-    def zero(cls, dim: BlockDim) -> "AffineOneForm":
-        size = dim.total
-        return cls(dim, np.zeros((size, size)), np.zeros(size))
-
     def coefficients(self, point: np.ndarray) -> np.ndarray:
         """The dx-basis coefficients of the form at a point."""
         point = np.asarray(point, dtype=np.float64)

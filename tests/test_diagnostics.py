@@ -302,3 +302,25 @@ def test_probe_passes_a_symplectic_flow_far_from_the_origin(method, scale):
     # where it read 5e-5 on this exactly symplectic linear flow
     point = np.array([scale, 0.0, 0.0, 0.0])
     assert symplecticity_residual(_system("G"), point, 0.01, method) <= SYMPLECTICITY_LIMIT
+
+
+@pytest.mark.parametrize("point", [[1e155, 3e154, 0.0, 0.0], [1e200, 3e199, 0.0, 0.0]])
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_probe_passes_a_translation_past_the_overflow_of_a_squared_norm(method, point):
+    # |x|^2 overflows past |x| ~ 1.34e154: read through it, the probe step
+    # stayed 2^-17, vanished in the rounding of x and gave J = 0, residual 1
+    system = _system("F", text="x1 + 2*x2 - x3 + 0.5*x4")
+    assert symplecticity_residual(system, np.array(point), 0.01, method) <= SYMPLECTICITY_LIMIT
+
+
+def test_cli_probe_at_huge_scale_prints_nothing_to_stderr(tmp_path, capsys):
+    code, document = _run_cli(
+        tmp_path, hamiltonian="x1 + 2*x2 - x3 + 0.5*x4", initial=[1e155, 3e154, 0, 0], steps=3
+    )
+    # only the absolute dt^2 gate fails: central differences of states of
+    # size 1e155 carry their rounding
+    assert code == 2
+    assert document["eom_residual_max"] > document["threshold_eom_residual_max"]
+    assert document["energy_drift_max"] <= document["threshold_energy_drift_max"]
+    assert document["symplecticity_residual"] <= SYMPLECTICITY_LIMIT
+    assert capsys.readouterr().err == ""

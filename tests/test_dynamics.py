@@ -196,6 +196,34 @@ def test_midpoint_stops_at_a_non_finite_residual(monkeypatch):
     assert 1 <= len(calls) <= 4 * system.dim.n + 1
 
 
+def test_midpoint_converges_past_the_overflow_of_a_squared_norm(monkeypatch):
+    # |x|^2 overflows past |x| ~ 1.34e154; read through it, the FD step was
+    # inf and the step failed with a non-finite state
+    gradient_calls = []
+
+    def counted_gradient(field, point):
+        gradient_calls.append(point)
+        return gradient(field, point)
+
+    monkeypatch.setattr(dynamics, "gradient", counted_gradient)
+    system = _system("G", text="(1e-55*x1)^3 + x2")
+    x = np.array([1e155, 0.0, 0.0, 0.0])
+    y = step_implicit_midpoint(system, x, 0.01)
+    assert len(gradient_calls) == 2 * (4 * system.dim.n + 1)  # two Newton iterations
+    residual = y - x - 0.01 * hamiltonian_vector_field(system, 0.5 * (x + y))
+    assert math.hypot(*residual) <= dynamics.NEWTON_TOL * math.hypot(*y)
+
+
+def test_newton_divergence_reports_a_finite_residual_norm_at_huge_scale(monkeypatch):
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
+    system = _system("F", text="1e200*x1")
+    with pytest.raises(NewtonDivergenceError) as info:
+        step_implicit_midpoint(system, np.array([1.0, 0.0, 0.0, 0.0]), 0.01)
+    # the first residual is -dt X(x), of norm 1e198; its square overflows
+    assert info.value.residual_norm == pytest.approx(1e198, rel=1e-12)
+    assert "last residual norm 1.000e+198" in str(info.value)
+
+
 def test_midpoint_rejects_bad_parameters():
     system = _system("F")
     for dt in (-0.1, 0.0, math.nan):

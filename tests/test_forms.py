@@ -64,7 +64,8 @@ def test_pullback_reproduces_the_g_liouville_form():
 def test_pullback_of_zero_form_is_zero():
     dim = BlockDim(2)
     dual = build_structure(StructureKind("H", "cotangent"), dim)
-    pulled = pullback_by_dual(dual, AffineOneForm.zero(dim))
+    size = dim.total
+    pulled = pullback_by_dual(dual, AffineOneForm(dim, np.zeros((size, size)), np.zeros(size)))
     assert not pulled.linear.any()
     assert not pulled.constant.any()
 
