@@ -40,7 +40,6 @@ from .forms import (
     symplectic_form,
 )
 from .structures import (
-    AlgebraReport,
     BlockDim,
     EuclideanMetric,
     StructureKind,

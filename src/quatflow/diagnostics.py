@@ -12,13 +12,16 @@ a Hamiltonian flow:
   implicit midpoint steps start Newton from their neighbour's step.
 
 algebra_residuals re-verifies the quaternion algebra of the structure
-triples backing the system, in exact arithmetic, and default_thresholds
-gives the pass/fail ceilings; `quatflow run` combines all of them into a
-run's report.  A probe raises what the layer below it raised: an energy
-that cannot be evaluated raises the kernel's EvaluationError naming the
+triples backing the system, in exact arithmetic, keyed as
+verify_quaternion_relations keys it, and default_thresholds gives the
+pass/fail ceilings; `quatflow run` combines all of them into a run's
+report.  A probe raises what the layer below it raised: an energy that
+cannot be evaluated raises the kernel's EvaluationError naming the
 subexpression, and a failed probe step raises the stepper's
-IntegrationError.  All functions are pure: neither trajectory nor system
-is ever mutated.
+IntegrationError.  A value that overflows is read, not warned about: an
+energy of inf gives a NaN drift and an overflowing J^T Omega J an inf or
+NaN residual, each failing its gate.  All functions are pure: neither
+trajectory nor system is ever mutated.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ JACOBIAN_PROBE_STEP = 2.0 ** -17
 def energy_drift(trajectory: Trajectory) -> tuple[np.ndarray, float]:
     """Per-point |H - H0| along the trajectory, plus its maximum."""
     hamiltonian = trajectory.system.hamiltonian
-    energies = np.empty(len(trajectory.states))
-    for index, state in enumerate(trajectory.states):
-        energies[index] = evaluate(hamiltonian, state.tolist())
-    series = np.abs(energies - energies[0])
+    energies = [evaluate(hamiltonian, row) for row in trajectory.states.tolist()]
+    # Python floats: an energy that reads inf gives a NaN drift, not a warning
+    series = np.array([abs(energy - energies[0]) for energy in energies])
     return series, float(series.max())
 
 
@@ -105,19 +107,16 @@ def symplecticity_residual(
     """Entrywise max of J^T Omega J - Omega for one step map."""
     jacobian = step_jacobian(system, point, dt, method)
     omega = system.omega.matrix
-    return float(np.abs(jacobian.T @ omega @ jacobian - omega).max())
+    # a huge Jacobian overflows here; the residual then reads inf or NaN and fails its gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(jacobian.T @ omega @ jacobian - omega).max())
 
 
 def algebra_residuals(system: HamiltonianSystem) -> dict[str, int]:
     """Quaternion-relation residuals, worst case over both triples."""
     tangent = verify_quaternion_relations(*structure_triple("tangent", system.dim))
     cotangent = verify_quaternion_relations(*structure_triple("cotangent", system.dim))
-    return {
-        "f_squared": max(tangent.f_squared, cotangent.f_squared),
-        "g_squared": max(tangent.g_squared, cotangent.g_squared),
-        "h_squared": max(tangent.h_squared, cotangent.h_squared),
-        "triple_product": max(tangent.triple_product, cotangent.triple_product),
-    }
+    return {key: max(value, cotangent[key]) for key, value in tangent.items()}
 
 
 def default_thresholds(method: str, dt: float, tolerance_scale: float = 1.0) -> dict[str, float]:

@@ -565,7 +565,7 @@ class _Kernel:
             trace = trace.tb_next
         owner = self._owners.get(trace.tb_lineno)
         if trace.tb_frame.f_code is function.__code__ and owner is not None:
-            raise EvaluationError(str(exc), _format(owner, 0)) from exc
+            raise EvaluationError(str(exc), format_expression(owner)) from exc
 
 
 # --- demo Hamiltonians -----------------------------------------------------

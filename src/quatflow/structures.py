@@ -14,7 +14,9 @@ stored as exact integers so that the quaternion relations
 
     F^2 = G^2 = H^2 = F G H = -I
 
-can be verified with no floating-point tolerance at all.  Matrices follow
+can be verified with no floating-point tolerance at all.  RELATIONS names
+each relation once, by the key of its residual in verify_quaternion_relations'
+table and in a run's report, and by its printed label.  Matrices follow
 the column convention: column a holds the coordinates of the image of
 basis element a, so applying a tensor is a plain matrix-vector product.
 """
@@ -27,6 +29,13 @@ import numpy as np
 
 LABELS = ("F", "G", "H")
 SPACES = ("tangent", "cotangent")
+# residual key -> printed label, one per quaternion relation
+RELATIONS = {
+    "f_squared": "F^2 + I",
+    "g_squared": "G^2 + I",
+    "h_squared": "H^2 + I",
+    "triple_product": "FGH + I",
+}
 
 # target block and sign for each source block, indexed 0..3
 _BLOCK_ACTION: dict[str, tuple[tuple[int, int], ...]] = {
@@ -101,26 +110,6 @@ class EuclideanMetric:
     dim: BlockDim
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    """Residuals of the quaternion relations for a candidate triple.
-
-    Each residual is the induced infinity norm (maximum absolute row sum)
-    of F^2 + I, G^2 + I, H^2 + I and FGH + I respectively, computed in
-    exact integer arithmetic.  A genuine quaternion triple scores four
-    zeros.
-    """
-
-    f_squared: int
-    g_squared: int
-    h_squared: int
-    triple_product: int
-
-    @property
-    def all_zero(self) -> bool:
-        return self.f_squared == self.g_squared == self.h_squared == self.triple_product == 0
-
-
 def build_structure(kind: StructureKind, dim: BlockDim) -> StructureTensor:
     """Construct the named structure tensor as an exact integer matrix.
 
@@ -153,18 +142,16 @@ def structure_triple(space: str, dim: BlockDim) -> tuple[StructureTensor, Struct
     return tuple(build_structure(StructureKind(label, space), dim) for label in LABELS)  # type: ignore[return-value]
 
 
-def _row_sum_norm(m: np.ndarray) -> int:
-    # induced infinity norm: max absolute row sum
-    return int(np.abs(m).sum(axis=1).max())
-
-
 def verify_quaternion_relations(
     f: StructureTensor, g: StructureTensor, h: StructureTensor
-) -> AlgebraReport:
+) -> dict[str, int]:
     """Measure how far a labelled triple is from a quaternion triple.
 
-    The triple product composes right to left: H acts first, then G,
-    then F, so the residual matrix is F@G@H + I.
+    Returns one residual per RELATIONS key, in its order: the induced
+    infinity norm (maximum absolute row sum) of the relation's product
+    plus I, computed in exact integer arithmetic.  A genuine quaternion
+    triple scores four zeros.  The triple product composes right to left:
+    H acts first, then G, then F.
     """
     if not (f.dim == g.dim == h.dim):
         raise ValueError("triple members must share one dimension")
@@ -173,12 +160,8 @@ def verify_quaternion_relations(
     if (f.kind.label, g.kind.label, h.kind.label) != LABELS:
         raise ValueError("triple must be labelled (F, G, H) in that order")
     eye = np.eye(f.dim.total, dtype=np.int64)
-    return AlgebraReport(
-        f_squared=_row_sum_norm(f.matrix @ f.matrix + eye),
-        g_squared=_row_sum_norm(g.matrix @ g.matrix + eye),
-        h_squared=_row_sum_norm(h.matrix @ h.matrix + eye),
-        triple_product=_row_sum_norm(f.matrix @ g.matrix @ h.matrix + eye),
-    )
+    products = (f.matrix @ f.matrix, g.matrix @ g.matrix, h.matrix @ h.matrix, f.matrix @ g.matrix @ h.matrix)
+    return {key: int(np.abs(product + eye).sum(axis=1).max()) for key, product in zip(RELATIONS, products)}
 
 
 def verify_metric_compatibility(tensor: StructureTensor, metric: EuclideanMetric) -> int:

@@ -456,6 +456,25 @@ def test_verify_prints_zero_residuals(n, capsys):
     assert "2" not in [token for line in out.splitlines() for token in line.split()[1:]]
 
 
+def test_verify_prints_the_residual_table(capsys):
+    assert main(["verify", "--n", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "quaternion relations, n = 2 (residual = max abs row sum)\n"
+        "  relation       tangent   cotangent\n"
+        "  F^2 + I              0           0\n"
+        "  G^2 + I              0           0\n"
+        "  H^2 + I              0           0\n"
+        "  FGH + I              0           0\n"
+        "metric compatibility (max |g(Tu,v) + g(u,Tv)| over basis pairs)\n"
+        "  F tangent            0\n"
+        "  G tangent            0\n"
+        "  H tangent            0\n"
+        "  F cotangent          0\n"
+        "  G cotangent          0\n"
+        "  H cotangent          0\n"
+    )
+
+
 def test_verify_with_injected_corruption_fails(monkeypatch, capsys):
     real_triple = cli.structure_triple
 

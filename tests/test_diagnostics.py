@@ -8,6 +8,7 @@ from quatflow import (
     BlockDim,
     EvaluationError,
     HamiltonianSystem,
+    StructureTensor,
     Trajectory,
     energy_drift,
     eom_residual,
@@ -16,7 +17,7 @@ from quatflow import (
     parse,
     symplecticity_residual,
 )
-from quatflow import dynamics
+from quatflow import diagnostics, dynamics
 from quatflow.cli import main
 from quatflow.diagnostics import (
     JACOBIAN_PROBE_STEP,
@@ -97,6 +98,17 @@ def test_energy_drift_reports_failing_point_index():
     with pytest.raises(EvaluationError) as excinfo:
         energy_drift(trajectory)
     assert "'1.0/x1'" in str(excinfo.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energy_that_overflows_at_finite_states_drifts_nan_without_a_warning():
+    # the gradient 4e240 stays finite, but H = 1e320 reads inf at every point
+    system = _system(text="x1*x1*x1*x1")
+    trajectory = integrate(system, np.array([1e80, 0.0, 0.0, 0.0]), 0.01, 10, "rk4")
+    series, worst = energy_drift(trajectory)
+    assert len(series) == 11
+    assert np.isnan(series).all()
+    assert math.isnan(worst)
 
 
 def test_eom_residual_on_the_exact_rotation():
@@ -323,4 +335,37 @@ def test_cli_probe_at_huge_scale_prints_nothing_to_stderr(tmp_path, capsys):
     assert document["eom_residual_max"] > document["threshold_eom_residual_max"]
     assert document["energy_drift_max"] <= document["threshold_energy_drift_max"]
     assert document["symplecticity_residual"] <= SYMPLECTICITY_LIMIT
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_probe_residual_that_overflows_reads_infinity_without_a_warning():
+    # the perturbed steps stay finite, but J^T Omega J overflows
+    system = _system("F", text="1e75*x1*x2")
+    residual = symplecticity_residual(system, np.array([1e-290, 1e-290, 0.0, 0.0]), 1e-5, "rk4")
+    assert math.isinf(residual)
+    assert not residual <= SYMPLECTICITY_LIMIT
+
+
+@pytest.mark.parametrize("space", ["tangent", "cotangent"])
+def test_run_with_a_corrupted_triple_fails_on_the_algebra_alone(tmp_path, monkeypatch, capsys, space):
+    real_triple = diagnostics.structure_triple
+
+    def corrupted_triple(which, dim):
+        f, g, h = real_triple(which, dim)
+        if which == space:
+            h = StructureTensor(kind=h.kind, dim=dim, matrix=f.matrix)  # F relabelled as H
+        return f, g, h
+
+    monkeypatch.setattr(diagnostics, "structure_triple", corrupted_triple)
+    code, document = _run_cli(tmp_path)
+    # F G F = G, so only FGH + I is off, by 2, on one space: the worst case over both
+    assert code == 2
+    assert document["passed"] is False
+    assert document["algebra_residual_triple_product"] == 2
+    assert document["algebra_residual_f_squared"] == 0
+    assert document["algebra_residual_g_squared"] == 0
+    assert document["algebra_residual_h_squared"] == 0
+    for key in ("energy_drift_max", "eom_residual_max", "symplecticity_residual"):
+        assert document[key] <= document[f"threshold_{key}"]
     assert capsys.readouterr().err == ""

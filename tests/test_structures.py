@@ -61,8 +61,8 @@ def test_apply_examples():
 @pytest.mark.parametrize("space", ["tangent", "cotangent"])
 def test_quaternion_relations_hold_exactly(n, space):
     report = verify_quaternion_relations(*structure_triple(space, BlockDim(n)))
-    assert report == type(report)(0, 0, 0, 0)
-    assert report.all_zero
+    assert report == {"f_squared": 0, "g_squared": 0, "h_squared": 0, "triple_product": 0}
+    assert not any(report.values())
 
 
 def test_relabelled_f_in_the_h_slot_scores_two():
@@ -73,9 +73,9 @@ def test_relabelled_f_in_the_h_slot_scores_two():
     product = f.matrix @ g.matrix @ f.matrix
     assert np.array_equal(product, g.matrix)
     report = verify_quaternion_relations(f, g, fake_h)
-    assert report.triple_product == 2
-    assert report.f_squared == report.g_squared == 0
-    assert report.h_squared == 0  # the F matrix still squares to -I
+    assert report["triple_product"] == 2
+    assert report["f_squared"] == report["g_squared"] == 0
+    assert report["h_squared"] == 0  # the F matrix still squares to -I
 
 
 def test_verify_rejects_inconsistent_triples():
