@@ -9,6 +9,11 @@ binding looser than '^' so that -x1^2 means -(x1^2)):
     power  := atom ('^' unary)?
     atom   := NUMBER | IDENT | '(' expr ')' | FUNC '(' expr ')'
 
+Tokenizing is one regex pass whose catch-all group marks the first
+character no token starts with.  `format_expression` round-trips every
+literal: one that overflows (1e400) reads inf and is written 1e999, which
+parses back to inf.
+
 Identifiers are the coordinates x1 .. x{4n}; the function set is sin, cos,
 exp, sqrt; numeric literals are IEEE doubles.  Each field compiles, on the
 first `evaluate` or `gradient` call, into one kernel with two entry points
@@ -140,9 +145,10 @@ class ScalarField:
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+    r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
 _VARIABLE_RE = re.compile(r"^x(\d+)$")
 
@@ -156,22 +162,10 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            offset = len(text) - len(stripped)
-            raise ExpressionSyntaxError(f"unexpected character {stripped[0]!r}", offset)
-        if match.lastgroup == "number":
-            tokens.append(_Token("number", match.group("number"), match.start("number")))
-        elif match.lastgroup == "ident":
-            tokens.append(_Token("ident", match.group("ident"), match.start("ident")))
-        else:
-            tokens.append(_Token("op", match.group("op"), match.start("op")))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {match.group()!r}", match.start())
+        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
@@ -182,26 +176,24 @@ class _Parser:
         self.pos = 0
         self.dim = dim
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def accept(self, ops: str) -> str | None:
+        """Consume the next token and return its text if it is an operator in ops."""
         token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+        if token.kind == "op" and token.text in ops:
+            self.pos += 1
+            return token.text
+        return None
 
     def expect_op(self, text: str) -> None:
-        token = self.peek()
-        if token.kind == "op" and token.text == text:
-            self.advance()
-            return
-        raise ExpressionSyntaxError(
-            f"unexpected token {token.text or '<end>'!r}", token.offset, expected=(f"'{text}'",)
-        )
+        if self.accept(text) is None:
+            token = self.tokens[self.pos]
+            raise ExpressionSyntaxError(
+                f"unexpected token {token.text or '<end>'!r}", token.offset, expected=(f"'{text}'",)
+            )
 
     def parse(self) -> Node:
         node = self.expression()
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != "end":
             raise ExpressionSyntaxError(
                 f"trailing input {token.text!r}", token.offset, expected=("operator", "end of input")
@@ -210,38 +202,38 @@ class _Parser:
 
     def expression(self) -> Node:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.accept("+-"):
             node = BinaryOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.accept("*/"):
             node = BinaryOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
+        if self.accept("-"):
             return Negation(self.unary())
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        if self.accept("^"):
             return BinaryOp("^", base, self.unary())
         return base
 
     def atom(self) -> Node:
-        token = self.peek()
+        if self.accept("("):
+            node = self.expression()
+            self.expect_op(")")
+            return node
+        token = self.tokens[self.pos]
         if token.kind == "number":
-            self.advance()
+            self.pos += 1
             return Number(float(token.text))
         if token.kind == "ident":
-            self.advance()
+            self.pos += 1
             variable = _VARIABLE_RE.match(token.text)
             if variable:
                 index = int(variable.group(1))
@@ -254,11 +246,6 @@ class _Parser:
                 self.expect_op(")")
                 return FunctionCall(token.text, argument)
             raise UnknownIdentifierError(token.text, token.offset)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            node = self.expression()
-            self.expect_op(")")
-            return node
         raise ExpressionSyntaxError(
             f"unexpected token {token.text or '<end>'!r}",
             token.offset,
@@ -281,23 +268,16 @@ def parse(text: str, dim: BlockDim) -> ScalarField:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
-def _node_precedence(node: Node) -> int:
-    if isinstance(node, BinaryOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Negation):
-        return 3
-    return 9
-
-
 def _format(node: Node, minimum: int) -> str:
     if isinstance(node, Number):
-        text = repr(node.value)
+        # repr names an overflowed literal inf, which is no literal; 1e999 parses back to it
+        text, own = repr(node.value).replace("inf", "1e999"), 9
     elif isinstance(node, Variable):
-        text = f"x{node.index}"
+        text, own = f"x{node.index}", 9
     elif isinstance(node, FunctionCall):
-        text = f"{node.name}({_format(node.argument, 0)})"
+        text, own = f"{node.name}({_format(node.argument, 0)})", 9
     elif isinstance(node, Negation):
-        text = f"-{_format(node.operand, 3)}"
+        text, own = f"-{_format(node.operand, 3)}", 3
     else:
         own = _PRECEDENCE[node.op]
         if node.op == "^":
@@ -305,9 +285,7 @@ def _format(node: Node, minimum: int) -> str:
             text = f"{_format(node.left, 5)}^{_format(node.right, 3)}"
         else:
             text = f"{_format(node.left, own)}{node.op}{_format(node.right, own + 1)}"
-    if _node_precedence(node) < minimum:
-        return f"({text})"
-    return text
+    return f"({text})" if own < minimum else text
 
 
 def format_expression(field_or_node: ScalarField | Node) -> str:

@@ -86,6 +86,44 @@ def test_empty_text_rejected():
         parse("   ", DIM1)
 
 
+@pytest.mark.parametrize(
+    "text, error, message, offset, expected",
+    [
+        ("", ExpressionSyntaxError, "empty expression at offset 0", 0, ()),
+        ("  ", ExpressionSyntaxError, "empty expression at offset 0", 0, ()),
+        ("x1 + $", ExpressionSyntaxError, "unexpected character '$' at offset 5", 5, ()),
+        (
+            "x1 +",
+            ExpressionSyntaxError,
+            "unexpected token '<end>' at offset 4 (expected number, identifier, '(', '-')",
+            4,
+            ("number", "identifier", "'('", "'-'"),
+        ),
+        ("sin(x1", ExpressionSyntaxError, "unexpected token '<end>' at offset 6 (expected ')')", 6, ("')'",)),
+        ("sin x1", ExpressionSyntaxError, "unexpected token 'x1' at offset 4 (expected '(')", 4, ("'('",)),
+        (
+            "x1 x2",
+            ExpressionSyntaxError,
+            "trailing input 'x2' at offset 3 (expected operator, end of input)",
+            3,
+            ("operator", "end of input"),
+        ),
+        ("x1 + y", UnknownIdentifierError, "unknown identifier 'y' at offset 5", 5, ()),
+        ("x0", VariableRangeError, "variable index out of range at offset 0: x0 not in x1..x4", 0, ()),
+        ("x5", VariableRangeError, "variable index out of range at offset 0: x5 not in x1..x4", 0, ()),
+    ],
+    ids=["empty", "blank", "bad_character", "missing_operand", "unclosed_call", "call_without_parenthesis",
+         "trailing_input", "unknown_identifier", "x0", "x5"],
+)
+def test_front_end_messages_are_pinned(text, error, message, offset, expected):
+    with pytest.raises(error) as excinfo:
+        parse(text, DIM1)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+    assert excinfo.value.offset == offset
+    assert getattr(excinfo.value, "expected", ()) == expected
+
+
 # 3000 levels overflow the default recursion limit of 1000 at any stack depth
 @pytest.mark.parametrize(
     "text",
@@ -271,7 +309,7 @@ def test_dual_scalar_quotient_rule():
 
 def _nodes():
     leaves = st.one_of(
-        st.builds(Number, st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
+        st.builds(Number, st.floats(min_value=0.0, allow_nan=False)),  # every non-negative double and inf
         st.builds(Variable, st.integers(1, 4)),
     )
 
