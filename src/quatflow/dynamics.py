@@ -7,11 +7,11 @@ Omega^T X = grad H, so
 
     X = Omega^{-T} grad H.
 
-Omega is a skew signed permutation here, so Omega Omega^T = I and
-Omega^{-T} is Omega itself.  HamiltonianSystem.build reads Omega as
-(order, signs), with (Omega v)_i = signs_i v_{order_i}, and checks exactly
-that Omega is that signed permutation.  Each field evaluation is one call
-of the Hamiltonian's compiled reverse-mode gradient kernel, reordered and
+Omega is the label's dual (cotangent) tensor, a signed permutation, so
+Omega Omega^T = I and Omega^{-T} is Omega itself.  HamiltonianSystem.build
+checks that Omega is exactly that tensor and takes its (order, signs):
+(Omega v)_i = signs_i v_{order_i}.  Each field evaluation is one call of
+the Hamiltonian's compiled reverse-mode gradient kernel, reordered and
 signed; negation and reordering are exact, so this gives the bits of the
 product Omega grad H, except that a -0.0 component stays -0.0.
 Two fixed-step one-step methods integrate the flow: classical RK4, which
@@ -37,7 +37,7 @@ import numpy as np
 
 from .expressions import ScalarField, gradient
 from .forms import ConstantTwoForm, symplectic_form
-from .structures import LABELS, BlockDim
+from .structures import LABELS, BlockDim, StructureKind, build_structure
 
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
@@ -68,8 +68,8 @@ class NewtonDivergenceError(IntegrationError):
 class HamiltonianSystem:
     """An energy function together with one of the three symplectic forms.
 
-    order and signs hold Omega as a signed permutation:
-    Omega v == signs * v[order] for every vector v.
+    order and signs, the label's cotangent tensor's, hold Omega as a signed
+    permutation: Omega v == signs * v[order] for every vector v.
     """
 
     dim: BlockDim
@@ -83,23 +83,14 @@ class HamiltonianSystem:
         if label not in LABELS:
             raise ValueError(f"structure label must be one of {LABELS}, got {label!r}")
         omega = symplectic_form(label, hamiltonian.dim)
-        size = hamiltonian.dim.total
-        order = np.abs(omega.matrix).argmax(axis=1)
-        signs = omega.matrix[np.arange(size), order]
+        dual = build_structure(StructureKind(label, "cotangent"), hamiltonian.dim)
         # the field applies Omega in place of Omega^{-T}, exact only for a signed permutation
-        signed_permutation = (
-            np.array_equal(np.sort(order), np.arange(size))
-            and np.array_equal(np.abs(signs), np.ones(size))
-            and np.array_equal(omega.matrix, signs[:, None] * np.eye(size)[order])
-        )
-        if not signed_permutation:
-            raise AssertionError("Omega is not a signed permutation, so Omega^{-T} is not Omega")
-        order.flags.writeable = False
-        signs.flags.writeable = False
-        return cls(dim=hamiltonian.dim, hamiltonian=hamiltonian, omega=omega, order=order, signs=signs)
+        if not np.array_equal(omega.matrix, dual.matrix):
+            raise AssertionError("Omega is not the dual structure tensor, so Omega^{-T} is not Omega")
+        return cls(hamiltonian.dim, hamiltonian, omega, dual.order, dual.signs)
 
     @cached_property
-    def _order_and_signs(self) -> tuple[list[int], list[float]]:
+    def _order_and_signs(self) -> tuple[list[int], list[int]]:
         """order and signs as Python lists, for the float-list RK4 step."""
         return self.order.tolist(), self.signs.tolist()
 

@@ -14,7 +14,9 @@ stored as exact integers so that the quaternion relations
 
     F^2 = G^2 = H^2 = F G H = -I
 
-can be verified with no floating-point tolerance at all.  RELATIONS names
+can be verified with no floating-point tolerance at all.  Each tensor
+reads its permutation off once, as (order, signs); the matrix of each
+symplectic form is exactly its label's cotangent tensor.  RELATIONS names
 each relation once, by the key of its residual in verify_quaternion_relations'
 table and in a run's report, and by its printed label.  Matrices follow
 the column convention: column a holds the coordinates of the image of
@@ -23,7 +25,7 @@ basis element a, so applying a tensor is a plain matrix-vector product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +82,8 @@ class StructureTensor:
     """A signed permutation matrix acting on coordinates of R^{4n}.
 
     Construction only enforces the signed-permutation shape (one entry of
-    +-1 per row and column, integer storage); the quaternion and
+    +-1 per row and column, integer storage) and reads it off as read-only
+    order and signs, with matrix @ v == signs * v[order]; the quaternion and
     skew-symmetry relations are measured by the verify_* functions so that
     deliberately corrupted tensors can be inspected too.
     """
@@ -88,6 +91,8 @@ class StructureTensor:
     kind: StructureKind
     dim: BlockDim
     matrix: np.ndarray
+    order: np.ndarray = field(init=False, repr=False)
+    signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.int64)
@@ -99,8 +104,10 @@ class StructureTensor:
         nonzero = np.abs(m)
         if (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
             raise ValueError("matrix must have exactly one nonzero entry per row and column")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        order = nonzero.argmax(axis=1)
+        for name, array in (("matrix", m), ("order", order), ("signs", m[np.arange(size), order])):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True)

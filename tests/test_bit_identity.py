@@ -16,7 +16,9 @@ import pytest
 from quatflow import (
     BlockDim,
     HamiltonianSystem,
+    StructureKind,
     Trajectory,
+    build_structure,
     eom_residual,
     gradient,
     hamiltonian_vector_field,
@@ -60,6 +62,10 @@ def test_signed_permutation_field_equals_the_matrix_product(label, n):
     system = _system(label, n)
     size = 4 * n
     assert np.array_equal(system.signs[:, None] * np.eye(size)[system.order], system.omega.matrix)
+    # build takes Omega's order and signs from the dual tensor, which Omega equals
+    dual = build_structure(StructureKind(label, "cotangent"), BlockDim(n))
+    assert np.array_equal(system.omega.matrix, dual.matrix)
+    assert np.array_equal(system.order, dual.order) and np.array_equal(system.signs, dual.signs)
     for point in _points(n, 20, seed=n):
         assert np.array_equal(hamiltonian_vector_field(system, point), _matrix_field(system)(point))
 
@@ -215,5 +221,13 @@ def test_build_rejects_an_omega_that_is_not_a_signed_permutation(change, monkeyp
         return ConstantTwoForm(dim, change(symplectic_form(label, dim).matrix))
 
     monkeypatch.setattr(dynamics, "symplectic_form", changed_form)
+    with pytest.raises(AssertionError):
+        HamiltonianSystem.build("F", parse("x1", BlockDim(1)))
+
+
+def test_build_rejects_the_signed_permutation_of_another_label(monkeypatch):
+    from quatflow.forms import symplectic_form
+
+    monkeypatch.setattr(dynamics, "symplectic_form", lambda label, dim: symplectic_form("G", dim))
     with pytest.raises(AssertionError):
         HamiltonianSystem.build("F", parse("x1", BlockDim(1)))

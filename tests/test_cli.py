@@ -144,6 +144,28 @@ def test_run_unwritable_prefix_exits_one(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == {blocker, config_path}
 
 
+def test_run_that_cannot_write_its_report_removes_what_it_wrote(tmp_path, capsys, monkeypatch):
+    config_path, payload = write_config(tmp_path, steps=10)
+    prefix = payload["output_prefix"]
+    Path(f"{prefix}.diagnostics.json").mkdir(parents=True)
+    unlinked = []
+    unlink = Path.unlink
+
+    def recorded_unlink(path, *args, **kwargs):
+        unlinked.append(path)
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", recorded_unlink)
+    assert main(["run", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write outputs for {prefix}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert Path(f"{prefix}.error.log").read_text(encoding="utf-8") == err.removeprefix("error: ")
+    # the CSV goes first and is removed once the report fails
+    assert unlinked == [Path(f"{prefix}.trajectory.csv")]
+    assert {path.name for path in Path(prefix).parent.iterdir()} == {"run1.diagnostics.json", "run1.error.log"}
+
+
 def test_run_rejects_an_output_prefix_with_a_nul_byte(tmp_path, capsys):
     config_path, _ = write_config(tmp_path, output_prefix=str(tmp_path / "out" / "a\0x"))
     assert main(["run", str(config_path)]) == 1
@@ -544,6 +566,12 @@ def test_dump_cotangent_space(capsys):
 def test_no_subcommand_is_a_usage_error(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: quatflow")
 
 
 def test_run_requires_exactly_one_input_mode(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,8 @@ def test_gradient_product_rule():
     assert np.array_equal(grad, np.array([4.0, 3.0, 0.0, 0.0]))
     fd = fd_gradient(field, point, 1e-6)
     assert np.abs(grad - fd).max() < 1e-6
+    # a function of a constant is a constant factor
+    assert np.array_equal(gradient(parse("sin(2)*x1", DIM1), point), np.array([math.sin(2.0), 0.0, 0.0, 0.0]))
 
 
 def test_gradient_of_constant_is_zero():

@@ -207,3 +207,24 @@ def test_interior_product_agrees_with_bilinear_evaluation(x, v, label):
 def test_two_form_rejects_non_skew_matrix():
     with pytest.raises(ValueError):
         ConstantTwoForm(BlockDim(1), np.eye(4))
+
+
+def test_forms_reject_mismatched_shapes_lengths_and_dims():
+    dim = BlockDim(1)
+    for linear, constant in ((np.eye(8), np.zeros(4)), (np.eye(4), np.zeros(8))):
+        with pytest.raises(ValueError):
+            AffineOneForm(dim, linear, constant)
+    with pytest.raises(ValueError):
+        ConstantTwoForm(dim, np.zeros((8, 8)))
+    theta = canonical_one_form(dim)
+    phi = symplectic_form("F", dim)
+    tangent_f = build_structure(StructureKind("F", "tangent"), BlockDim(2))
+    for call in (
+        lambda: metric_kaehler_form(tangent_f, EuclideanMetric(dim)),
+        lambda: theta.coefficients(np.zeros(8)),
+        lambda: theta.evaluate(np.zeros(4), np.zeros(8)),
+        lambda: phi.evaluate(np.zeros(8), np.zeros(4)),
+        lambda: phi.evaluate(np.zeros(4), np.zeros(8)),
+    ):
+        with pytest.raises(ValueError):
+            call()

@@ -13,7 +13,7 @@ from quatflow import (
     verify_metric_compatibility,
     verify_quaternion_relations,
 )
-from quatflow.structures import structure_triple
+from quatflow.structures import SPACES, structure_triple
 
 F_MATRIX_N1 = np.array(
     [
@@ -98,6 +98,14 @@ def test_metric_compatibility_zero_for_all_six(n, space):
         assert verify_metric_compatibility(t, metric) == 0
 
 
+@pytest.mark.parametrize("space", SPACES)
+def test_the_identity_label_builds_the_identity_tensor(space):
+    dim = BlockDim(2)
+    built = build_structure(StructureKind("I", space), dim)
+    assert built.kind == identity_tensor(dim, space).kind == StructureKind("I", space)
+    assert np.array_equal(built.matrix, identity_tensor(dim, space).matrix)
+
+
 def test_metric_compatibility_identity_scores_two():
     dim = BlockDim(1)
     assert verify_metric_compatibility(identity_tensor(dim), EuclideanMetric(dim)) == 2
@@ -179,3 +187,43 @@ def test_matrices_are_immutable():
     t = tensor("F")
     with pytest.raises(ValueError):
         t.matrix[0, 0] = 5
+    for array in (t.order, t.signs):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("label", ["F", "G", "H", "I"])
+@pytest.mark.parametrize("space", SPACES)
+def test_order_and_signs_apply_the_matrix_bit_for_bit(label, space, n):
+    t = tensor(label, space=space, n=n)
+    assert np.array_equal(t.signs[:, None] * np.eye(4 * n, dtype=np.int64)[t.order], t.matrix)
+    # every product with +-1 is exact and the other terms add +0.0 to a nonzero value
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        v = rng.standard_normal(4 * n)
+        assert (t.signs * v[t.order]).tobytes() == (t.matrix @ v).tobytes()
+
+
+# i -> j -> k -> i, the quaternion automorphism of conjugation by (1+i+j+k)/2,
+# moves block b of R^{4n} to block CYCLE[b]
+CYCLE = (0, 3, 1, 2)
+
+
+def _block_rotation(n):
+    """The 0/1 matrix P that sends block b to block CYCLE[b]."""
+    p = np.zeros((4 * n, 4 * n), dtype=np.int64)
+    for source, target in enumerate(CYCLE):
+        p[target * n:(target + 1) * n, source * n:(source + 1) * n] = np.eye(n, dtype=np.int64)
+    return p
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("space", SPACES)
+def test_the_block_rotation_cycles_f_to_g_to_h_exactly(n, space):
+    p = _block_rotation(n)
+    assert np.array_equal(p.T @ p, np.eye(4 * n, dtype=np.int64))
+    f, g, h = structure_triple(space, BlockDim(n))
+    assert np.array_equal(p.T @ f.matrix @ p, g.matrix)
+    assert np.array_equal(p.T @ g.matrix @ p, h.matrix)
+    assert np.array_equal(p.T @ h.matrix @ p, f.matrix)
