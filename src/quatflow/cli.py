@@ -75,12 +75,11 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     digits round-trip any IEEE double exactly.
     """
     hamiltonian = trajectory.system.hamiltonian
-    states = trajectory.states
-    size = states.shape[1]
+    size = trajectory.system.dim.total
     header = "t," + ",".join(f"x{a}" for a in range(1, size + 1)) + ",energy"
     row = ",".join(["%.17g"] * (size + 2))
     lines = [header]
-    for time, cells in zip(trajectory.times.tolist(), states.tolist()):
+    for time, cells in zip(trajectory.times, trajectory.states):
         lines.append(row % (time, *cells, evaluate(hamiltonian, cells)))
     return "\n".join(lines) + "\n"
 
@@ -122,18 +121,19 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
     field = parse(config.hamiltonian, dim)
     system = HamiltonianSystem.build(config.structure, field)
 
-    # a steps count too large for the trajectory array fails its allocation
+    # a steps count too large to hold fails before the first step
     try:
         trajectory = integrate(system, config.initial, config.dt, config.steps, config.method)
     except (IntegrationError, ValueError, MemoryError) as exc:
+        message = f"integration aborted: {exc}"
         if isinstance(exc, IntegrationError) and exc.partial is not None:
             try:
                 Path(f"{prefix}.trajectory.csv.partial").write_text(
                     trajectory_csv(exc.partial), encoding="utf-8"
                 )
-            except (OSError, ExpressionError):
-                pass
-        return _fail(prefix, f"integration aborted: {exc}")
+            except (OSError, ExpressionError) as unwritten:
+                message += f"; partial trajectory not written: {unwritten}"
+        return _fail(prefix, message)
 
     # the symplecticity probe takes fresh steps, which can fail like any step
     try:
@@ -179,7 +179,7 @@ def _render_outputs(
         "dt": config.dt,
         "steps": config.steps,
         "tolerance_scale": tolerance_scale,
-        "energy_drift_series": series.tolist(),
+        "energy_drift_series": series,
         "passed": passed,
         **checks,
         **{f"threshold_{key}": value for key, value in thresholds.items()},
@@ -289,10 +289,10 @@ def dump_command(what: str, label: str, n: int, space: str = "tangent") -> int:
     """Print the requested 4n x 4n matrix as integer CSV on stdout."""
     dim = BlockDim(n)
     if what == "structure":
-        matrix = build_structure(StructureKind(label, space), dim).matrix
+        rows = build_structure(StructureKind(label, space), dim).rows
     else:
-        matrix = symplectic_form(label, dim).matrix
-    for row in matrix:
+        rows = symplectic_form(label, dim).rows
+    for row in rows:
         print(",".join(str(int(v)) for v in row))
     return 0
 
@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return verify_command(args.n)
         return dump_command(args.what, args.label, args.n, args.space)
-    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a --n too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:  # ValueError: a --n past MAX_BLOCK_SIZE, say
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .dynamics import METHODS
 from .expressions import ExpressionError, parse
-from .structures import LABELS, BlockDim
+from .structures import LABELS, MAX_BLOCK_SIZE, BlockDim
 
 
 class ConfigError(ValueError):
@@ -90,9 +90,9 @@ def load_config(path: str | Path) -> SimulationConfig:
             problems.append(f"missing field {key!r}")
 
     n = raw.get("n")
-    n_ok = _is_int(n) and n >= 1
+    n_ok = _is_int(n) and 1 <= n <= MAX_BLOCK_SIZE
     if "n" in raw and not n_ok:
-        problems.append("field 'n': must be a positive integer")
+        problems.append(f"field 'n': must be a positive integer no larger than {MAX_BLOCK_SIZE}")
 
     if "structure" in raw and raw["structure"] not in LABELS:
         problems.append(f"field 'structure': must be one of {list(LABELS)}")

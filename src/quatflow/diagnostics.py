@@ -18,20 +18,19 @@ pass/fail ceilings; `quatflow run` combines all of them into a run's
 report.  A probe raises what the layer below it raised: an energy that
 cannot be evaluated raises the kernel's EvaluationError naming the
 subexpression, and a failed probe step raises the stepper's
-IntegrationError.  A value that overflows is read, not warned about: an
-energy of inf gives a NaN drift and an overflowing J^T Omega J an inf or
-NaN residual, each failing its gate.  All functions are pure: neither
-trajectory nor system is ever mutated.
+IntegrationError.  The probes run on Python floats, and each maximum is
+NaN if any entry is: an energy of inf gives a NaN drift and an
+overflowing J^T Omega J an inf or NaN residual, each failing its gate.
+All functions are pure: neither trajectory nor system is ever mutated.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, _scale, vector_field_rows
+from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, _scale, hamiltonian_vector_field
 from .expressions import evaluate
+from .forms import _dot
 from .structures import structure_triple, verify_quaternion_relations
 
 # energy-drift ceilings per one-step method (quadratic well, desk scale)
@@ -43,13 +42,12 @@ SYMPLECTICITY_LIMIT = 1e-6
 JACOBIAN_PROBE_STEP = 2.0 ** -17
 
 
-def energy_drift(trajectory: Trajectory) -> tuple[np.ndarray, float]:
+def energy_drift(trajectory: Trajectory) -> tuple[list[float], float]:
     """Per-point |H - H0| along the trajectory, plus its maximum."""
     hamiltonian = trajectory.system.hamiltonian
-    energies = [evaluate(hamiltonian, row) for row in trajectory.states.tolist()]
-    # Python floats: an energy that reads inf gives a NaN drift, not a warning
-    series = np.array([abs(energy - energies[0]) for energy in energies])
-    return series, float(series.max())
+    energies = [evaluate(hamiltonian, row) for row in trajectory.states]
+    series = [abs(energy - energies[0]) for energy in energies]
+    return series, _max(series)
 
 
 def eom_residual(trajectory: Trajectory) -> float:
@@ -61,12 +59,15 @@ def eom_residual(trajectory: Trajectory) -> float:
     rows = trajectory.states
     if len(rows) < 3:
         raise ValueError("equation-of-motion residual needs at least 3 points")
-    velocities = (rows[2:] - rows[:-2]) / (2.0 * trajectory.step)
-    return float(np.abs(velocities - vector_field_rows(trajectory.system, rows[1:-1])).max())
+    system, span = trajectory.system, 2.0 * trajectory.step
+    fields = (hamiltonian_vector_field(system, point) for point in rows[1:-1])
+    return _max([abs((after - before) / span - velocity)
+                 for previous, field, following in zip(rows, fields, rows[2:])
+                 for before, velocity, after in zip(previous, field, following)])
 
 
-def step_jacobian(system: HamiltonianSystem, point: np.ndarray, dt: float, method: str) -> np.ndarray:
-    """Central-difference Jacobian of the one-step map at a point.
+def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> tuple[tuple[float, ...], ...]:
+    """Central-difference Jacobian of the one-step map at a point, as rows.
 
     The step is JACOBIAN_PROBE_STEP times the smallest power of two that is
     >= max(1, |x|), so the difference stays well above the rounding of the
@@ -75,41 +76,43 @@ def step_jacobian(system: HamiltonianSystem, point: np.ndarray, dt: float, metho
     Each implicit midpoint step after the first in a direction starts
     Newton from the previous step in that direction shifted by the
     difference of the two perturbed points, which is within O(h dt) of its
-    solution.  Each perturbed step checks its own state is finite, so
-    numpy's overflow and invalid-value warnings stay off while probing.
+    solution.  Each perturbed step checks its own state is finite.
     """
     stepper = _STEPPERS[method]
-    base = np.asarray(point, dtype=np.float64)
-    size = base.size
+    base = [*map(float, point)]
     mantissa, exponent = math.frexp(_scale(base))
     h = math.ldexp(JACOBIAN_PROBE_STEP, exponent - (mantissa == 0.5))
     warm = method == "implicit_midpoint"
     previous = {}  # direction -> (last perturbed point, its step)
-    jacobian = np.empty((size, size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(size):
-            for direction in (h, -h):
-                perturbed = base.copy()
-                perturbed[a] += direction
-                if warm and a > 0:
-                    last_point, last_step = previous[direction]
-                    result = stepper(system, perturbed, dt, start=last_step + (perturbed - last_point))
-                else:
-                    result = stepper(system, perturbed, dt)
-                previous[direction] = (perturbed, result)
-            jacobian[:, a] = (previous[h][1] - previous[-h][1]) / (2.0 * h)
-    return jacobian
+    columns = []
+    for a in range(len(base)):
+        for direction in (h, -h):
+            perturbed = base.copy()
+            perturbed[a] += direction
+            if warm and a > 0:
+                last_point, last_step = previous[direction]
+                start = [y + (p - q) for y, p, q in zip(last_step, perturbed, last_point)]
+                result = stepper(system, perturbed, dt, start=start)
+            else:
+                result = stepper(system, perturbed, dt)
+            previous[direction] = (perturbed, result)
+        columns.append([(f - b) / (2.0 * h) for f, b in zip(previous[h][1], previous[-h][1])])
+    return tuple(zip(*columns))
 
 
-def symplecticity_residual(
-    system: HamiltonianSystem, point: np.ndarray, dt: float, method: str
-) -> float:
-    """Entrywise max of J^T Omega J - Omega for one step map."""
-    jacobian = step_jacobian(system, point, dt, method)
-    omega = system.omega.matrix
+def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: str) -> float:
+    """Entrywise max of J^T Omega J - Omega for one step map; Omega J is a signed reorder of J."""
+    columns = list(zip(*step_jacobian(system, point, dt, method)))
+    order, signs = system.order, system.signs
+    images = [[s * column[o] for o, s in zip(order, signs)] for column in columns]
     # a huge Jacobian overflows here; the residual then reads inf or NaN and fails its gate
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.abs(jacobian.T @ omega @ jacobian - omega).max())
+    return _max([abs(_dot(column, image) - (signs[a] if b == order[a] else 0))
+                 for a, column in enumerate(columns) for b, image in enumerate(images)])
+
+
+def _max(values: list[float]) -> float:
+    """The largest value, or NaN if any value is NaN, as np.max reads it."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def algebra_residuals(system: HamiltonianSystem) -> dict[str, int]:

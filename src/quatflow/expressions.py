@@ -21,15 +21,17 @@ over plain floats: a straight-line forward sweep that computes H, and the
 same sweep followed by one reverse (adjoint) sweep, so the whole gradient
 costs a small multiple of one evaluation whatever the dimension (the
 cheap-gradient principle; Griewank & Walther, Evaluating Derivatives, 2nd
-ed., 2008).  Both entry points use a point that is a list of 4n Python
-floats as it is, and convert any other point (an array, or a list holding
-ints or numpy scalars) with np.asarray and check its shape first, so every
-form of a point gives the same bits.  `evaluate` runs only the statements
-H needs, so it returns a value wherever H is defined, even where its
-derivative is not.  A domain error raises EvaluationError naming the
-offending subexpression, and nesting too deep for the recursive parser or
-code generator an ExpressionError, never a RecursionError; a field too deep
-to compile is compiled once and raises the same error on every later use.
+ed., 2008).  Both entry points use a point that is a list or tuple of 4n
+Python floats as it is, and convert any other point (an array, or a list
+holding ints or numpy scalars) with np.asarray and check its shape first,
+so every form of a point gives the same bits; numpy is imported only for
+that conversion.  `gradient` returns the kernel's list of 4n floats.
+`evaluate` runs only the statements H needs, so it returns a value
+wherever H is defined, even where its derivative is not.  A domain error
+raises EvaluationError naming the offending subexpression, and nesting too
+deep for the recursive parser or code generator an ExpressionError, never
+a RecursionError; a field too deep to compile is compiled once and raises
+the same error on every later use.
 The tests keep two independent oracles: an AST interpreter with central
 differences, and the seeded dual-number passes the kernel replaced.
 """
@@ -41,8 +43,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
-
-import numpy as np
 
 from .structures import BlockDim
 
@@ -306,19 +306,21 @@ def evaluate(field: ScalarField, point) -> float:
         raise
 
 
-def gradient(field: ScalarField, point) -> np.ndarray:
-    """The (4n,) gradient dH at a point, from the field's compiled kernel."""
+def gradient(field: ScalarField, point) -> list[float]:
+    """The gradient dH at a point, the kernel's list of 4n floats."""
     kernel = field.gradient_kernel
     try:
         _, components = kernel.gradient(point)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         kernel.name(exc, kernel.gradient)
         raise
-    return np.array(components)
+    return components
 
 
 def _coordinates(point, size: int) -> list:
-    """A point that is not a list of floats, as one; the kernel's fallback."""
+    """A point that is not a list or tuple of floats, as a list; the kernel's fallback."""
+    import numpy as np
+
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (size,):
         raise ValueError(f"point must have length {size}, got shape {point.shape}")
@@ -365,9 +367,9 @@ class _KernelSource:
     The text defines value(x), the forward statements without those
     partials, returning H, and kernel(x), the whole forward sweep and the
     reverse sweep, returning (H, grad H).  Each starts by unpacking x into
-    x1 .. x{4n}: a list of 4n entries as it is, unless one is not a float,
-    and any other x through coordinates(x, 4n), so a list of floats costs
-    one unpack and one chain of class tests.  owners maps the line number
+    x1 .. x{4n}: a list or tuple of 4n entries as it is, unless one is not
+    a float, and any other x through coordinates(x, 4n), so a list of
+    floats costs one unpack and one chain of class tests.  owners maps the line number
     of each forward statement in the text to the node it belongs to.
     """
 
@@ -388,7 +390,7 @@ class _KernelSource:
         for name, gradient, result in (("value", False, root.expr), ("kernel", True, f"{root.expr}, [{components}]")):
             lines += [
                 f"def {name}(x):",
-                f"    if x.__class__ is list and len(x) == {size}:",
+                f"    if (x.__class__ is list or x.__class__ is tuple) and len(x) == {size}:",
                 f"        {unpack}, = x",
                 f"        if not {classes} is float: {unpack}, = coordinates(x, {size})",
                 "    else:",
@@ -521,7 +523,7 @@ class _Kernel:
     """A field compiled to two functions of the values of its 4n coordinates.
 
     value(x) returns H and gradient(x) returns (H, grad H) at a point x,
-    best a list of 4n floats.  Callers run them inside a try that
+    best a list or tuple of 4n floats.  Callers run them inside a try that
     passes a domain error to name(), which raises EvaluationError naming the
     subexpression whose statement raised, read off the traceback's line
     number, so the kernel costs nothing for the bookkeeping until something

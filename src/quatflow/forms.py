@@ -15,16 +15,40 @@ attached to each label is obtained by the derivation chain
     omega  ->  lambda = dual_structure(omega)  ->  Phi = -d(lambda)
 
 rather than hard-coded, starting from the radial 1-form
-omega = 1/2 sum_a x_a dx_a.
+omega = 1/2 sum_a x_a dx_a.  Forms hold rows of Python floats, and the
+chain's reorders, transposes and negations of them are exact; a 2-form's
+matrix is its rows as a read-only numpy array, built when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
-import numpy as np
+from .structures import BlockDim, EuclideanMetric, StructureKind, StructureTensor, _read_only, build_structure
 
-from .structures import BlockDim, EuclideanMetric, StructureKind, StructureTensor, build_structure
+
+def _floats(values, size: int, what: str) -> tuple[float, ...]:
+    """values as a tuple of size floats, else ValueError naming what they are."""
+    try:
+        values = tuple(map(float, values))
+    except TypeError:  # a number where a sequence belongs, or a sequence where a number does
+        values = ()
+    if len(values) != size:
+        raise ValueError(f"{what} must have length {size}")
+    return values
+
+
+def _rows(matrix, size: int, what: str) -> tuple[tuple[float, ...], ...]:
+    rows = tuple(_floats(row, size, f"each row of the {what}") for row in matrix)
+    if len(rows) != size:
+        raise ValueError(f"{what} must be {size}x{size}")
+    return rows
+
+
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,35 +56,22 @@ class AffineOneForm:
     """A 1-form on R^{4n} whose coefficients are affine in the coordinates."""
 
     dim: BlockDim
-    linear: np.ndarray
-    constant: np.ndarray
+    linear: tuple[tuple[float, ...], ...]
+    constant: tuple[float, ...]
 
     def __post_init__(self) -> None:
         size = self.dim.total
-        linear = np.asarray(self.linear, dtype=np.float64)
-        constant = np.asarray(self.constant, dtype=np.float64)
-        if linear.shape != (size, size):
-            raise ValueError(f"linear part must be {size}x{size}, got {linear.shape}")
-        if constant.shape != (size,):
-            raise ValueError(f"constant part must have length {size}, got {constant.shape}")
-        linear.flags.writeable = False
-        constant.flags.writeable = False
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "linear", _rows(self.linear, size, "linear part"))
+        object.__setattr__(self, "constant", _floats(self.constant, size, "constant part"))
 
-    def coefficients(self, point: np.ndarray) -> np.ndarray:
+    def coefficients(self, point) -> list[float]:
         """The dx-basis coefficients of the form at a point."""
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.dim.total,):
-            raise ValueError(f"point must have length {self.dim.total}")
-        return self.linear @ point + self.constant
+        point = _floats(point, self.dim.total, "point")
+        return [_dot(row, point) + c for row, c in zip(self.linear, self.constant)]
 
-    def evaluate(self, point: np.ndarray, vector: np.ndarray) -> float:
+    def evaluate(self, point, vector) -> float:
         """Pair the form at a point with a tangent vector."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.dim.total,):
-            raise ValueError(f"vector must have length {self.dim.total}")
-        return float(np.dot(self.coefficients(point), vector))
+        return _dot(self.coefficients(point), _floats(vector, self.dim.total, "vector"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,45 +79,44 @@ class ConstantTwoForm:
     """A constant-coefficient 2-form Phi(u, v) = u^T Omega v, Omega skew."""
 
     dim: BlockDim
-    matrix: np.ndarray
+    rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        size = self.dim.total
-        omega = np.asarray(self.matrix, dtype=np.float64)
-        if omega.shape != (size, size):
-            raise ValueError(f"matrix must be {size}x{size}, got {omega.shape}")
-        if not np.array_equal(omega.T, -omega):
+        rows = _rows(self.rows, self.dim.total, "matrix")
+        if any(row[b] != -other[a] for a, row in enumerate(rows) for b, other in enumerate(rows)):
             raise ValueError("2-form matrix must be skew-symmetric")
-        omega.flags.writeable = False
-        object.__setattr__(self, "matrix", omega)
+        object.__setattr__(self, "rows", rows)
 
-    def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        size = self.dim.total
-        if u.shape != (size,) or v.shape != (size,):
-            raise ValueError(f"arguments must have length {size}")
-        return float(u @ self.matrix @ v)
+    @cached_property
+    def matrix(self):
+        """Omega as a read-only float64 numpy array."""
+        return _read_only(self.rows, "float64")
+
+    def evaluate(self, u, v) -> float:
+        return _dot(interior_product(self, u), _floats(v, self.dim.total, "arguments"))
 
 
 def canonical_one_form(dim: BlockDim) -> AffineOneForm:
     """The radial 1-form omega = 1/2 sum_a x_a dx_a."""
     size = dim.total
-    return AffineOneForm(dim, 0.5 * np.eye(size), np.zeros(size))
+    linear = [[0.5 if a == b else 0.0 for b in range(size)] for a in range(size)]
+    return AffineOneForm(dim, linear, [0.0] * size)
 
 
 def pullback_by_dual(structure: StructureTensor, form: AffineOneForm) -> AffineOneForm:
     """Substitute dx_a -> structure(dx_a) in the coefficient expansion.
 
-    Applied to the radial form this produces the Liouville form of the
-    structure's label.
+    Row a of the result is signs_a times row order_a of the form, as is
+    its constant.  Applied to the radial form this produces the Liouville
+    form of the structure's label.
     """
     if structure.kind.space != "cotangent":
         raise ValueError("pullback requires a cotangent structure tensor")
     if structure.dim != form.dim:
         raise ValueError("structure and form dimensions differ")
-    m = structure.matrix.astype(np.float64)
-    return AffineOneForm(form.dim, m @ form.linear, m @ form.constant)
+    turned = list(zip(structure.order, structure.signs))
+    linear = [[s * v for v in form.linear[o]] for o, s in turned]
+    return AffineOneForm(form.dim, linear, [s * form.constant[o] for o, s in turned])
 
 
 def exterior_derivative(form: AffineOneForm) -> ConstantTwoForm:
@@ -115,7 +125,8 @@ def exterior_derivative(form: AffineOneForm) -> ConstantTwoForm:
     With theta_b = L[b, :] . x + c[b] the derivative is
     sum_{a,b} L[b, a] dx_a ^ dx_b, whose matrix is L^T - L.
     """
-    return ConstantTwoForm(form.dim, form.linear.T - form.linear)
+    rows = form.linear
+    return ConstantTwoForm(form.dim, [[other[a] - v for other, v in zip(rows, row)] for a, row in enumerate(rows)])
 
 
 def symplectic_form(label: str, dim: BlockDim) -> ConstantTwoForm:
@@ -124,7 +135,7 @@ def symplectic_form(label: str, dim: BlockDim) -> ConstantTwoForm:
     Derived through the generic pipeline: exterior-differentiate the
     labelled Liouville form, negate.
     """
-    return ConstantTwoForm(dim, -exterior_derivative(liouville_form(label, dim)).matrix)
+    return ConstantTwoForm(dim, [[-v for v in row] for row in exterior_derivative(liouville_form(label, dim)).rows])
 
 
 def liouville_form(label: str, dim: BlockDim) -> AffineOneForm:
@@ -139,12 +150,10 @@ def metric_kaehler_form(structure: StructureTensor, metric: EuclideanMetric) -> 
         raise ValueError("metric 2-form requires a tangent structure tensor")
     if structure.dim != metric.dim:
         raise ValueError("structure and metric dimensions differ")
-    return ConstantTwoForm(structure.dim, structure.matrix.T.astype(np.float64))
+    return ConstantTwoForm(structure.dim, zip(*structure.rows))
 
 
-def interior_product(phi: ConstantTwoForm, x: np.ndarray) -> np.ndarray:
+def interior_product(phi: ConstantTwoForm, x) -> list[float]:
     """The covector i_X Phi, componentwise b -> Phi(X, e_b) = (Omega^T X)_b."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (phi.dim.total,):
-        raise ValueError(f"vector must have length {phi.dim.total}")
-    return phi.matrix.T @ x
+    x = _floats(x, phi.dim.total, "vector")
+    return [_dot(column, x) for column in zip(*phi.rows)]

@@ -9,25 +9,25 @@ tangent and cotangent variants share one block table:
     G:  block0 -> +block2,  block1 -> -block3,  block2 -> -block0,  block3 -> +block1
     H:  block0 -> +block3,  block1 -> +block2,  block2 -> -block1,  block3 -> -block0
 
-Every tensor is a signed permutation matrix with entries in {-1, 0, +1},
-stored as exact integers so that the quaternion relations
+Every tensor is a signed permutation with entries in {-1, 0, +1}, held
+as (order, signs) on Python ints, so that the quaternion relations
 
     F^2 = G^2 = H^2 = F G H = -I
 
-can be verified with no floating-point tolerance at all.  Each tensor
-reads its permutation off once, as (order, signs); the matrix of each
-symplectic form is exactly its label's cotangent tensor.  RELATIONS names
-each relation once, by the key of its residual in verify_quaternion_relations'
-table and in a run's report, and by its printed label.  Matrices follow
-the column convention: column a holds the coordinates of the image of
-basis element a, so applying a tensor is a plain matrix-vector product.
+are verified by composing signed permutations, with no floating-point
+tolerance at all; numpy is imported only when a tensor's matrix is first
+read.  The matrix of each symplectic form is exactly its label's
+cotangent tensor.  RELATIONS names each relation once, by the key of its
+residual in verify_quaternion_relations' table and in a run's report, and
+by its printed label.  Matrices follow the column convention: column a
+holds the coordinates of the image of basis element a, so applying a
+tensor is a plain matrix-vector product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from functools import cached_property
 
 LABELS = ("F", "G", "H")
 SPACES = ("tangent", "cotangent")
@@ -47,6 +47,10 @@ _BLOCK_ACTION: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 
+# past this n the 4n x 4n forms, held as rows of Python floats, take seconds and hundreds of MB
+MAX_BLOCK_SIZE = 512
+
+
 @dataclass(frozen=True)
 class BlockDim:
     """Block size n; the model space R^{4n} carries four coordinate blocks."""
@@ -56,6 +60,8 @@ class BlockDim:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"block size must be a positive integer, got {self.n!r}")
+        if self.n > MAX_BLOCK_SIZE:
+            raise ValueError(f"block size must be at most {MAX_BLOCK_SIZE}, got {self.n}")
 
     @property
     def total(self) -> int:
@@ -79,35 +85,41 @@ class StructureKind:
 
 @dataclass(frozen=True, eq=False)
 class StructureTensor:
-    """A signed permutation matrix acting on coordinates of R^{4n}.
+    """A signed permutation, (T v)_i = signs_i v_{order_i}, on R^{4n}.
 
-    Construction only enforces the signed-permutation shape (one entry of
-    +-1 per row and column, integer storage) and reads it off as read-only
-    order and signs, with matrix @ v == signs * v[order]; the quaternion and
-    skew-symmetry relations are measured by the verify_* functions so that
-    deliberately corrupted tensors can be inspected too.
+    Construction only checks the shape; the quaternion and skew-symmetry
+    relations are measured by the verify_* functions so that deliberately
+    corrupted tensors can be inspected too.  rows (integers) and matrix (a
+    read-only numpy array) are built when first read.
     """
 
     kind: StructureKind
     dim: BlockDim
-    matrix: np.ndarray
-    order: np.ndarray = field(init=False, repr=False)
-    signs: np.ndarray = field(init=False, repr=False)
+    order: tuple[int, ...]
+    signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.int64)
-        size = self.dim.total
-        if m.shape != (size, size):
-            raise ValueError(f"matrix must be {size}x{size}, got {m.shape}")
-        if not np.isin(m, (-1, 0, 1)).all():
-            raise ValueError("matrix entries must be in {-1, 0, +1}")
-        nonzero = np.abs(m)
-        if (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
-            raise ValueError("matrix must have exactly one nonzero entry per row and column")
-        order = nonzero.argmax(axis=1)
-        for name, array in (("matrix", m), ("order", order), ("signs", m[np.arange(size), order])):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        order, signs = self.order, self.signs
+        if sorted(order) != list(range(self.dim.total)) or len(signs) != len(order) or not set(signs) <= {1, -1}:
+            raise ValueError("matrix must have exactly one nonzero entry, +-1, per row and column")
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        columns = range(self.dim.total)
+        return tuple(tuple(s if j == o else 0 for j in columns) for o, s in zip(self.order, self.signs))
+
+    @cached_property
+    def matrix(self):
+        return _read_only(self.rows, "int64")
+
+
+def _read_only(rows, dtype: str):
+    """rows as a read-only numpy array; numpy is imported here, when an array is asked for."""
+    import numpy as np
+
+    array = np.array(rows, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -118,30 +130,26 @@ class EuclideanMetric:
 
 
 def build_structure(kind: StructureKind, dim: BlockDim) -> StructureTensor:
-    """Construct the named structure tensor as an exact integer matrix.
+    """Construct the named structure tensor from its block table.
 
-    Column a of the result is the image of the a-th basis element, e.g.
+    Column a of its matrix is the image of the a-th basis element, e.g.
     for F with n = 1 the first basis vector maps to the second one, so
     column 1 carries +1 in row 2.
     """
     if kind.label == "I":
         return identity_tensor(dim, kind.space)
     n = dim.n
-    m = np.zeros((dim.total, dim.total), dtype=np.int64)
+    order, signs = [0] * dim.total, [0] * dim.total
     for source, (target, sign) in enumerate(_BLOCK_ACTION[kind.label]):
-        rows = slice(target * n, (target + 1) * n)
-        cols = slice(source * n, (source + 1) * n)
-        m[rows, cols] = sign * np.eye(n, dtype=np.int64)
-    return StructureTensor(kind=kind, dim=dim, matrix=m)
+        for i in range(n):
+            order[target * n + i] = source * n + i
+            signs[target * n + i] = sign
+    return StructureTensor(kind, dim, tuple(order), tuple(signs))
 
 
 def identity_tensor(dim: BlockDim, space: str = "tangent") -> StructureTensor:
     """The identity tensor; useful as a negative control in the checks."""
-    return StructureTensor(
-        kind=StructureKind("I", space),
-        dim=dim,
-        matrix=np.eye(dim.total, dtype=np.int64),
-    )
+    return StructureTensor(StructureKind("I", space), dim, tuple(range(dim.total)), (1,) * dim.total)
 
 
 def structure_triple(space: str, dim: BlockDim) -> tuple[StructureTensor, StructureTensor, StructureTensor]:
@@ -156,9 +164,9 @@ def verify_quaternion_relations(
 
     Returns one residual per RELATIONS key, in its order: the induced
     infinity norm (maximum absolute row sum) of the relation's product
-    plus I, computed in exact integer arithmetic.  A genuine quaternion
-    triple scores four zeros.  The triple product composes right to left:
-    H acts first, then G, then F.
+    plus I, computed by composing signed permutations of integers.  A
+    genuine quaternion triple scores four zeros.  The triple product
+    composes right to left: H acts first, then G, then F.
     """
     if not (f.dim == g.dim == h.dim):
         raise ValueError("triple members must share one dimension")
@@ -166,9 +174,15 @@ def verify_quaternion_relations(
         raise ValueError("triple members must live on the same space")
     if (f.kind.label, g.kind.label, h.kind.label) != LABELS:
         raise ValueError("triple must be labelled (F, G, H) in that order")
-    eye = np.eye(f.dim.total, dtype=np.int64)
-    products = (f.matrix @ f.matrix, g.matrix @ g.matrix, h.matrix @ h.matrix, f.matrix @ g.matrix @ h.matrix)
-    return {key: int(np.abs(product + eye).sum(axis=1).max()) for key, product in zip(RELATIONS, products)}
+    residuals = {}
+    for key, factors in zip(RELATIONS, ((f, f), (g, g), (h, h), (f, g, h))):
+        order, signs = range(f.dim.total), [1] * f.dim.total
+        for t in factors:  # row i of P T is signs_i times row order_i of T
+            signs = [s * t.signs[o] for o, s in zip(order, signs)]
+            order = [t.order[o] for o in order]
+        # row i of P + I holds signs_i in column order_i and the 1 of I in column i
+        residuals[key] = max(abs(s + 1) if o == i else 2 for i, (o, s) in enumerate(zip(order, signs)))
+    return residuals
 
 
 def verify_metric_compatibility(tensor: StructureTensor, metric: EuclideanMetric) -> int:
@@ -180,5 +194,6 @@ def verify_metric_compatibility(tensor: StructureTensor, metric: EuclideanMetric
     """
     if tensor.dim != metric.dim:
         raise ValueError("tensor and metric dimensions differ")
-    m = tensor.matrix
-    return int(np.abs(m.T + m).max())
+    order, signs = tensor.order, tensor.signs
+    # M^T + M is nonzero only at (i, order_i) and its mirror, where it is M[i, order_i] + M[order_i, i]
+    return max(abs(s + (signs[o] if order[o] == i else 0)) for i, (o, s) in enumerate(zip(order, signs)))

@@ -108,12 +108,16 @@ def rk4_step_on_arrays(system, x: np.ndarray, dt: float) -> np.ndarray:
     is summed in place in gradient space and permuted once; a non-finite
     state raises AssertionError.
     """
-    order, signs = system.order, system.signs
+    order, signs = list(system.order), np.array(system.signs)
+
+    def grad(point):
+        return np.array(gradient(system.hamiltonian, point))
+
     half = (0.5 * dt) * signs
-    g1 = gradient(system.hamiltonian, x)
-    g2 = gradient(system.hamiltonian, x + half * g1[order])
-    g3 = gradient(system.hamiltonian, x + half * g2[order])
-    g4 = gradient(system.hamiltonian, x + (dt * signs) * g3[order])
+    g1 = grad(x)
+    g2 = grad(x + half * g1[order])
+    g3 = grad(x + half * g2[order])
+    g4 = grad(x + (dt * signs) * g3[order])
     g2 *= 2.0
     g3 *= 2.0
     g1 += g2
@@ -173,7 +177,7 @@ def cold_step_jacobian(system, point, dt: float, method: str, h: float) -> np.nd
         backward = base.copy()
         forward[a] += h
         backward[a] -= h
-        jacobian[:, a] = (stepper(system, forward, dt) - stepper(system, backward, dt)) / (2.0 * h)
+        jacobian[:, a] = (np.array(stepper(system, forward, dt)) - stepper(system, backward, dt)) / (2.0 * h)
     return jacobian
 
 

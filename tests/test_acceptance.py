@@ -148,7 +148,7 @@ def test_criterion_8_gradient_flow_negative_control():
     dim = BlockDim(1)
     quadratic = parse(quadratic_energy_text(dim), dim)
     system = HamiltonianSystem.build("F", quadratic)
-    descent = lambda x: -gradient(quadratic, x)
+    descent = lambda x: -np.array(gradient(quadratic, x))
     states = rk4_on_field(descent, np.array([1.0, 0.0, 0.0, 0.0]), 0.01, 100)
     trajectory = Trajectory(system, states, 0.01)
     _, drift = energy_drift(trajectory)

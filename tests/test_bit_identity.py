@@ -4,7 +4,7 @@ plain formulas they replace, compared bit for bit.
 The field applies Omega as (order, signs) instead of a matrix product,
 RK4 runs on lists of floats and sums its stages in gradient space, the
 Newton Jacobian is built from one tiled point array, the EOM residual is
-one vectorised expression and each CSV row is one %-format.  Negation,
+one comprehension over float rows and each CSV row is one %-format.  Negation,
 reordering and elementwise arithmetic in the same order are exact, so each
 must equal its reference with np.array_equal (or ==, or byte for byte
 where a signed zero must survive), not merely to a tolerance.
@@ -61,11 +61,11 @@ def _matrix_field(system):
 def test_signed_permutation_field_equals_the_matrix_product(label, n):
     system = _system(label, n)
     size = 4 * n
-    assert np.array_equal(system.signs[:, None] * np.eye(size)[system.order], system.omega.matrix)
+    assert np.array_equal(np.array(system.signs)[:, None] * np.eye(size)[list(system.order)], system.omega.matrix)
     # build takes Omega's order and signs from the dual tensor, which Omega equals
     dual = build_structure(StructureKind(label, "cotangent"), BlockDim(n))
     assert np.array_equal(system.omega.matrix, dual.matrix)
-    assert np.array_equal(system.order, dual.order) and np.array_equal(system.signs, dual.signs)
+    assert system.order == dual.order and system.signs == dual.signs
     for point in _points(n, 20, seed=n):
         assert np.array_equal(hamiltonian_vector_field(system, point), _matrix_field(system)(point))
 
@@ -95,9 +95,10 @@ def test_rk4_step_equals_the_array_step_byte_for_byte(energy, label, n):
     system = HamiltonianSystem.build(label, parse(text, BlockDim(n)))
     starts = [_signed_zeros(n), -_signed_zeros(n), *_points(n, 5, seed=60 + n)]
     for start in starts:
-        stepped = step_rk4(system, start, 0.01)
-        assert stepped.dtype == np.float64 and stepped.shape == (4 * n,)
-        assert stepped.tobytes() == rk4_step_on_arrays(system, start, 0.01).tobytes()
+        stepped = step_rk4(system, start.tolist(), 0.01)
+        assert type(stepped) is list and len(stepped) == 4 * n
+        assert all(type(v) is float for v in stepped)
+        assert np.array(stepped).tobytes() == rk4_step_on_arrays(system, start, 0.01).tobytes()
 
 
 def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) -> int:
@@ -152,7 +153,7 @@ def test_warm_started_midpoint_step_equals_the_reference_newton_loop(label, n, m
 def test_eom_residual_equals_the_per_row_loop(label, n):
     system = _system(label, n)
     trajectory = integrate(system, next(_points(n, 1, seed=40 + n)), 0.05, 30, "rk4")
-    rows, dt = trajectory.states, trajectory.step
+    rows, dt = np.array(trajectory.states), trajectory.step
     worst = 0.0
     for k in range(1, len(rows) - 1):
         velocity = (rows[k + 1] - rows[k - 1]) / (2.0 * dt)

@@ -230,6 +230,18 @@ def test_run_integration_abort_writes_partial(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+def test_a_partial_trajectory_whose_energy_fails_is_named_as_not_written(tmp_path, capsys):
+    # x1^4 overflows at the one state the partial trajectory holds, so its CSV cannot be rendered
+    config_path, payload = write_config(tmp_path, hamiltonian="x1^4", initial=[1e80, 0, 0, 0], steps=10)
+    assert main(["run", str(config_path)]) == 1
+    reason = "(34, 'Numerical result out of range') in subexpression 'x1^4.0'"
+    message = f"integration aborted: step 0 failed: {reason}; partial trajectory not written: {reason}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    prefix = payload["output_prefix"]
+    assert Path(f"{prefix}.error.log").read_text(encoding="utf-8") == message + "\n"
+    assert not Path(f"{prefix}.trajectory.csv.partial").exists()
+
+
 def test_run_derivative_error_mid_integration_writes_partial(tmp_path, capsys):
     # under F the field's x1 component is -dH/dx2 = -1 while x3 stays 2, so
     # x1 falls through 0, where H is defined but log(x1) in dH/dx3 is not
@@ -418,7 +430,11 @@ def test_batch_runs_the_configs_after_an_output_prefix_in_a_symlink_loop(tmp_pat
     [
         ("(" * 3000 + "x1" + ")" * 3000, "invalid config {config}: field 'hamiltonian': expression nested too deeply at offset 0"),
         ("-" * 3000 + "x1", "invalid config {config}: field 'hamiltonian': expression nested too deeply at offset 0"),
-        ("+".join(["x1"] * 3000), "integration aborted: step 0 failed: expression nested too deeply to compile"),
+        (
+            "+".join(["x1"] * 3000),
+            "integration aborted: step 0 failed: expression nested too deeply to compile;"
+            " partial trajectory not written: expression nested too deeply to compile",
+        ),
     ],
     ids=["parentheses", "unary_minus", "flat_sum"],
 )
@@ -445,7 +461,10 @@ def test_a_hamiltonian_too_deep_to_compile_is_compiled_once_per_run(tmp_path, ca
     config_path, payload = write_config(tmp_path, hamiltonian="+".join(["x1"] * 3000))
     assert main(["run", str(config_path)]) == 1
     assert len(constructions) == 1
-    message = "integration aborted: step 0 failed: expression nested too deeply to compile"
+    message = (
+        "integration aborted: step 0 failed: expression nested too deeply to compile;"
+        " partial trajectory not written: expression nested too deeply to compile"
+    )
     assert capsys.readouterr().err == f"error: {message}\n"
     prefix = payload["output_prefix"]
     assert Path(f"{prefix}.error.log").read_text(encoding="utf-8") == message + "\n"
@@ -503,7 +522,7 @@ def test_verify_with_injected_corruption_fails(monkeypatch, capsys):
     def corrupted_triple(space, dim):
         f, g, h = real_triple(space, dim)
         if space == "tangent":
-            h = StructureTensor(kind=h.kind, dim=dim, matrix=f.matrix)  # F relabelled as H
+            h = StructureTensor(h.kind, dim, f.order, f.signs)  # F relabelled as H
         return f, g, h
 
     monkeypatch.setattr(cli, "structure_triple", corrupted_triple)
@@ -518,7 +537,8 @@ def test_verify_rejects_bad_n(capsys):
     capsys.readouterr()
 
 
-# n = 10^7 asks numpy for 11.4 PiB, which it refuses without allocating
+# n = 10^7 is past BlockDim's ceiling, so nothing is built: its 4n x 4n
+# matrices would hold 1.6e15 entries
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--n", "10000000"], ["dump", "--what", "omega", "--label", "F", "--n", "10000000"]],
@@ -528,6 +548,7 @@ def test_an_n_too_large_to_allocate_is_one_error_line(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: block size must be at most 512, got 10000000\n"
 
 
 # --- dump ------------------------------------------------------------------

@@ -67,8 +67,7 @@ def test_energy_drift_is_zero_for_constant_energy():
     trajectory = integrate(system, np.ones(4), 0.1, 20, "rk4")
     series, worst = energy_drift(trajectory)
     assert worst == 0.0
-    assert not series.any()
-    assert len(series) == 21
+    assert series == [0.0] * 21
 
 
 def test_energy_drift_of_rk4_on_the_rotation():
@@ -82,7 +81,7 @@ def test_gradient_descent_flow_fails_the_energy_check():
     # negative control: x' = -grad H decays the energy as e^{-2t}, which
     # the drift check must flag
     system = _system()
-    field = lambda x: -gradient(system.hamiltonian, x)
+    field = lambda x: -np.array(gradient(system.hamiltonian, x))
     states = rk4_on_field(field, np.array([1.0, 0.0, 0.0, 0.0]), 0.01, 100)
     trajectory = Trajectory(system, states, 0.01)
     series, worst = energy_drift(trajectory)
@@ -109,6 +108,52 @@ def test_energy_that_overflows_at_finite_states_drifts_nan_without_a_warning():
     assert len(series) == 11
     assert np.isnan(series).all()
     assert math.isnan(worst)
+
+
+# each probe's maximum is NaN once one of its entries is, wherever that entry
+# sits, as np.max read it; Python's max would skip a NaN that is not first
+NAN_AT = {"first": 0, "middle": 2, "last": -1}
+
+
+@pytest.mark.parametrize("where", NAN_AT)
+def test_energy_drift_is_nan_when_one_energy_is(where):
+    states = [[1.0, 0.0, 0.0, 0.0] for _ in range(5)]
+    trajectory = Trajectory(_system(text="x1"), states, 0.1)
+    assert energy_drift(trajectory) == ([0.0] * 5, 0.0)
+    states[NAN_AT[where]][0] = math.nan
+    series, worst = energy_drift(Trajectory(_system(text="x1"), states, 0.1))
+    assert math.isnan(series[NAN_AT[where]])
+    assert math.isnan(worst)
+
+
+@pytest.mark.parametrize("where", NAN_AT)
+def test_eom_residual_is_nan_when_one_entry_is(where, monkeypatch):
+    # five interior points at rest; the field is NaN in one component of one of them
+    system = _system(text="0")
+    trajectory = Trajectory(system, [[1.0, 2.0, 3.0, 4.0]] * 7, 0.1)
+    assert eom_residual(trajectory) == 0.0
+    points = []
+
+    def field(system, point):
+        points.append(point)
+        velocity = [0.0] * 4
+        if len(points) - 1 == range(5)[NAN_AT[where]]:
+            velocity[NAN_AT[where]] = math.nan
+        return velocity
+
+    monkeypatch.setattr(diagnostics, "hamiltonian_vector_field", field)
+    assert math.isnan(eom_residual(trajectory))
+    assert len(points) == 5
+
+
+@pytest.mark.parametrize("where", NAN_AT)
+def test_symplecticity_residual_is_nan_when_one_jacobian_entry_is(where, monkeypatch):
+    # the identity is the Jacobian of a symplectic map: every entry of J^T Omega J - Omega is 0
+    jacobian = np.eye(4)
+    monkeypatch.setattr(diagnostics, "step_jacobian", lambda *args: [list(row) for row in jacobian])
+    assert symplecticity_residual(_system(), np.ones(4), 0.01, "rk4") == 0.0
+    jacobian[NAN_AT[where], NAN_AT[where]] = math.nan
+    assert math.isnan(symplecticity_residual(_system(), np.ones(4), 0.01, "rk4"))
 
 
 def test_eom_residual_on_the_exact_rotation():
@@ -177,10 +222,10 @@ def test_full_report_is_deterministic():
 def test_diagnostics_do_not_mutate_inputs():
     system = _system()
     trajectory = integrate(system, np.array([1.0, 0, 0, 0]), 0.01, 10, "rk4")
-    before = trajectory.states.copy()
+    before = np.array(trajectory.states)
     _probes(trajectory, system)
     algebra_residuals(system)
-    assert np.array_equal(trajectory.states, before)
+    assert np.array(trajectory.states).tobytes() == before.tobytes()
 
 
 def test_report_passes_respects_tolerance_scale():
@@ -213,7 +258,7 @@ def test_cli_and_library_report_the_same_diagnostics(tmp_path, method):
     trajectory = integrate(system, np.array(config["initial"]), config["dt"], config["steps"], method)
     series, drift = energy_drift(trajectory)
     assert document["energy_drift_max"] == drift
-    assert document["energy_drift_series"] == series.tolist()
+    assert document["energy_drift_series"] == series
     assert document["eom_residual_max"] == eom_residual(trajectory)
     assert document["symplecticity_residual"] == symplecticity_residual(
         system, trajectory.states[0], config["dt"], method
@@ -354,7 +399,7 @@ def test_run_with_a_corrupted_triple_fails_on_the_algebra_alone(tmp_path, monkey
     def corrupted_triple(which, dim):
         f, g, h = real_triple(which, dim)
         if which == space:
-            h = StructureTensor(kind=h.kind, dim=dim, matrix=f.matrix)  # F relabelled as H
+            h = StructureTensor(h.kind, dim, f.order, f.signs)  # F relabelled as H
         return f, g, h
 
     monkeypatch.setattr(diagnostics, "structure_triple", corrupted_triple)

@@ -46,7 +46,7 @@ def test_field_for_quadratic_energy(label, expected):
 
 def test_field_of_constant_energy_vanishes():
     system = _system("G", text="5")
-    assert not hamiltonian_vector_field(system, POINT).any()
+    assert hamiltonian_vector_field(system, POINT) == [0.0] * 4
 
 
 def test_field_agrees_with_dense_linear_solve():
@@ -210,7 +210,7 @@ def test_midpoint_converges_past_the_overflow_of_a_squared_norm(monkeypatch):
     x = np.array([1e155, 0.0, 0.0, 0.0])
     y = step_implicit_midpoint(system, x, 0.01)
     assert len(gradient_calls) == 2 * (4 * system.dim.n + 1)  # two Newton iterations
-    residual = y - x - 0.01 * hamiltonian_vector_field(system, 0.5 * (x + y))
+    residual = y - x - 0.01 * np.array(hamiltonian_vector_field(system, 0.5 * (x + y)))
     assert math.hypot(*residual) <= dynamics.NEWTON_TOL * math.hypot(*y)
 
 
@@ -236,8 +236,8 @@ def test_midpoint_rejects_bad_parameters():
 def test_integrate_length_contract():
     system = _system("F")
     start = np.array([1.0, 0.0, 0.0, 0.0])
-    assert integrate(system, start, 0.1, 1, "rk4").states.shape == (2, 4)
-    assert integrate(system, start, 0.1, 7, "implicit_midpoint").states.shape == (8, 4)
+    assert np.shape(integrate(system, start, 0.1, 1, "rk4").states) == (2, 4)
+    assert np.shape(integrate(system, start, 0.1, 7, "implicit_midpoint").states) == (8, 4)
 
 
 def test_integrate_validates_arguments():
@@ -342,8 +342,11 @@ def test_midpoint_step_is_discretely_symplectic(label, name):
 
 def test_trajectory_states_are_read_only():
     trajectory = integrate(_system("F"), np.array([1.0, 0.0, 0.0, 0.0]), 0.1, 3, "rk4")
-    with pytest.raises(ValueError):
-        trajectory.states[1, 0] = 0.0
+    with pytest.raises(TypeError):
+        trajectory.states[1][0] = 0.0
+    with pytest.raises(TypeError):
+        trajectory.states[1] = (0.0, 0.0, 0.0, 0.0)
+    assert all(type(v) is float for row in trajectory.states for v in row)
 
 
 def test_trajectory_requires_increasing_times():

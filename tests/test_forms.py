@@ -66,8 +66,8 @@ def test_pullback_of_zero_form_is_zero():
     dual = build_structure(StructureKind("H", "cotangent"), dim)
     size = dim.total
     pulled = pullback_by_dual(dual, AffineOneForm(dim, np.zeros((size, size)), np.zeros(size)))
-    assert not pulled.linear.any()
-    assert not pulled.constant.any()
+    assert not np.array(pulled.linear).any()
+    assert not any(pulled.constant)
 
 
 def test_pullback_requires_cotangent_structure():
@@ -178,7 +178,7 @@ def test_interior_product_f_pattern():
 
 def test_interior_product_of_zero_vector():
     omega = symplectic_form("G", BlockDim(2))
-    assert not interior_product(omega, np.zeros(8)).any()
+    assert not any(interior_product(omega, np.zeros(8)))
 
 
 def test_interior_product_h_example():
@@ -228,3 +228,22 @@ def test_forms_reject_mismatched_shapes_lengths_and_dims():
     ):
         with pytest.raises(ValueError):
             call()
+
+
+# what bench/run.py and bench/workloads.py read of Omega: an array they
+# multiply, transpose and compare with numpy
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_symplectic_matrix_is_a_read_only_float_array(label, n):
+    form = symplectic_form(label, BlockDim(n))
+    omega = form.matrix
+    assert isinstance(omega, np.ndarray) and omega.dtype == np.float64 and omega.shape == (4 * n, 4 * n)
+    assert omega is form.matrix  # built once, on the first read
+    with pytest.raises(ValueError):
+        omega[0, 0] = 1.0
+    assert np.array_equal(omega @ omega, -np.eye(4 * n))
+    assert np.array_equal(omega.T, -omega)
+    assert omega.tolist() == [list(row) for row in form.rows]
+    dual = build_structure(StructureKind(label, "cotangent"), BlockDim(n))
+    x = [float(a + 1) for a in range(4 * n)]
+    assert np.array_equal(omega @ x, [s * x[o] for o, s in zip(dual.order, dual.signs)])

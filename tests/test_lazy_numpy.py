@@ -1,0 +1,69 @@
+"""numpy is imported by the implicit midpoint rule's solve and nowhere else.
+
+Each case runs in a fresh interpreter on the package under src/ and reports
+whether `numpy` is in sys.modules when it is done: an RK4 run, `verify`,
+`dump` and a bare `import quatflow` must leave it out, and a midpoint run
+must bring it in, which shows the import sits where it is claimed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# runs the CLI on argv[1:], or only imports the package when there is none
+PROBE = """
+import json, sys
+import quatflow
+code = None
+if len(sys.argv) > 1:
+    from quatflow.cli import main
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _probe(cwd: Path, *argv: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    completed = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _config(tmp_path: Path, method: str) -> str:
+    payload = {
+        "n": 1, "structure": "F", "hamiltonian": "0.5*(x1^2+x2^2+x3^2+x4^2)", "initial": [1, 0, 0, 0],
+        "dt": 0.01, "steps": 100, "method": method, "output_prefix": f"out/{method}", "emit_plot": True,
+    }
+    path = tmp_path / f"{method}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path.name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "rk4"],
+        ["verify", "--n", "2"],
+        ["dump", "--what", "omega", "--label", "G", "--n", "2"],
+        ["dump", "--what", "structure", "--label", "H", "--n", "2", "--space", "cotangent"],
+        [],
+    ],
+    ids=["rk4_run", "verify", "dump_omega", "dump_structure", "import"],
+)
+def test_numpy_stays_unloaded(tmp_path, argv):
+    if argv[:1] == ["run"]:
+        argv = ["run", _config(tmp_path, argv[1])]
+    result = _probe(tmp_path, *argv)
+    assert result == {"code": 0 if argv else None, "numpy": False}
+    if argv[:1] == ["run"]:
+        assert (tmp_path / "out" / "rk4.diagnostics.json").exists()
+
+
+def test_a_midpoint_run_loads_numpy_for_its_solve(tmp_path):
+    assert _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint")) == {"code": 0, "numpy": True}

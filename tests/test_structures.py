@@ -13,7 +13,7 @@ from quatflow import (
     verify_metric_compatibility,
     verify_quaternion_relations,
 )
-from quatflow.structures import SPACES, structure_triple
+from quatflow.structures import MAX_BLOCK_SIZE, SPACES, structure_triple
 
 F_MATRIX_N1 = np.array(
     [
@@ -67,7 +67,7 @@ def test_quaternion_relations_hold_exactly(n, space):
 
 def test_relabelled_f_in_the_h_slot_scores_two():
     f, g, _ = structure_triple("tangent", BlockDim(1))
-    fake_h = StructureTensor(kind=StructureKind("H", "tangent"), dim=BlockDim(1), matrix=f.matrix)
+    fake_h = StructureTensor(StructureKind("H", "tangent"), BlockDim(1), f.order, f.signs)
     # explicit multiplication oracle: F G F equals G, so the product is
     # G + I whose largest absolute row sum is 2
     product = f.matrix @ g.matrix @ f.matrix
@@ -163,6 +163,13 @@ def test_blockdim_rejects_non_positive_integers(bad):
         BlockDim(bad)
 
 
+def test_blockdim_refuses_a_block_size_past_the_ceiling():
+    assert BlockDim(MAX_BLOCK_SIZE).total == 4 * MAX_BLOCK_SIZE
+    for n in (MAX_BLOCK_SIZE + 1, 10**7):
+        with pytest.raises(ValueError, match=f"^block size must be at most {MAX_BLOCK_SIZE}, got {n}$"):
+            BlockDim(n)
+
+
 def test_structure_kind_validation():
     with pytest.raises(ValueError):
         StructureKind("Q", "tangent")
@@ -173,23 +180,22 @@ def test_structure_kind_validation():
 def test_structure_tensor_rejects_malformed_matrices():
     dim = BlockDim(1)
     kind = StructureKind("F", "tangent")
-    with pytest.raises(ValueError):
-        StructureTensor(kind=kind, dim=dim, matrix=np.zeros((3, 3), dtype=np.int64))
-    with pytest.raises(ValueError):
-        StructureTensor(kind=kind, dim=dim, matrix=2 * np.eye(4, dtype=np.int64))
-    doubled = np.eye(4, dtype=np.int64)
-    doubled[0, 1] = 1
-    with pytest.raises(ValueError):
-        StructureTensor(kind=kind, dim=dim, matrix=doubled)
+    # the matrix of each (order, signs) below: 3x3, 2 I, and I with a second 1 in column 0
+    for order, signs in (((0, 1, 2), (1, 1, 1)), ((0, 1, 2, 3), (2, 2, 2, 2)), ((0, 0, 2, 3), (1, 1, 1, 1))):
+        with pytest.raises(ValueError):
+            StructureTensor(kind, dim, order, signs)
+    with pytest.raises(ValueError):  # 4 rows, 3 signs
+        StructureTensor(kind, dim, (0, 1, 2, 3), (1, 1, 1))
 
 
 def test_matrices_are_immutable():
     t = tensor("F")
     with pytest.raises(ValueError):
         t.matrix[0, 0] = 5
-    for array in (t.order, t.signs):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    for entries in (t.order, t.signs):
+        assert isinstance(entries, tuple) and all(type(v) is int for v in entries)
+        with pytest.raises(TypeError):
+            entries[0] = 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
@@ -197,12 +203,14 @@ def test_matrices_are_immutable():
 @pytest.mark.parametrize("space", SPACES)
 def test_order_and_signs_apply_the_matrix_bit_for_bit(label, space, n):
     t = tensor(label, space=space, n=n)
-    assert np.array_equal(t.signs[:, None] * np.eye(4 * n, dtype=np.int64)[t.order], t.matrix)
+    order, signs = list(t.order), np.array(t.signs)
+    assert np.array_equal(signs[:, None] * np.eye(4 * n, dtype=np.int64)[order], t.matrix)
+    assert np.array_equal(np.array(t.rows), t.matrix)
     # every product with +-1 is exact and the other terms add +0.0 to a nonzero value
     rng = np.random.default_rng(n)
     for _ in range(20):
         v = rng.standard_normal(4 * n)
-        assert (t.signs * v[t.order]).tobytes() == (t.matrix @ v).tobytes()
+        assert (signs * v[order]).tobytes() == (t.matrix @ v).tobytes()
 
 
 # i -> j -> k -> i, the quaternion automorphism of conjugation by (1+i+j+k)/2,
