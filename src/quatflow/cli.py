@@ -292,8 +292,9 @@ def dump_command(what: str, label: str, n: int, space: str = "tangent") -> int:
         rows = build_structure(StructureKind(label, space), dim).rows
     else:
         rows = symplectic_form(label, dim).rows
+    columns = range(dim.total)
     for row in rows:
-        print(",".join(str(int(v)) for v in row))
+        print(",".join(str(int(row.get(b, 0))) for b in columns))
     return 0
 
 

@@ -90,9 +90,12 @@ def load_config(path: str | Path) -> SimulationConfig:
             problems.append(f"missing field {key!r}")
 
     n = raw.get("n")
-    n_ok = _is_int(n) and 1 <= n <= MAX_BLOCK_SIZE
+    n_ok = _is_int(n) and n >= 1
     if "n" in raw and not n_ok:
-        problems.append(f"field 'n': must be a positive integer no larger than {MAX_BLOCK_SIZE}")
+        problems.append("field 'n': must be a positive integer")
+    elif n_ok and n > MAX_BLOCK_SIZE:
+        problems.append(f"field 'n': must be at most {MAX_BLOCK_SIZE}")
+        n_ok = False
 
     if "structure" in raw and raw["structure"] not in LABELS:
         problems.append(f"field 'structure': must be one of {list(LABELS)}")

@@ -18,7 +18,8 @@ pass/fail ceilings; `quatflow run` combines all of them into a run's
 report.  A probe raises what the layer below it raised: an energy that
 cannot be evaluated raises the kernel's EvaluationError naming the
 subexpression, and a failed probe step raises the stepper's
-IntegrationError.  The probes run on Python floats, and each maximum is
+IntegrationError.  The probes run on Python floats, except that J^T Omega J
+runs on numpy past NUMPY_PRODUCT_SIZE coordinates, and each maximum is
 NaN if any entry is: an energy of inf gives a NaN drift and an
 overflowing J^T Omega J an inf or NaN residual, each failing its gate.
 All functions are pure: neither trajectory nor system is ever mutated.
@@ -27,10 +28,10 @@ All functions are pure: neither trajectory nor system is ever mutated.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, _scale, hamiltonian_vector_field
 from .expressions import evaluate
-from .forms import _dot
 from .structures import structure_triple, verify_quaternion_relations
 
 # energy-drift ceilings per one-step method (quadratic well, desk scale)
@@ -40,6 +41,9 @@ SYMPLECTICITY_LIMIT = 1e-6
 # power of two >= |x| beyond; a power of two keeps perturbed coordinates
 # exact at unit scale
 JACOBIAN_PROBE_STEP = 2.0 ** -17
+# J^T Omega J costs (4n)^3 multiply-adds; past this 4n they run on numpy,
+# whose import then costs less than the Python loop
+NUMPY_PRODUCT_SIZE = 160
 
 
 def energy_drift(trajectory: Trajectory) -> tuple[list[float], float]:
@@ -101,12 +105,23 @@ def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> t
 
 
 def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: str) -> float:
-    """Entrywise max of J^T Omega J - Omega for one step map; Omega J is a signed reorder of J."""
-    columns = list(zip(*step_jacobian(system, point, dt, method)))
+    """Entrywise max of J^T Omega J - Omega for one step map.
+
+    Up to NUMPY_PRODUCT_SIZE coordinates the product runs on Python floats,
+    Omega J as a signed reorder of J's columns; past it, on numpy arrays.
+    """
+    rows = step_jacobian(system, point, dt, method)
+    # a huge Jacobian overflows here; the residual then reads inf or NaN and fails its gate
+    if len(rows) > NUMPY_PRODUCT_SIZE:
+        import numpy as np
+
+        jacobian, omega = np.array(rows), system.omega.matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.abs(jacobian.T @ omega @ jacobian - omega).max())
+    columns = list(zip(*rows))
     order, signs = system.order, system.signs
     images = [[s * column[o] for o, s in zip(order, signs)] for column in columns]
-    # a huge Jacobian overflows here; the residual then reads inf or NaN and fails its gate
-    return _max([abs(_dot(column, image) - (signs[a] if b == order[a] else 0))
+    return _max([abs(sum(map(mul, column, image)) - (signs[a] if b == order[a] else 0))
                  for a, column in enumerate(columns) for b, image in enumerate(images)])
 
 

@@ -17,10 +17,8 @@ Omega grad H, except that a -0.0 component stays -0.0.
 Two fixed-step one-step methods integrate the flow: classical RK4, which
 steps on Python floats, and the implicit midpoint rule, solved by Newton
 iteration with a finite-difference Jacobian and symplectic for any
-constant Omega; it alone imports numpy, for its dense solve.
-Newton starts from the step's own point unless the caller passes a better
-start; the symplecticity probe does, for its runs of neighbouring steps.
-Both size a point by _scale, max(1, |x|) with an |x| that cannot overflow.
+constant Omega; it alone imports numpy, for its dense solve.  Both size
+a point by _scale, max(1, |x|) with an |x| that cannot overflow.
 Every failed step is an IntegrationError, NewtonDivergenceError included;
 the steppers check each new state through _require_finite and return it
 as a list of floats.  The flow is autonomous, so no step reads the time,
@@ -33,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .expressions import ScalarField, gradient
-from .forms import ConstantTwoForm, _floats, symplectic_form
-from .structures import LABELS, BlockDim, StructureKind, build_structure
+from .forms import ConstantTwoForm, symplectic_form
+from .structures import LABELS, BlockDim, StructureKind, build_structure, to_floats
 
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
@@ -99,7 +97,7 @@ class Trajectory:
     step: float
 
     def __post_init__(self) -> None:
-        states = tuple(_floats(row, self.system.dim.total, "each state") for row in self.states)
+        states = tuple(to_floats(row, self.system.dim.total, "each state") for row in self.states)
         if not (self.step > 0.0 and states):
             raise ValueError("a trajectory needs a positive step and at least one state")
         object.__setattr__(self, "states", states)
@@ -213,12 +211,13 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x0 = _floats(initial, system.dim.total, "initial point")
+    x0 = to_floats(initial, system.dim.total, "initial point")
     if not all(map(math.isfinite, x0)):
         raise ValueError("initial point must be finite")
     try:
         states = [x0] * (steps + 1)
-    except OverflowError:  # more rows than a sequence can index
+    except OverflowError:  # more rows than a list can index
+        # numpy's text for this limit, kept so the error line stays the same byte for byte
         raise ValueError("Maximum allowed dimension exceeded") from None
     stepper = _STEPPERS[method]
     for k in range(steps):

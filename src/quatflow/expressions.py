@@ -23,9 +23,9 @@ costs a small multiple of one evaluation whatever the dimension (the
 cheap-gradient principle; Griewank & Walther, Evaluating Derivatives, 2nd
 ed., 2008).  Both entry points use a point that is a list or tuple of 4n
 Python floats as it is, and convert any other point (an array, or a list
-holding ints or numpy scalars) with np.asarray and check its shape first,
-so every form of a point gives the same bits; numpy is imported only for
-that conversion.  `gradient` returns the kernel's list of 4n floats.
+holding ints or numpy scalars) with structures.to_floats, which checks its
+length, so every form of a point gives the same bits; this module never
+imports numpy.  `gradient` returns the kernel's list of 4n floats.
 `evaluate` runs only the statements H needs, so it returns a value
 wherever H is defined, even where its derivative is not.  A domain error
 raises EvaluationError naming the offending subexpression, and nesting too
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .structures import BlockDim
+from .structures import BlockDim, to_floats
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -317,16 +317,6 @@ def gradient(field: ScalarField, point) -> list[float]:
     return components
 
 
-def _coordinates(point, size: int) -> list:
-    """A point that is not a list or tuple of floats, as a list; the kernel's fallback."""
-    import numpy as np
-
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (size,):
-        raise ValueError(f"point must have length {size}, got shape {point.shape}")
-    return point.tolist()
-
-
 # --- compiled kernel -------------------------------------------------------
 
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "log": math.log}
@@ -368,9 +358,10 @@ class _KernelSource:
     partials, returning H, and kernel(x), the whole forward sweep and the
     reverse sweep, returning (H, grad H).  Each starts by unpacking x into
     x1 .. x{4n}: a list or tuple of 4n entries as it is, unless one is not
-    a float, and any other x through coordinates(x, 4n), so a list of
-    floats costs one unpack and one chain of class tests.  owners maps the line number
-    of each forward statement in the text to the node it belongs to.
+    a float, and any other x through to_floats(x, 4n, "point"), so a list
+    of floats costs one unpack and one chain of class tests.  owners maps
+    the line number of each forward statement in the text to the node it
+    belongs to.
     """
 
     def __init__(self, field: ScalarField):
@@ -392,9 +383,9 @@ class _KernelSource:
                 f"def {name}(x):",
                 f"    if (x.__class__ is list or x.__class__ is tuple) and len(x) == {size}:",
                 f"        {unpack}, = x",
-                f"        if not {classes} is float: {unpack}, = coordinates(x, {size})",
+                f"        if not {classes} is float: {unpack}, = to_floats(x, {size}, 'point')",
                 "    else:",
-                f"        {unpack}, = coordinates(x, {size})",
+                f"        {unpack}, = to_floats(x, {size}, 'point')",
             ]
             for statement, owner, partial in self.forward:
                 if gradient or not partial:
@@ -532,7 +523,7 @@ class _Kernel:
 
     def __init__(self, field: ScalarField):
         source = _KernelSource(field)
-        namespace = {**_NAMESPACE, **source.constants, "coordinates": _coordinates}
+        namespace = {**_NAMESPACE, **source.constants, "to_floats": to_floats}
         exec(compile(source.text, "<quatflow kernel>", "exec"), namespace)
         self.value = namespace["value"]
         self.gradient = namespace["kernel"]

@@ -15,40 +15,33 @@ attached to each label is obtained by the derivation chain
     omega  ->  lambda = dual_structure(omega)  ->  Phi = -d(lambda)
 
 rather than hard-coded, starting from the radial 1-form
-omega = 1/2 sum_a x_a dx_a.  Forms hold rows of Python floats, and the
-chain's reorders, transposes and negations of them are exact; a 2-form's
-matrix is its rows as a read-only numpy array, built when first read.
+omega = 1/2 sum_a x_a dx_a.  A form's matrix is held as its rows, row a a
+read-only map {b: M[a, b]} of the nonzero entries in Python floats; a row
+may be given dense instead.  The chain touches only those entries, so it
+is exact and linear in n.  A 2-form's matrix is also a read-only numpy
+array, built when first read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from types import MappingProxyType
 
-from .structures import BlockDim, EuclideanMetric, StructureKind, StructureTensor, _read_only, build_structure
-
-
-def _floats(values, size: int, what: str) -> tuple[float, ...]:
-    """values as a tuple of size floats, else ValueError naming what they are."""
-    try:
-        values = tuple(map(float, values))
-    except TypeError:  # a number where a sequence belongs, or a sequence where a number does
-        values = ()
-    if len(values) != size:
-        raise ValueError(f"{what} must have length {size}")
-    return values
+from .structures import BlockDim, EuclideanMetric, StructureKind, StructureTensor, build_structure, to_floats
 
 
-def _rows(matrix, size: int, what: str) -> tuple[tuple[float, ...], ...]:
-    rows = tuple(_floats(row, size, f"each row of the {what}") for row in matrix)
-    if len(rows) != size:
+def _sparse_rows(rows, size: int, what: str) -> tuple[MappingProxyType, ...]:
+    """rows, each a {column: value} map or dense, as read-only maps of their nonzero floats."""
+    sparse = []
+    for row in rows:
+        items = row.items() if isinstance(row, Mapping) else enumerate(to_floats(row, size, f"each row of the {what}"))
+        sparse.append(MappingProxyType({b: float(v) for b, v in items if v}))
+    if len(sparse) != size or not all(b.__class__ is int and 0 <= b < size for row in sparse for b in row):
         raise ValueError(f"{what} must be {size}x{size}")
-    return rows
-
-
-def _dot(u, v) -> float:
-    return sum(map(mul, u, v))
+    return tuple(sparse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,22 +49,22 @@ class AffineOneForm:
     """A 1-form on R^{4n} whose coefficients are affine in the coordinates."""
 
     dim: BlockDim
-    linear: tuple[tuple[float, ...], ...]
+    linear: tuple[Mapping[int, float], ...]
     constant: tuple[float, ...]
 
     def __post_init__(self) -> None:
         size = self.dim.total
-        object.__setattr__(self, "linear", _rows(self.linear, size, "linear part"))
-        object.__setattr__(self, "constant", _floats(self.constant, size, "constant part"))
+        object.__setattr__(self, "linear", _sparse_rows(self.linear, size, "linear part"))
+        object.__setattr__(self, "constant", to_floats(self.constant, size, "constant part"))
 
     def coefficients(self, point) -> list[float]:
         """The dx-basis coefficients of the form at a point."""
-        point = _floats(point, self.dim.total, "point")
-        return [_dot(row, point) + c for row, c in zip(self.linear, self.constant)]
+        point = to_floats(point, self.dim.total, "point")
+        return [sum(v * point[b] for b, v in row.items()) + c for row, c in zip(self.linear, self.constant)]
 
     def evaluate(self, point, vector) -> float:
         """Pair the form at a point with a tangent vector."""
-        return _dot(self.coefficients(point), _floats(vector, self.dim.total, "vector"))
+        return sum(map(mul, self.coefficients(point), to_floats(vector, self.dim.total, "vector")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,28 +72,32 @@ class ConstantTwoForm:
     """A constant-coefficient 2-form Phi(u, v) = u^T Omega v, Omega skew."""
 
     dim: BlockDim
-    rows: tuple[tuple[float, ...], ...]
+    rows: tuple[Mapping[int, float], ...]
 
     def __post_init__(self) -> None:
-        rows = _rows(self.rows, self.dim.total, "matrix")
-        if any(row[b] != -other[a] for a, row in enumerate(rows) for b, other in enumerate(rows)):
+        rows = _sparse_rows(self.rows, self.dim.total, "matrix")
+        if any(rows[b].get(a) != -v for a, row in enumerate(rows) for b, v in row.items()):
             raise ValueError("2-form matrix must be skew-symmetric")
         object.__setattr__(self, "rows", rows)
 
     @cached_property
     def matrix(self):
-        """Omega as a read-only float64 numpy array."""
-        return _read_only(self.rows, "float64")
+        """Omega as a read-only float64 numpy array; numpy is imported here, on the first read."""
+        import numpy as np
+
+        matrix = np.zeros((self.dim.total, self.dim.total))
+        for a, row in enumerate(self.rows):
+            matrix[a, list(row)] = list(row.values())
+        matrix.flags.writeable = False
+        return matrix
 
     def evaluate(self, u, v) -> float:
-        return _dot(interior_product(self, u), _floats(v, self.dim.total, "arguments"))
+        return sum(map(mul, interior_product(self, u), to_floats(v, self.dim.total, "arguments")))
 
 
 def canonical_one_form(dim: BlockDim) -> AffineOneForm:
     """The radial 1-form omega = 1/2 sum_a x_a dx_a."""
-    size = dim.total
-    linear = [[0.5 if a == b else 0.0 for b in range(size)] for a in range(size)]
-    return AffineOneForm(dim, linear, [0.0] * size)
+    return AffineOneForm(dim, [{a: 0.5} for a in range(dim.total)], [0.0] * dim.total)
 
 
 def pullback_by_dual(structure: StructureTensor, form: AffineOneForm) -> AffineOneForm:
@@ -115,7 +112,7 @@ def pullback_by_dual(structure: StructureTensor, form: AffineOneForm) -> AffineO
     if structure.dim != form.dim:
         raise ValueError("structure and form dimensions differ")
     turned = list(zip(structure.order, structure.signs))
-    linear = [[s * v for v in form.linear[o]] for o, s in turned]
+    linear = [{b: s * v for b, v in form.linear[o].items()} for o, s in turned]
     return AffineOneForm(form.dim, linear, [s * form.constant[o] for o, s in turned])
 
 
@@ -125,8 +122,12 @@ def exterior_derivative(form: AffineOneForm) -> ConstantTwoForm:
     With theta_b = L[b, :] . x + c[b] the derivative is
     sum_{a,b} L[b, a] dx_a ^ dx_b, whose matrix is L^T - L.
     """
-    rows = form.linear
-    return ConstantTwoForm(form.dim, [[other[a] - v for other, v in zip(rows, row)] for a, row in enumerate(rows)])
+    rows = [{} for _ in form.linear]
+    for a, row in enumerate(form.linear):
+        for b, v in row.items():  # L[a, b] enters (a, b) negated and (b, a) as it is
+            rows[a][b] = rows[a].get(b, 0.0) - v
+            rows[b][a] = rows[b].get(a, 0.0) + v
+    return ConstantTwoForm(form.dim, rows)
 
 
 def symplectic_form(label: str, dim: BlockDim) -> ConstantTwoForm:
@@ -135,7 +136,8 @@ def symplectic_form(label: str, dim: BlockDim) -> ConstantTwoForm:
     Derived through the generic pipeline: exterior-differentiate the
     labelled Liouville form, negate.
     """
-    return ConstantTwoForm(dim, [[-v for v in row] for row in exterior_derivative(liouville_form(label, dim)).rows])
+    rows = exterior_derivative(liouville_form(label, dim)).rows
+    return ConstantTwoForm(dim, [{b: -v for b, v in row.items()} for row in rows])
 
 
 def liouville_form(label: str, dim: BlockDim) -> AffineOneForm:
@@ -150,10 +152,17 @@ def metric_kaehler_form(structure: StructureTensor, metric: EuclideanMetric) -> 
         raise ValueError("metric 2-form requires a tangent structure tensor")
     if structure.dim != metric.dim:
         raise ValueError("structure and metric dimensions differ")
-    return ConstantTwoForm(structure.dim, zip(*structure.rows))
+    rows = [{} for _ in structure.order]  # T^T: row order_i holds signs_i in column i
+    for i, (o, s) in enumerate(zip(structure.order, structure.signs)):
+        rows[o][i] = s
+    return ConstantTwoForm(structure.dim, rows)
 
 
 def interior_product(phi: ConstantTwoForm, x) -> list[float]:
     """The covector i_X Phi, componentwise b -> Phi(X, e_b) = (Omega^T X)_b."""
-    x = _floats(x, phi.dim.total, "vector")
-    return [_dot(column, x) for column in zip(*phi.rows)]
+    x = to_floats(x, phi.dim.total, "vector")
+    covector = [0.0] * phi.dim.total
+    for row, component in zip(phi.rows, x):
+        for b, v in row.items():
+            covector[b] += v * component
+    return covector

@@ -15,19 +15,20 @@ as (order, signs) on Python ints, so that the quaternion relations
     F^2 = G^2 = H^2 = F G H = -I
 
 are verified by composing signed permutations, with no floating-point
-tolerance at all; numpy is imported only when a tensor's matrix is first
-read.  The matrix of each symplectic form is exactly its label's
-cotangent tensor.  RELATIONS names each relation once, by the key of its
-residual in verify_quaternion_relations' table and in a run's report, and
-by its printed label.  Matrices follow the column convention: column a
-holds the coordinates of the image of basis element a, so applying a
-tensor is a plain matrix-vector product.
+tolerance at all, in time linear in n.  A tensor's rows, like a form's,
+map each column to a nonzero entry.  The matrix of each symplectic form is
+exactly its label's cotangent tensor.  RELATIONS names each relation once,
+by the key of its residual in verify_quaternion_relations' table and in a
+run's report, and by its printed label.  Matrices follow the column
+convention: column a holds the coordinates of the image of basis element
+a, so applying a tensor is a plain matrix-vector product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 LABELS = ("F", "G", "H")
 SPACES = ("tangent", "cotangent")
@@ -47,8 +48,21 @@ _BLOCK_ACTION: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 
-# past this n the 4n x 4n forms, held as rows of Python floats, take seconds and hundreds of MB
-MAX_BLOCK_SIZE = 512
+# every tensor and form is linear in n, but a run's probe Jacobian is a dense
+# 4n x 4n array, 2 GiB of doubles at this n; the bound also stops an absurd n
+# (10^7) before anything is built
+MAX_BLOCK_SIZE = 4096
+
+
+def to_floats(values, size: int, what: str) -> tuple[float, ...]:
+    """values as a tuple of size Python floats, else ValueError naming what they are."""
+    try:  # an array's extra dimensions become nested lists in tolist(), which float() refuses
+        values = tuple(map(float, values.tolist() if hasattr(values, "tolist") else values))
+    except TypeError:  # a number where a sequence belongs, or a sequence where a number does
+        values = ()
+    if len(values) != size:
+        raise ValueError(f"{what} must have length {size}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -89,8 +103,8 @@ class StructureTensor:
 
     Construction only checks the shape; the quaternion and skew-symmetry
     relations are measured by the verify_* functions so that deliberately
-    corrupted tensors can be inspected too.  rows (integers) and matrix (a
-    read-only numpy array) are built when first read.
+    corrupted tensors can be inspected too.  rows, built when first read,
+    holds row i as the read-only map {order_i: signs_i}.
     """
 
     kind: StructureKind
@@ -104,22 +118,8 @@ class StructureTensor:
             raise ValueError("matrix must have exactly one nonzero entry, +-1, per row and column")
 
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        columns = range(self.dim.total)
-        return tuple(tuple(s if j == o else 0 for j in columns) for o, s in zip(self.order, self.signs))
-
-    @cached_property
-    def matrix(self):
-        return _read_only(self.rows, "int64")
-
-
-def _read_only(rows, dtype: str):
-    """rows as a read-only numpy array; numpy is imported here, when an array is asked for."""
-    import numpy as np
-
-    array = np.array(rows, dtype=dtype)
-    array.flags.writeable = False
-    return array
+    def rows(self) -> tuple[MappingProxyType, ...]:
+        return tuple(MappingProxyType({o: s}) for o, s in zip(self.order, self.signs))
 
 
 @dataclass(frozen=True)

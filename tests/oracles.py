@@ -42,6 +42,11 @@ def expm_taylor(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
+def dense(rows) -> np.ndarray:
+    """The square matrix whose rows, each a {column: value} map, are rows."""
+    return np.array([[row.get(b, 0) for b in range(len(rows))] for row in rows])
+
+
 def signed_perm_det(matrix: np.ndarray) -> int:
     """Exact determinant of a signed permutation matrix.
 

@@ -371,8 +371,8 @@ def test_batch_runs_the_configs_after_an_oversized_integer(tmp_path, capsys):
 
 
 def test_batch_runs_the_configs_after_a_steps_count_too_large_to_allocate(tmp_path, capsys):
-    # the trajectory array of 10^400 + 1 rows fails numpy's dimension check
-    # before any memory is asked for
+    # a trajectory list of 10^400 + 1 states cannot be indexed, which
+    # integrate reports before any memory is asked for
     batch_dir = write_batch(tmp_path, [("a_huge", dict(steps=10**400)), ("b_healthy", {})])
     assert main(["run", "--batch", str(batch_dir)]) == 1
     assert "error: integration aborted:" in capsys.readouterr().err
@@ -537,8 +537,8 @@ def test_verify_rejects_bad_n(capsys):
     capsys.readouterr()
 
 
-# n = 10^7 is past BlockDim's ceiling, so nothing is built: its 4n x 4n
-# matrices would hold 1.6e15 entries
+# n = 10^7 is past BlockDim's ceiling, so nothing is built: even its
+# signed permutations would hold 4e7 entries each
 @pytest.mark.parametrize(
     "argv",
     [["verify", "--n", "10000000"], ["dump", "--what", "omega", "--label", "F", "--n", "10000000"]],
@@ -548,7 +548,7 @@ def test_an_n_too_large_to_allocate_is_one_error_line(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert err == "error: block size must be at most 512, got 10000000\n"
+    assert err == "error: block size must be at most 4096, got 10000000\n"
 
 
 # --- dump ------------------------------------------------------------------

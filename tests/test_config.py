@@ -140,7 +140,7 @@ def test_missing_fields_are_each_named(tmp_path):
         ("output_prefix", "out/a\0x"),
         ("emit_plot", "yes"),
         ("hamiltonian", ""),
-        ("n", 513),
+        ("n", 4097),
         ("n", 10**7),
     ],
 )

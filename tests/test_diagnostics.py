@@ -146,9 +146,11 @@ def test_eom_residual_is_nan_when_one_entry_is(where, monkeypatch):
     assert len(points) == 5
 
 
+@pytest.mark.parametrize("product_size", [160, 0], ids=["python", "numpy"])
 @pytest.mark.parametrize("where", NAN_AT)
-def test_symplecticity_residual_is_nan_when_one_jacobian_entry_is(where, monkeypatch):
+def test_symplecticity_residual_is_nan_when_one_jacobian_entry_is(where, product_size, monkeypatch):
     # the identity is the Jacobian of a symplectic map: every entry of J^T Omega J - Omega is 0
+    monkeypatch.setattr(diagnostics, "NUMPY_PRODUCT_SIZE", product_size)
     jacobian = np.eye(4)
     monkeypatch.setattr(diagnostics, "step_jacobian", lambda *args: [list(row) for row in jacobian])
     assert symplecticity_residual(_system(), np.ones(4), 0.01, "rk4") == 0.0
@@ -313,6 +315,18 @@ def test_probe_jacobian_agrees_with_cold_started_steps(method, label, n):
         assert np.array_equal(warm, cold)  # RK4 steps take no start
     else:
         assert np.abs(warm - cold).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_the_numpy_product_reads_the_python_products_residual(method, n, monkeypatch):
+    # past NUMPY_PRODUCT_SIZE coordinates J^T Omega J runs on numpy: the same
+    # Jacobian, summed in another order, so only the last bits may move
+    system, point = _layer_system("H", n), _point(n, seed=20 + n)
+    python = symplecticity_residual(system, point, 0.05, method)
+    monkeypatch.setattr(diagnostics, "NUMPY_PRODUCT_SIZE", 4 * n - 1)
+    assert abs(symplecticity_residual(system, point, 0.05, method) - python) <= 1e-14
+    assert python <= SYMPLECTICITY_LIMIT
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

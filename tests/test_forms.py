@@ -18,7 +18,8 @@ from quatflow import (
     pullback_by_dual,
     symplectic_form,
 )
-from oracles import expected_symplectic_matrix, fd_two_form_value, signed_perm_det
+from quatflow.structures import MAX_BLOCK_SIZE
+from oracles import dense, expected_symplectic_matrix, fd_two_form_value, signed_perm_det
 
 
 def test_canonical_form_coefficient_example():
@@ -46,7 +47,7 @@ def test_pullback_reproduces_the_f_liouville_form():
     expected[0, 1] = -0.5
     expected[3, 2] = 0.5
     expected[2, 3] = -0.5
-    assert np.array_equal(lam.linear, expected)
+    assert np.array_equal(dense(lam.linear), expected)
     assert np.array_equal(lam.constant, np.zeros(4))
 
 
@@ -58,7 +59,7 @@ def test_pullback_reproduces_the_g_liouville_form():
     expected[3, 1] = -0.5
     expected[0, 2] = -0.5
     expected[1, 3] = 0.5
-    assert np.array_equal(lam.linear, expected)
+    assert np.array_equal(dense(lam.linear), expected)
 
 
 def test_pullback_of_zero_form_is_zero():
@@ -66,7 +67,7 @@ def test_pullback_of_zero_form_is_zero():
     dual = build_structure(StructureKind("H", "cotangent"), dim)
     size = dim.total
     pulled = pullback_by_dual(dual, AffineOneForm(dim, np.zeros((size, size)), np.zeros(size)))
-    assert not np.array(pulled.linear).any()
+    assert not dense(pulled.linear).any()
     assert not any(pulled.constant)
 
 
@@ -151,7 +152,7 @@ def test_metric_kaehler_form_is_minus_the_symplectic_form(label, n):
     structure = build_structure(StructureKind(label, "tangent"), dim)
     metric = metric_kaehler_form(structure, EuclideanMetric(dim))
     assert np.array_equal(metric.matrix, -symplectic_form(label, dim).matrix)
-    assert np.array_equal(metric.matrix, structure.matrix.T.astype(float))
+    assert np.array_equal(metric.matrix, dense(structure.rows).T)
 
 
 def test_metric_kaehler_form_vanishes_on_diagonal_pairs():
@@ -243,7 +244,27 @@ def test_symplectic_matrix_is_a_read_only_float_array(label, n):
         omega[0, 0] = 1.0
     assert np.array_equal(omega @ omega, -np.eye(4 * n))
     assert np.array_equal(omega.T, -omega)
-    assert omega.tolist() == [list(row) for row in form.rows]
+    assert omega.tolist() == dense(form.rows).tolist()
     dual = build_structure(StructureKind(label, "cotangent"), BlockDim(n))
     x = [float(a + 1) for a in range(4 * n)]
     assert np.array_equal(omega @ x, [s * x[o] for o, s in zip(dual.order, dual.signs)])
+
+
+def test_rows_hold_the_nonzero_entries_read_only_whether_given_dense_or_sparse():
+    dim = BlockDim(1)
+    dense_rows = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.0], [0.0, 0.0, 0.0, 0.0]]
+    sparse_rows = [{1: -1}, {0: 1.0}, {}, {2: 0.0}]
+    for rows in (dense_rows, np.array(dense_rows), sparse_rows):
+        form = ConstantTwoForm(dim, rows)
+        assert form.rows == ({1: -1.0}, {0: 1.0}, {}, {})
+        assert all(type(v) is float for row in form.rows for v in row.values())
+        with pytest.raises(TypeError):
+            form.rows[0][1] = 2.0
+    with pytest.raises(ValueError):
+        ConstantTwoForm(dim, [{4: 1.0}, {}, {}, {}])  # no column 4 in R^4
+
+
+def test_the_chain_at_the_largest_block_size_is_the_dual_tensor():
+    # the chain touches only nonzero entries; dense, Omega alone would hold 2.7e8 here
+    dim = BlockDim(MAX_BLOCK_SIZE)
+    assert symplectic_form("G", dim).rows == build_structure(StructureKind("G", "cotangent"), dim).rows

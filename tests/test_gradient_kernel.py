@@ -270,13 +270,14 @@ def test_malformed_list_points_raise_value_error(n):
     field = _mixed(n)
     size = 4 * n
     cases = {
-        "short": ([0.5] * (size - 1), (size - 1,)),
-        "long": ([0.5] * (size + 1), (size + 1,)),
-        "nested": ([[0.5] * size], (1, size)),
-        "2-D array": (np.full((2, size), 0.5), (2, size)),
+        "short": [0.5] * (size - 1),
+        "long": [0.5] * (size + 1),
+        "nested": [[0.5] * size],
+        "2-D array": np.full((2, size), 0.5),
+        "column array": np.full((size, 1), 0.5),
     }
-    for point, shape in cases.values():
+    for point in cases.values():
         for entry_point in (evaluate, gradient):
             with pytest.raises(ValueError) as info:
                 entry_point(field, point)
-            assert str(info.value) == f"point must have length {size}, got shape {shape}"
+            assert str(info.value) == f"point must have length {size}"
