@@ -121,10 +121,10 @@ def run_config(config: SimulationConfig, tolerance_scale: float = 1.0) -> int:
     field = parse(config.hamiltonian, dim)
     system = HamiltonianSystem.build(config.structure, field)
 
-    # a steps count too large to hold fails before the first step
+    # a steps count too large to hold is a ValueError before the first step
     try:
         trajectory = integrate(system, config.initial, config.dt, config.steps, config.method)
-    except (IntegrationError, ValueError, MemoryError) as exc:
+    except (IntegrationError, ValueError) as exc:
         message = f"integration aborted: {exc}"
         if isinstance(exc, IntegrationError) and exc.partial is not None:
             try:

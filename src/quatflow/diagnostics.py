@@ -116,7 +116,7 @@ def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: 
         import numpy as np
 
         jacobian, omega = np.array(rows), system.omega.matrix
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             return float(np.abs(jacobian.T @ omega @ jacobian - omega).max())
     columns = list(zip(*rows))
     order, signs = system.order, system.signs

@@ -14,10 +14,10 @@ checks that Omega is exactly that tensor and takes its (order, signs):
 the Hamiltonian's compiled reverse-mode gradient kernel, whose list is
 reordered and signed; that is exact, so it gives the bits of the product
 Omega grad H, except that a -0.0 component stays -0.0.
-Two fixed-step one-step methods integrate the flow: classical RK4, which
-steps on Python floats, and the implicit midpoint rule, solved by Newton
-iteration with a finite-difference Jacobian and symplectic for any
-constant Omega; it alone imports numpy, for its dense solve.  Both size
+Two fixed-step one-step methods integrate the flow on Python floats:
+classical RK4 and the implicit midpoint rule, solved by Newton iteration
+with a finite-difference Jacobian and symplectic for any constant Omega;
+it alone imports numpy, for its Newton matrix and solve.  Both size
 a point by _scale, max(1, |x|) with an |x| that cannot overflow.
 Every failed step is an IntegrationError, NewtonDivergenceError included;
 the steppers check each new state through _require_finite and return it
@@ -142,44 +142,42 @@ def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
 def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) -> list[float]:
     """One implicit midpoint step, y = x + dt * X((x + y)/2).
 
-    The nonlinear system is solved by at most NEWTON_MAX_ITER Newton
-    iterations on numpy arrays from y = start (default x), which stop once
-    the update norm drops below NEWTON_TOL * max(1, |y|); the Jacobian of X
-    is approximated by forward differences with h = 1e-7 * max(1, |x|),
-    from one field call at each row of the midpoint tiled 4n times with h
-    added on the diagonal.  Every norm is math.hypot's, which does not
-    overflow past |x| ~ 1.34e154 as |x|^2 does.  A non-finite residual
-    stops the iteration at once with the non-finite-state IntegrationError,
-    so numpy's overflow and invalid-value warnings stay off.  A start near
-    the solution saves iterations and moves y only within the tolerance.
+    At most NEWTON_MAX_ITER Newton iterations on Python floats from
+    y = start (default x) stop once the update norm drops below
+    NEWTON_TOL * max(1, |y|).  As in step_rk4, X = Omega g is kept as the
+    gradient g; the forward-difference Jacobian of X, with h = 1e-7 * max(1,
+    |x|), takes one gradient per bumped coordinate and applies Omega once to
+    the matrix, and it and the solve of I - dt/2 J are the only numpy code,
+    run with every numpy float error ignored.  Norms are math.hypot's, which
+    does not overflow past |x| ~ 1.34e154 as |x|^2 does.  A non-finite
+    residual stops the iteration at once with the non-finite-state
+    IntegrationError.  A start near the solution saves iterations and moves
+    y only within the tolerance.
     """
     import numpy as np
 
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x = np.array(x, dtype=np.float64)
-    size = x.size
-    h = 1e-7 * _scale(x.tolist())
-    eye = np.eye(size)
-    diagonal = np.diag_indices(size)
-    y = x if start is None else np.array(start, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(NEWTON_MAX_ITER):
-            mid = 0.5 * (x + y)
-            field_mid = np.array(hamiltonian_vector_field(system, mid.tolist()))
-            residual = y - x - dt * field_mid
-            _require_finite(residual)
-            residual_norm = math.hypot(*residual.tolist())
-            bumped = np.tile(mid, (size, 1))
-            bumped[diagonal] += h
-            rows = np.array([hamiltonian_vector_field(system, point) for point in bumped.tolist()])
-            jacobian = ((rows - field_mid) / h).T
-            newton_matrix = eye - 0.5 * dt * jacobian
-            delta = np.linalg.solve(newton_matrix, -residual)
-            y = y + delta
-            if math.hypot(*delta.tolist()) < NEWTON_TOL * _scale(y.tolist()):
-                _require_finite(y)
-                return y.tolist()
+    hamiltonian = system.hamiltonian
+    order, signs = system.order, system.signs
+    x = [*map(float, x)]
+    y = x if start is None else [*map(float, start)]
+    h = 1e-7 * _scale(x)
+    for _ in range(NEWTON_MAX_ITER):
+        mid = [0.5 * (a + b) for a, b in zip(x, y)]
+        g = gradient(hamiltonian, mid)
+        residual = [b - a - dt * (s * g[o]) for a, b, s, o in zip(x, y, signs, order)]
+        _require_finite(residual)
+        residual_norm = math.hypot(*residual)
+        rows = [gradient(hamiltonian, mid[:a] + [mid[a] + h] + mid[a + 1:]) for a in range(len(mid))]
+        with np.errstate(all="ignore"):
+            # the index is a list: numpy reads a tuple as one index per axis
+            jacobian = ((np.array(rows) - g) / h).T[list(order)] * np.array(signs)[:, None]
+            delta = np.linalg.solve(np.eye(len(mid)) - 0.5 * dt * jacobian, np.negative(residual)).tolist()
+        y = [b + d for b, d in zip(y, delta)]
+        if math.hypot(*delta) < NEWTON_TOL * _scale(y):
+            _require_finite(y)
+            return y
     raise NewtonDivergenceError(residual_norm, NEWTON_MAX_ITER)
 
 
@@ -202,8 +200,8 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
     A failed step k, whether an IntegrationError of the stepper (a
     non-finite state, Newton divergence) or a ValueError such as an
     EvaluationError of the energy, aborts with IntegrationError("step k
-    failed: ...") carrying the partial trajectory for diagnosis, as does
-    a FloatingPointError from a global np.seterr(under="raise").
+    failed: ...") carrying the partial trajectory for diagnosis.  A steps
+    count too large to hold the trajectory is a ValueError before step 0.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -216,14 +214,13 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
         raise ValueError("initial point must be finite")
     try:
         states = [x0] * (steps + 1)
-    except OverflowError:  # more rows than a list can index
-        # numpy's text for this limit, kept so the error line stays the same byte for byte
-        raise ValueError("Maximum allowed dimension exceeded") from None
+    except (OverflowError, MemoryError):  # more rows than a list can index, or than memory holds
+        raise ValueError("the step count is too large to hold the trajectory") from None
     stepper = _STEPPERS[method]
     for k in range(steps):
         try:
             states[k + 1] = stepper(system, states[k], dt)
-        except (IntegrationError, ValueError, FloatingPointError) as exc:
+        except (IntegrationError, ValueError) as exc:
             partial = Trajectory(system, states[: k + 1], dt)
             raise IntegrationError(f"step {k} failed: {exc}", partial=partial) from exc
     return Trajectory(system, states, dt)

@@ -2,12 +2,13 @@
 plain formulas they replace, compared bit for bit.
 
 The field applies Omega as (order, signs) instead of a matrix product,
-RK4 runs on lists of floats and sums its stages in gradient space, the
-Newton Jacobian is built from one tiled point array, the EOM residual is
-one comprehension over float rows and each CSV row is one %-format.  Negation,
-reordering and elementwise arithmetic in the same order are exact, so each
-must equal its reference with np.array_equal (or ==, or byte for byte
-where a signed zero must survive), not merely to a tolerance.
+both steppers run on lists of floats and on gradients, the Newton
+Jacobian applies Omega once as a reorder of the gradient differences'
+matrix, the EOM residual is one comprehension over float rows and each
+CSV row is one %-format.  Negation, reordering and elementwise arithmetic
+in the same order are exact, so each must equal its reference with
+np.array_equal (or ==, or byte for byte where a signed zero must survive),
+not merely to a tolerance.
 """
 
 import numpy as np
@@ -107,7 +108,10 @@ def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) ->
 
     The points the field is evaluated at include every Newton iterate, so
     equal point sequences mean equal Jacobians and updates, not only an
-    equal converged state.
+    equal converged state.  The reference stops at an absolute 1e-12
+    update norm, below the rounding of a state of size 1e7, so there it
+    runs out of iterations; the step's points must then be the first of
+    the reference's, and the midpoint of its state the next one.
     """
     points = []
 
@@ -118,20 +122,47 @@ def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) ->
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "gradient", recording_gradient)
         patch.setattr(oracles, "gradient", recording_gradient)
-        reference, iterations = oracles.midpoint_newton_reference(system, x, 0.05, start=start)
+        try:
+            reference, _ = oracles.midpoint_newton_reference(system, x, 0.05, start=start)
+        except AssertionError:  # the absolute stop is out of reach
+            reference = None
         reference_points = np.array(points)
         points.clear()
-        assert np.array_equal(step_implicit_midpoint(system, x, 0.05, start=start), reference)
-    assert np.array_equal(np.array(points), reference_points)
-    assert len(points) == iterations * (x.size + 1)  # 4n + 1 field calls per iteration
-    return iterations
+        stepped = np.array(step_implicit_midpoint(system, x, 0.05, start=start))
+    calls = len(points)
+    assert calls % (x.size + 1) == 0  # 4n + 1 field calls per iteration
+    assert np.array(points).tobytes() == reference_points[:calls].tobytes()
+    if reference is None:
+        assert np.linalg.norm(stepped) > 1e6  # the relative stop lies above 1e-12 only there
+        assert (0.5 * (x + stepped)).tobytes() == reference_points[calls].tobytes()
+    else:
+        assert stepped.tobytes() == reference.tobytes() and calls == len(reference_points)
+    return calls // (x.size + 1)
+
+
+# two magnitudes per n whose squares, 2n of each, sum to exactly 1e14
+_FAR_MAGNITUDES = {1: (5e6, 5e6), 2: (3e6, 4e6), 8: (1.5e6, 2e6)}
+
+
+def _starts(n: int, seed: int):
+    """Random points at |x| = 0.8, then signed zeros and a point of size 1e7.
+
+    The zeros meet the signed reorder of the Jacobian, which can flip the
+    sign of a zero entry but not the Newton matrix.  At 1e7 the finite
+    difference step h = 1e-7 |x| is 1; |x| is exactly 1e7, so numpy's norm,
+    which the reference reads, and math.hypot, which the step reads, agree.
+    """
+    yield from _points(n, 5, seed=seed)
+    yield _signed_zeros(n)
+    small, large = _FAR_MAGNITUDES[n]
+    yield np.array([(-1.0) ** (a // 3) * (small if a % 2 else large) for a in range(4 * n)])
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
     system = _system(label, n)
-    for start in _points(n, 5, seed=30 + n):
+    for start in _starts(n, seed=30 + n):
         _assert_midpoint_step_equals_the_reference(system, start, None, monkeypatch)
 
 
@@ -141,12 +172,12 @@ def test_warm_started_midpoint_step_equals_the_reference_newton_loop(label, n, m
     # the start the symplecticity probe gives a step: the step of a nearby
     # point, shifted by the difference of the two points
     system = _system(label, n)
-    for x in _points(n, 5, seed=50 + n):
+    for x in _starts(n, seed=50 + n):
         neighbour = x.copy()
         neighbour[0] += 2.0**-17
         start = step_implicit_midpoint(system, neighbour, 0.05) + (x - neighbour)
         warm = _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch)
-        assert warm < oracles.midpoint_newton_reference(system, x, 0.05)[1]
+        assert warm < _assert_midpoint_step_equals_the_reference(system, x, None, monkeypatch)
 
 
 @pytest.mark.parametrize("n", SIZES)

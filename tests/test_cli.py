@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +380,35 @@ def test_batch_runs_the_configs_after_a_steps_count_too_large_to_allocate(tmp_pa
     assert (tmp_path / "out" / "a_huge.error.log").read_text(encoding="utf-8").startswith("integration aborted:")
     assert not (tmp_path / "out" / "a_huge.trajectory.csv").exists()
     assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
+
+
+STEPS_TOO_LARGE = "integration aborted: the step count is too large to hold the trajectory"
+
+
+def test_a_step_count_past_a_list_index_is_one_error_line(tmp_path, capsys):
+    config_path, payload = write_config(tmp_path, steps=10**400)
+    assert main(["run", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {STEPS_TOO_LARGE}\n"
+    assert Path(f"{payload['output_prefix']}.error.log").read_text(encoding="utf-8") == f"{STEPS_TOO_LARGE}\n"
+
+
+def test_a_step_count_past_the_memory_is_one_error_line(tmp_path):
+    # 10^9 + 1 states need 8 GB of list slots; with the child's address
+    # space capped at 1 GB the allocation fails at once, as it would on any
+    # host for a count past its memory, instead of asking this host for 8 GB
+    config_path, _ = write_config(tmp_path, steps=10**9)
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from quatflow.cli import main; sys.exit(main(['run', sys.argv[1]]))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(config_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert (result.returncode, result.stderr) == (1, f"error: {STEPS_TOO_LARGE}\n")
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,19 @@ def test_midpoint_stops_at_a_non_finite_residual(monkeypatch):
     assert 1 <= len(calls) <= 4 * system.dim.n + 1
 
 
+def test_no_global_numpy_error_setting_reaches_a_midpoint_step():
+    # 0.5 dt J holds entries below the smallest normal double here; with
+    # numpy's errors raised, their underflow used to abort the step
+    system = _system("F", text="1e-307*(x1^2+x2^2+x3^2+x4^2) + x1^2")
+    x = [0.3, -0.2, 0.1, 0.4]
+    plain = step_implicit_midpoint(system, x, 0.05)
+    with np.errstate(all="raise"):
+        raised = step_implicit_midpoint(system, x, 0.05)
+        trajectory = integrate(system, x, 0.05, 3, "implicit_midpoint")
+    assert np.array(raised).tobytes() == np.array(plain).tobytes()
+    assert len(trajectory.states) == 4 and trajectory.states[1] == tuple(plain)
+
+
 def test_midpoint_converges_past_the_overflow_of_a_squared_norm(monkeypatch):
     # |x|^2 overflows past |x| ~ 1.34e154; read through it, the FD step was
     # inf and the step failed with a non-finite state
