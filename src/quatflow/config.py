@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ._records import Value
 from .dynamics import METHODS
 from .expressions import ExpressionError, parse
 from .structures import LABELS, MAX_BLOCK_SIZE, BlockDim
@@ -24,20 +24,17 @@ class ConfigError(ValueError):
         self.problems = list(problems)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    n: int
-    structure: str
-    hamiltonian: str
-    initial: tuple[float, ...]
-    dt: float
-    steps: int
-    method: str
-    output_prefix: str
-    emit_plot: bool
+class SimulationConfig(Value):
+    __match_args__ = ("n", "structure", "hamiltonian", "initial", "dt", "steps", "method", "output_prefix", "emit_plot")
+
+    def __init__(
+        self, n: int, structure: str, hamiltonian: str, initial: tuple[float, ...], dt: float, steps: int,
+        method: str, output_prefix: str, emit_plot: bool,
+    ) -> None:
+        self._set(n, structure, hamiltonian, initial, dt, steps, method, output_prefix, emit_plot)
 
 
-REQUIRED_FIELDS = tuple(field.name for field in fields(SimulationConfig))
+REQUIRED_FIELDS = SimulationConfig.__match_args__
 
 
 def _is_int(value) -> bool:

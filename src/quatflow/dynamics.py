@@ -28,8 +28,8 @@ and a trajectory's k-th state is the state at time k * dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._records import Record
 from .expressions import ScalarField, gradient
 from .forms import ConstantTwoForm, symplectic_form
 from .structures import LABELS, BlockDim, StructureKind, build_structure, to_floats
@@ -59,19 +59,20 @@ class NewtonDivergenceError(IntegrationError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianSystem:
+class HamiltonianSystem(Record):
     """An energy function together with one of the three symplectic forms.
 
     order and signs, the label's cotangent tensor's, hold Omega as a signed
     permutation: (Omega v)_i == signs_i * v[order_i] for every vector v.
     """
 
-    dim: BlockDim
-    hamiltonian: ScalarField
-    omega: ConstantTwoForm
-    order: tuple[int, ...]
-    signs: tuple[int, ...]
+    __match_args__ = ("dim", "hamiltonian", "omega", "order", "signs")
+
+    def __init__(
+        self, dim: BlockDim, hamiltonian: ScalarField, omega: ConstantTwoForm, order: tuple[int, ...],
+        signs: tuple[int, ...],
+    ) -> None:
+        self._set(dim, hamiltonian, omega, order, signs)
 
     @classmethod
     def build(cls, label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
@@ -85,22 +86,19 @@ class HamiltonianSystem:
         return cls(hamiltonian.dim, hamiltonian, omega, dual.order, dual.signs)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Record):
     """A uniformly sampled integral curve with its defining system.
 
     states[k], a tuple of 4n Python floats, is the phase point at time k * step.
     """
 
-    system: HamiltonianSystem
-    states: tuple[tuple[float, ...], ...]
-    step: float
+    __match_args__ = ("system", "states", "step")
 
-    def __post_init__(self) -> None:
-        states = tuple(to_floats(row, self.system.dim.total, "each state") for row in self.states)
-        if not (self.step > 0.0 and states):
+    def __init__(self, system: HamiltonianSystem, states, step: float) -> None:
+        states = tuple(to_floats(row, system.dim.total, "each state") for row in states)
+        if not (step > 0.0 and states):
             raise ValueError("a trajectory needs a positive step and at least one state")
-        object.__setattr__(self, "states", states)
+        self._set(system, states, step)
 
     @property
     def times(self) -> tuple[float, ...]:

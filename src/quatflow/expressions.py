@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
+from ._records import Value
 from .structures import BlockDim, to_floats
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -89,43 +88,51 @@ class EvaluationError(ExpressionError):
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Number:
-    value: float
+class Number(Value):
+    __match_args__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        self._set(value)
 
 
-@dataclass(frozen=True)
-class Variable:
-    index: int  # 1-based
+class Variable(Value):
+    __match_args__ = ("index",)
+
+    def __init__(self, index: int) -> None:  # 1-based
+        self._set(index)
 
 
-@dataclass(frozen=True)
-class Negation:
-    operand: "Node"
+class Negation(Value):
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Node) -> None:
+        self._set(operand)
 
 
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
+class BinaryOp(Value):
+    __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node) -> None:  # op is one of + - * / ^
+        self._set(op, left, right)
 
 
-@dataclass(frozen=True)
-class FunctionCall:
-    name: str
-    argument: "Node"
+class FunctionCall(Value):
+    __match_args__ = ("name", "argument")
+
+    def __init__(self, name: str, argument: Node) -> None:
+        self._set(name, argument)
 
 
-Node = Union[Number, Variable, Negation, BinaryOp, FunctionCall]
+Node = Number | Variable | Negation | BinaryOp | FunctionCall
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Value):
     """A parsed Hamiltonian H: R^{4n} -> R."""
 
-    dim: BlockDim
-    root: Node
+    __match_args__ = ("dim", "root")
+
+    def __init__(self, dim: BlockDim, root: Node) -> None:
+        self._set(dim, root)
 
     @cached_property
     def gradient_kernel(self) -> "_Kernel":
@@ -153,11 +160,11 @@ _TOKEN_RE = re.compile(
 _VARIABLE_RE = re.compile(r"^x(\d+)$")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | op | end
-    text: str
-    offset: int
+class _Token(Value):
+    __match_args__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int) -> None:  # kind: number | ident | op | end
+        self._set(kind, text, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -322,15 +329,17 @@ def gradient(field: ScalarField, point) -> list[float]:
 _NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "log": math.log}
 
 
-@dataclass(slots=True)
 class _Value:
     """One AST node as the forward sweep left it."""
 
-    node: Node
-    expr: str  # Python expression holding the node's value
-    varying: bool  # depends on some coordinate
-    operands: tuple = ()
-    partial: object = None  # local partial derivative(s) the reverse sweep uses
+    __slots__ = ("node", "expr", "varying", "operands", "partial")
+
+    def __init__(self, node: Node, expr: str, varying: bool, operands: tuple = (), partial: object = None) -> None:
+        self.node = node
+        self.expr = expr  # Python expression holding the node's value
+        self.varying = varying  # depends on some coordinate
+        self.operands = operands
+        self.partial = partial  # local partial derivative(s) the reverse sweep uses
 
 
 def _simple(expr: str) -> bool:

@@ -25,11 +25,11 @@ array, built when first read.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 
+from ._records import Record
 from .structures import BlockDim, EuclideanMetric, StructureKind, StructureTensor, build_structure, to_floats
 
 
@@ -44,18 +44,14 @@ def _sparse_rows(rows, size: int, what: str) -> tuple[MappingProxyType, ...]:
     return tuple(sparse)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineOneForm:
+class AffineOneForm(Record):
     """A 1-form on R^{4n} whose coefficients are affine in the coordinates."""
 
-    dim: BlockDim
-    linear: tuple[Mapping[int, float], ...]
-    constant: tuple[float, ...]
+    __match_args__ = ("dim", "linear", "constant")
 
-    def __post_init__(self) -> None:
-        size = self.dim.total
-        object.__setattr__(self, "linear", _sparse_rows(self.linear, size, "linear part"))
-        object.__setattr__(self, "constant", to_floats(self.constant, size, "constant part"))
+    def __init__(self, dim: BlockDim, linear, constant) -> None:
+        size = dim.total
+        self._set(dim, _sparse_rows(linear, size, "linear part"), to_floats(constant, size, "constant part"))
 
     def coefficients(self, point) -> list[float]:
         """The dx-basis coefficients of the form at a point."""
@@ -67,18 +63,16 @@ class AffineOneForm:
         return sum(map(mul, self.coefficients(point), to_floats(vector, self.dim.total, "vector")))
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantTwoForm:
+class ConstantTwoForm(Record):
     """A constant-coefficient 2-form Phi(u, v) = u^T Omega v, Omega skew."""
 
-    dim: BlockDim
-    rows: tuple[Mapping[int, float], ...]
+    __match_args__ = ("dim", "rows")
 
-    def __post_init__(self) -> None:
-        rows = _sparse_rows(self.rows, self.dim.total, "matrix")
+    def __init__(self, dim: BlockDim, rows) -> None:
+        rows = _sparse_rows(rows, dim.total, "matrix")
         if any(rows[b].get(a) != -v for a, row in enumerate(rows) for b, v in row.items()):
             raise ValueError("2-form matrix must be skew-symmetric")
-        object.__setattr__(self, "rows", rows)
+        self._set(dim, rows)
 
     @cached_property
     def matrix(self):

@@ -26,9 +26,10 @@ a, so applying a tensor is a plain matrix-vector product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+
+from ._records import Record, Value
 
 LABELS = ("F", "G", "H")
 SPACES = ("tangent", "cotangent")
@@ -65,17 +66,17 @@ def to_floats(values, size: int, what: str) -> tuple[float, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class BlockDim:
+class BlockDim(Value):
     """Block size n; the model space R^{4n} carries four coordinate blocks."""
 
-    n: int
+    __match_args__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"block size must be a positive integer, got {self.n!r}")
-        if self.n > MAX_BLOCK_SIZE:
-            raise ValueError(f"block size must be at most {MAX_BLOCK_SIZE}, got {self.n}")
+    def __init__(self, n: int) -> None:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"block size must be a positive integer, got {n!r}")
+        if n > MAX_BLOCK_SIZE:
+            raise ValueError(f"block size must be at most {MAX_BLOCK_SIZE}, got {n}")
+        self._set(n)
 
     @property
     def total(self) -> int:
@@ -83,22 +84,20 @@ class BlockDim:
         return 4 * self.n
 
 
-@dataclass(frozen=True)
-class StructureKind:
+class StructureKind(Value):
     """Which tensor (F, G, H, or the identity I) on which space."""
 
-    label: str
-    space: str
+    __match_args__ = ("label", "space")
 
-    def __post_init__(self) -> None:
-        if self.label not in LABELS + ("I",):
-            raise ValueError(f"label must be one of {LABELS + ('I',)}, got {self.label!r}")
-        if self.space not in SPACES:
-            raise ValueError(f"space must be one of {SPACES}, got {self.space!r}")
+    def __init__(self, label: str, space: str) -> None:
+        if label not in LABELS + ("I",):
+            raise ValueError(f"label must be one of {LABELS + ('I',)}, got {label!r}")
+        if space not in SPACES:
+            raise ValueError(f"space must be one of {SPACES}, got {space!r}")
+        self._set(label, space)
 
 
-@dataclass(frozen=True, eq=False)
-class StructureTensor:
+class StructureTensor(Record):
     """A signed permutation, (T v)_i = signs_i v_{order_i}, on R^{4n}.
 
     Construction only checks the shape; the quaternion and skew-symmetry
@@ -107,26 +106,25 @@ class StructureTensor:
     holds row i as the read-only map {order_i: signs_i}.
     """
 
-    kind: StructureKind
-    dim: BlockDim
-    order: tuple[int, ...]
-    signs: tuple[int, ...]
+    __match_args__ = ("kind", "dim", "order", "signs")
 
-    def __post_init__(self) -> None:
-        order, signs = self.order, self.signs
-        if sorted(order) != list(range(self.dim.total)) or len(signs) != len(order) or not set(signs) <= {1, -1}:
+    def __init__(self, kind: StructureKind, dim: BlockDim, order: tuple[int, ...], signs: tuple[int, ...]) -> None:
+        if sorted(order) != list(range(dim.total)) or len(signs) != len(order) or not set(signs) <= {1, -1}:
             raise ValueError("matrix must have exactly one nonzero entry, +-1, per row and column")
+        self._set(kind, dim, order, signs)
 
     @cached_property
     def rows(self) -> tuple[MappingProxyType, ...]:
         return tuple(MappingProxyType({o: s}) for o, s in zip(self.order, self.signs))
 
 
-@dataclass(frozen=True)
-class EuclideanMetric:
+class EuclideanMetric(Value):
     """The flat metric on R^{4n}: g(u, v) is the standard dot product."""
 
-    dim: BlockDim
+    __match_args__ = ("dim",)
+
+    def __init__(self, dim: BlockDim) -> None:
+        self._set(dim)
 
 
 def build_structure(kind: StructureKind, dim: BlockDim) -> StructureTensor:

@@ -134,12 +134,14 @@ def rk4_step_on_arrays(system, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> tuple[np.ndarray, int]:
-    """The implicit midpoint step's Newton loop as first written: (y, iterations).
+    """The implicit midpoint step's Newton loop on numpy arrays: (y, iterations).
 
     Newton starts from y = start, or from x when start is None.  Each field
     value is the matrix product Omega grad H, the Jacobian is filled one
     forward-difference column per bumped copy of the midpoint, and the loop
-    stops once the update norm drops below the absolute 1e-12.
+    stops once the update norm drops below 1e-12 * max(1, |y|), the
+    package's relative stop, so it converges far from the origin too.  Its
+    norms are numpy's and its Jacobian is its own, as first written.
     """
 
     def field(point):
@@ -161,7 +163,7 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> t
         newton_matrix = eye - 0.5 * dt * jacobian
         delta = np.linalg.solve(newton_matrix, -residual)
         y = y + delta
-        if float(np.linalg.norm(delta)) < 1e-12:
+        if float(np.linalg.norm(delta)) < 1e-12 * max(1.0, float(np.linalg.norm(y))):
             return y, iteration
     raise AssertionError("the reference Newton loop did not converge in 50 iterations")
 

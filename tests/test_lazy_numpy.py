@@ -1,9 +1,12 @@
-"""numpy is imported by the implicit midpoint rule's solve and nowhere else.
+"""Start-up imports: numpy only for the implicit midpoint solve, and never
+`dataclasses`, `inspect` or `typing`.
 
 Each case runs in a fresh interpreter on the package under src/ and reports
-whether `numpy` is in sys.modules when it is done: an RK4 run, `verify`,
-`dump` and a bare `import quatflow` must leave it out, and a midpoint run
-must bring it in, which shows the import sits where it is claimed.
+which of those modules are in sys.modules when it is done: an RK4 run,
+`verify`, `dump` and a bare `import quatflow` must leave out numpy,
+`dataclasses` and `inspect`, and a midpoint run must bring numpy in, which
+shows the import sits where it is claimed.  `typing` is checked under
+`python -S` only, since a site-packages `.pth` file may import it first.
 """
 
 import json
@@ -23,14 +26,15 @@ code = None
 if len(sys.argv) > 1:
     from quatflow.cli import main
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "loaded": sorted({"numpy", "dataclasses", "inspect", "typing"} & set(sys.modules))}))
 """
+HEAVY = {"numpy", "dataclasses", "inspect"}
 
 
-def _probe(cwd: Path, *argv: str) -> dict:
+def _probe(cwd: Path, *argv: str, flags: tuple[str, ...] = ()) -> dict:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     completed = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", PROBE, *argv], cwd=cwd, env=env, capture_output=True, text=True, check=True
     )
     return json.loads(completed.stdout.splitlines()[-1])
 
@@ -60,10 +64,18 @@ def test_numpy_stays_unloaded(tmp_path, argv):
     if argv[:1] == ["run"]:
         argv = ["run", _config(tmp_path, argv[1])]
     result = _probe(tmp_path, *argv)
-    assert result == {"code": 0 if argv else None, "numpy": False}
+    assert result["code"] == (0 if argv else None)
+    assert HEAVY.isdisjoint(result["loaded"])
     if argv[:1] == ["run"]:
         assert (tmp_path / "out" / "rk4.diagnostics.json").exists()
 
 
 def test_a_midpoint_run_loads_numpy_for_its_solve(tmp_path):
-    assert _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint")) == {"code": 0, "numpy": True}
+    result = _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint"))
+    assert result["code"] == 0
+    # numpy itself imports inspect, so only dataclasses is checked here
+    assert "numpy" in result["loaded"] and "dataclasses" not in result["loaded"]
+
+
+def test_a_bare_import_without_site_loads_none_of_them(tmp_path):
+    assert _probe(tmp_path, flags=("-S",)) == {"code": None, "loaded": []}

@@ -1,0 +1,164 @@
+"""The constructor, equality, hashing and immutability of the value classes.
+
+Structures, expression nodes, forms, systems, trajectories and configs are
+small immutable records.  Eleven compare and hash by value; the forms, the
+structure tensor, the system and the trajectory compare by identity, since
+their fields are normalised rows and states that nothing compares whole.
+Every record refuses assignment after construction, and its cached
+properties are built on first read and kept.
+"""
+
+import numpy as np
+import pytest
+
+from quatflow import (
+    AffineOneForm,
+    BlockDim,
+    ConstantTwoForm,
+    EuclideanMetric,
+    HamiltonianSystem,
+    ScalarField,
+    StructureKind,
+    StructureTensor,
+    Trajectory,
+    parse,
+)
+from quatflow.config import REQUIRED_FIELDS, SimulationConfig
+from quatflow.expressions import BinaryOp, FunctionCall, Negation, Number, Variable, _Token, _Value
+
+DIM = BlockDim(1)
+SYSTEM = HamiltonianSystem.build("F", parse("0.5*(x1^2+x2^2)", DIM))
+CONFIG_FIELDS = {
+    "n": 1, "structure": "F", "hamiltonian": "x1^2", "initial": (1.0, 0.0, 0.0, 0.0), "dt": 0.01,
+    "steps": 10, "method": "rk4", "output_prefix": "out/run", "emit_plot": False,
+}
+
+# each class with its constructor's keyword arguments, in positional order
+VALUE_CASES = {
+    "BlockDim": (BlockDim, {"n": 2}),
+    "StructureKind": (StructureKind, {"label": "G", "space": "cotangent"}),
+    "EuclideanMetric": (EuclideanMetric, {"dim": BlockDim(2)}),
+    "Number": (Number, {"value": 1.5}),
+    "Variable": (Variable, {"index": 3}),
+    "Negation": (Negation, {"operand": Variable(1)}),
+    "BinaryOp": (BinaryOp, {"op": "+", "left": Number(1.0), "right": Variable(2)}),
+    "FunctionCall": (FunctionCall, {"name": "sin", "argument": Variable(1)}),
+    "ScalarField": (ScalarField, {"dim": DIM, "root": BinaryOp("*", Variable(1), Variable(2))}),
+    "SimulationConfig": (SimulationConfig, CONFIG_FIELDS),
+    "_Token": (_Token, {"kind": "number", "text": "1.5", "offset": 4}),
+}
+IDENTITY_CASES = {
+    "HamiltonianSystem": (
+        HamiltonianSystem,
+        {"dim": DIM, "hamiltonian": SYSTEM.hamiltonian, "omega": SYSTEM.omega, "order": SYSTEM.order,
+         "signs": SYSTEM.signs},
+    ),
+    "Trajectory": (Trajectory, {"system": SYSTEM, "states": ((1.0, 0.0, 0.0, 0.0),), "step": 0.1}),
+    "AffineOneForm": (AffineOneForm, {"dim": DIM, "linear": ({0: 0.5}, {1: 0.5}, {2: 0.5}, {3: 0.5}),
+                                      "constant": (0.0, 0.0, 0.0, 0.0)}),
+    "ConstantTwoForm": (ConstantTwoForm, {"dim": DIM, "rows": ({1: 1.0}, {0: -1.0}, {3: 1.0}, {2: -1.0})}),
+    "StructureTensor": (StructureTensor, {"kind": StructureKind("F", "tangent"), "dim": DIM,
+                                          "order": (1, 0, 3, 2), "signs": (-1, 1, -1, 1)}),
+}
+FROZEN_CASES = {**VALUE_CASES, **IDENTITY_CASES}
+# the one mutable record: the kernel writer fills in expr and partial after construction
+KERNEL_VALUE = (_Value, {"node": Number(1.0), "expr": "1.0", "varying": False, "operands": (), "partial": None})
+
+
+@pytest.mark.parametrize("name", [*FROZEN_CASES, "_Value"])
+def test_positional_and_keyword_construction_agree(name):
+    cls, kwargs = KERNEL_VALUE if name == "_Value" else FROZEN_CASES[name]
+    for record in (cls(*kwargs.values()), cls(**kwargs)):
+        assert type(record) is cls
+        for field, value in kwargs.items():
+            if name in IDENTITY_CASES and field not in ("dim", "kind", "system", "hamiltonian", "omega"):
+                continue  # rows, states and constants are normalised on the way in
+            assert getattr(record, field) == value
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), None)
+
+
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_value_records_compare_and_hash_by_their_fields(name):
+    cls, kwargs = VALUE_CASES[name]
+    first, second = cls(*kwargs.values()), cls(**kwargs)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    field = next(iter(kwargs))
+    other = {BlockDim: 3, StructureKind: "H", EuclideanMetric: BlockDim(3), Number: 2.5, Variable: 4,
+             Negation: Variable(2), BinaryOp: "-", FunctionCall: "cos", ScalarField: BlockDim(2),
+             SimulationConfig: 2, _Token: "ident"}[cls]
+    assert first != cls(**{**kwargs, field: other})
+    assert first != object() and first != (*kwargs.values(),)
+
+
+def test_records_of_different_classes_with_equal_fields_differ():
+    assert Number(1.0) != Variable(1)
+    assert Number(1) != Variable(1)
+    assert len({Number(1.0), Variable(1)}) == 2
+
+
+@pytest.mark.parametrize("name", IDENTITY_CASES)
+def test_identity_records_compare_by_identity(name):
+    cls, kwargs = IDENTITY_CASES[name]
+    first, second = cls(*kwargs.values()), cls(**kwargs)
+    assert first == first and first != second
+    assert hash(first) == object.__hash__(first)
+    assert len({first, second}) == 2
+
+
+@pytest.mark.parametrize("name", FROZEN_CASES)
+def test_assigning_or_deleting_an_attribute_raises(name):
+    cls, kwargs = FROZEN_CASES[name]
+    record = cls(**kwargs)
+    field = next(iter(kwargs))
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        record.unrelated = 1
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_kernel_values_stay_mutable():
+    value = _Value(Number(1.0), "", False)
+    assert value.operands == () and value.partial is None
+    value.expr, value.partial = "t1", "t2"
+    assert (value.expr, value.partial) == ("t1", "t2")
+
+
+def test_cached_properties_are_built_once_and_kept():
+    tensor = IDENTITY_CASES["StructureTensor"][0](**IDENTITY_CASES["StructureTensor"][1])
+    assert tensor.rows is tensor.rows and tensor.rows == ({1: -1}, {0: 1}, {3: -1}, {2: 1})
+    form = ConstantTwoForm(**IDENTITY_CASES["ConstantTwoForm"][1])
+    assert form.matrix is form.matrix and not form.matrix.flags.writeable
+    assert np.array_equal(form.matrix, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    field, twin = parse("x1*x2", DIM), parse("x1*x2", DIM)
+    assert field.gradient_kernel is field.gradient_kernel
+    # a built kernel is not a field: equality and hash read dim and root only
+    assert field == twin and hash(field) == hash(twin)
+
+
+def test_repr_names_the_class_and_its_fields():
+    assert repr(BlockDim(2)) == "BlockDim(n=2)"
+    assert repr(BinaryOp("+", Number(1.0), Variable(2))) == (
+        "BinaryOp(op='+', left=Number(value=1.0), right=Variable(index=2))"
+    )
+
+
+def test_ast_nodes_match_positional_patterns():
+    match parse("-sin(x1) + 2", DIM).root:
+        case BinaryOp("+", Negation(FunctionCall("sin", Variable(1))), Number(2.0)):
+            matched = True
+        case _:
+            matched = False
+    assert matched
+
+
+def test_required_fields_follow_the_constructor_order():
+    assert REQUIRED_FIELDS == tuple(CONFIG_FIELDS)
+    assert SimulationConfig(*CONFIG_FIELDS.values()).emit_plot is False
