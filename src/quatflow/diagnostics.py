@@ -107,19 +107,23 @@ def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> t
 def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: str) -> float:
     """Entrywise max of J^T Omega J - Omega for one step map.
 
-    Up to NUMPY_PRODUCT_SIZE coordinates the product runs on Python floats,
-    Omega J as a signed reorder of J's columns; past it, on numpy arrays.
+    Omega J is a signed reorder of J's rows, and Omega's nonzero entries
+    are signs_a at (a, order_a).  Up to NUMPY_PRODUCT_SIZE coordinates the
+    one product J^T (Omega J) runs on Python floats; past it, on numpy.
     """
     rows = step_jacobian(system, point, dt, method)
+    order, signs = system.order, system.signs
     # a huge Jacobian overflows here; the residual then reads inf or NaN and fails its gate
     if len(rows) > NUMPY_PRODUCT_SIZE:
         import numpy as np
 
-        jacobian, omega = np.array(rows), system.omega.matrix
+        jacobian, row_signs = np.array(rows), np.array(signs, dtype=float)
         with np.errstate(all="ignore"):
-            return float(np.abs(jacobian.T @ omega @ jacobian - omega).max())
+            # the index is a list: numpy reads a tuple as one index per axis
+            product = jacobian.T @ (row_signs[:, None] * jacobian[list(order)])
+            product[range(len(order)), order] -= row_signs
+            return float(np.abs(product).max())
     columns = list(zip(*rows))
-    order, signs = system.order, system.signs
     images = [[s * column[o] for o, s in zip(order, signs)] for column in columns]
     return _max([abs(sum(map(mul, column, image)) - (signs[a] if b == order[a] else 0))
                  for a, column in enumerate(columns) for b, image in enumerate(images)])

@@ -143,9 +143,10 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     At most NEWTON_MAX_ITER Newton iterations on Python floats from
     y = start (default x) stop once the update norm drops below
     NEWTON_TOL * max(1, |y|).  As in step_rk4, X = Omega g is kept as the
-    gradient g; the forward-difference Jacobian of X, with h = 1e-7 * max(1,
-    |x|), takes one gradient per bumped coordinate and applies Omega once to
-    the matrix, and it and the solve of I - dt/2 J are the only numpy code,
+    gradient g; the forward-difference Jacobian of X, bumping coordinate a
+    by h_a = 1e-7 * max(1, |x_a|), takes one gradient per bumped coordinate,
+    divides row a of the differences by h_a and applies Omega once to the
+    matrix, and it and the solve of I - dt/2 J are the only numpy code,
     run with every numpy float error ignored.  Norms are math.hypot's, which
     does not overflow past |x| ~ 1.34e154 as |x|^2 does.  A non-finite
     residual stops the iteration at once with the non-finite-state
@@ -160,17 +161,17 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     order, signs = system.order, system.signs
     x = [*map(float, x)]
     y = x if start is None else [*map(float, start)]
-    h = 1e-7 * _scale(x)
+    h = [1e-7 * max(1.0, abs(a)) for a in x]
     for _ in range(NEWTON_MAX_ITER):
         mid = [0.5 * (a + b) for a, b in zip(x, y)]
         g = gradient(hamiltonian, mid)
         residual = [b - a - dt * (s * g[o]) for a, b, s, o in zip(x, y, signs, order)]
         _require_finite(residual)
         residual_norm = math.hypot(*residual)
-        rows = [gradient(hamiltonian, mid[:a] + [mid[a] + h] + mid[a + 1:]) for a in range(len(mid))]
+        rows = [gradient(hamiltonian, mid[:a] + [mid[a] + h[a]] + mid[a + 1:]) for a in range(len(mid))]
         with np.errstate(all="ignore"):
             # the index is a list: numpy reads a tuple as one index per axis
-            jacobian = ((np.array(rows) - g) / h).T[list(order)] * np.array(signs)[:, None]
+            jacobian = ((np.array(rows) - g) / np.array(h)[:, None]).T[list(order)] * np.array(signs)[:, None]
             delta = np.linalg.solve(np.eye(len(mid)) - 0.5 * dt * jacobian, np.negative(residual)).tolist()
         y = [b + d for b, d in zip(y, delta)]
         if math.hypot(*delta) < NEWTON_TOL * _scale(y):

@@ -305,23 +305,12 @@ def format_expression(field_or_node: ScalarField | Node) -> str:
 
 def evaluate(field: ScalarField, point) -> float:
     """H at a point, from the value statements of the field's compiled kernel."""
-    kernel = field.gradient_kernel
-    try:
-        return kernel.value(point)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        kernel.name(exc, kernel.value)
-        raise
+    return field.gradient_kernel.value(point)
 
 
 def gradient(field: ScalarField, point) -> list[float]:
     """The gradient dH at a point, the kernel's list of 4n floats."""
-    kernel = field.gradient_kernel
-    try:
-        _, components = kernel.gradient(point)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        kernel.name(exc, kernel.gradient)
-        raise
-    return components
+    return field.gradient_kernel.gradient(point)[1]
 
 
 # --- compiled kernel -------------------------------------------------------
@@ -340,6 +329,12 @@ class _Value:
         self.varying = varying  # depends on some coordinate
         self.operands = operands
         self.partial = partial  # local partial derivative(s) the reverse sweep uses
+
+
+def _literal(value: float) -> str:
+    # literals parse >= 0 and c - 1.0 of one is never -inf or NaN, so only inf needs a spelling
+    text = repr(value).replace("inf", "1e999")
+    return text if math.copysign(1.0, value) > 0.0 else f"({text})"
 
 
 def _simple(expr: str) -> bool:
@@ -368,15 +363,17 @@ class _KernelSource:
     reverse sweep, returning (H, grad H).  Each starts by unpacking x into
     x1 .. x{4n}: a list or tuple of 4n entries as it is, unless one is not
     a float, and any other x through to_floats(x, 4n, "point"), so a list
-    of floats costs one unpack and one chain of class tests.  owners maps
-    the line number of each forward statement in the text to the node it
-    belongs to.
+    of floats costs one unpack and one chain of class tests.  Its
+    statements then run inside one try.  owners maps the line number of
+    each forward statement in the text to the node it belongs to; the
+    handler looks up the line that raised and raises EvaluationError naming
+    that node's subexpression, so the bookkeeping costs nothing until
+    something fails.  An overflowed literal is written 1e999.
     """
 
     def __init__(self, field: ScalarField):
         self.forward: list[tuple[str, Node, bool]] = []  # (statement, owner, gradient only)
         self.reverse: list[str] = []
-        self.constants: dict[str, float] = {}
         self.assigned: set[int] = set()
         root = self._emit(field.root)
         if root.varying:
@@ -395,22 +392,22 @@ class _KernelSource:
                 f"        if not {classes} is float: {unpack}, = to_floats(x, {size}, 'point')",
                 "    else:",
                 f"        {unpack}, = to_floats(x, {size}, 'point')",
+                "    try:",
             ]
             for statement, owner, partial in self.forward:
                 if gradient or not partial:
-                    lines.append(f"    {statement}")
+                    lines.append(f"        {statement}")
                     self.owners[len(lines)] = owner
             if gradient:
-                lines += [f"    {line}" for line in self.reverse]
-            lines.append(f"    return {result}")
+                lines += [f"        {line}" for line in self.reverse]
+            lines += [
+                f"        return {result}",
+                "    except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+                "        owner = owners.get(exc.__traceback__.tb_lineno)",  # the traceback starts in this frame
+                "        if owner is None: raise",
+                "        raise EvaluationError(str(exc), format_expression(owner)) from exc",
+            ]
         self.text = "\n".join(lines) + "\n"
-
-    def _literal(self, value: float) -> str:
-        if not math.isfinite(value):
-            name = f"k{len(self.constants)}"
-            self.constants[name] = value
-            return name
-        return repr(value) if math.copysign(1.0, value) > 0.0 else f"({value!r})"
 
     def _line(self, node: Node, expr: str, partial: bool = False) -> str:
         name = f"t{len(self.forward)}"
@@ -422,7 +419,7 @@ class _KernelSource:
 
     def _emit(self, node: Node) -> _Value:
         if isinstance(node, Number):
-            return _Value(node, self._literal(node.value), False)
+            return _Value(node, _literal(node.value), False)
         if isinstance(node, Variable):
             return _Value(node, f"x{node.index}", True)
         if isinstance(node, Negation):
@@ -448,7 +445,7 @@ class _KernelSource:
             elif node.right.value != 0.0:
                 # b ** 1.0 is b for every double, so c * b is the same partial without a pow
                 reduced = node.right.value - 1.0
-                factor = b if reduced == 1.0 else f"{b} ** {self._literal(reduced)}"
+                factor = b if reduced == 1.0 else f"{b} ** {_literal(reduced)}"
                 base_partial = self._line(node, f"{c} * {factor}", partial=True)
         value.partial = (base_partial, exponent_partial)
         return value
@@ -523,29 +520,19 @@ class _Kernel:
     """A field compiled to two functions of the values of its 4n coordinates.
 
     value(x) returns H and gradient(x) returns (H, grad H) at a point x,
-    best a list or tuple of 4n floats.  Callers run them inside a try that
-    passes a domain error to name(), which raises EvaluationError naming the
-    subexpression whose statement raised, read off the traceback's line
-    number, so the kernel costs nothing for the bookkeeping until something
-    fails.
+    best a list or tuple of 4n floats; each raises EvaluationError naming
+    the subexpression whose statement met a domain error.
     """
 
     def __init__(self, field: ScalarField):
         source = _KernelSource(field)
-        namespace = {**_NAMESPACE, **source.constants, "to_floats": to_floats}
+        namespace = {
+            **_NAMESPACE, "to_floats": to_floats, "owners": source.owners,
+            "EvaluationError": EvaluationError, "format_expression": format_expression,
+        }
         exec(compile(source.text, "<quatflow kernel>", "exec"), namespace)
         self.value = namespace["value"]
         self.gradient = namespace["kernel"]
-        self._owners = source.owners
-
-    def name(self, exc: Exception, function) -> None:
-        """Raise EvaluationError if exc came from a forward statement of function."""
-        trace = exc.__traceback__
-        while trace.tb_next is not None:
-            trace = trace.tb_next
-        owner = self._owners.get(trace.tb_lineno)
-        if trace.tb_frame.f_code is function.__code__ and owner is not None:
-            raise EvaluationError(str(exc), format_expression(owner)) from exc
 
 
 # --- demo Hamiltonians -----------------------------------------------------

@@ -138,17 +138,18 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> t
 
     Newton starts from y = start, or from x when start is None.  Each field
     value is the matrix product Omega grad H, the Jacobian is filled one
-    forward-difference column per bumped copy of the midpoint, and the loop
-    stops once the update norm drops below 1e-12 * max(1, |y|), the
-    package's relative stop, so it converges far from the origin too.  Its
-    norms are numpy's and its Jacobian is its own, as first written.
+    forward-difference column per bumped copy of the midpoint, coordinate a
+    bumped by h_a = 1e-7 * max(1, |x_a|), and the loop stops once the update
+    norm drops below 1e-12 * max(1, |y|), the package's relative stop, so it
+    converges far from the origin too.  Its norms are numpy's and its
+    Jacobian is its own, as first written.
     """
 
     def field(point):
         return system.omega.matrix @ gradient(system.hamiltonian, point)
 
     size = x.size
-    h = 1e-7 * max(1.0, float(np.linalg.norm(x)))
+    h = 1e-7 * np.maximum(1, np.abs(x))
     eye = np.eye(size)
     y = x.copy() if start is None else np.array(start, dtype=np.float64)
     for iteration in range(1, 51):
@@ -158,8 +159,8 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> t
         jacobian = np.empty((size, size))
         for a in range(size):
             bumped = mid.copy()
-            bumped[a] += h
-            jacobian[:, a] = (field(bumped) - field_mid) / h
+            bumped[a] += h[a]
+            jacobian[:, a] = (field(bumped) - field_mid) / h[a]
         newton_matrix = eye - 0.5 * dt * jacobian
         delta = np.linalg.solve(newton_matrix, -residual)
         y = y + delta

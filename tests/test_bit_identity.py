@@ -139,9 +139,10 @@ def _starts(n: int, seed: int):
     """Random points at |x| = 0.8, then signed zeros and a point of size 1e7.
 
     The zeros meet the signed reorder of the Jacobian, which can flip the
-    sign of a zero entry but not the Newton matrix.  At 1e7 the finite
-    difference step h = 1e-7 |x| is 1; |x| is exactly 1e7, so numpy's norm,
-    which the reference reads, and math.hypot, which the step reads, agree.
+    sign of a zero entry but not the Newton matrix.  At 1e7 each finite
+    difference step h_a = 1e-7 |x_a| is 0.15 to 0.5; |x| is exactly 1e7, so
+    numpy's norm, which the reference's stop reads, and math.hypot, which
+    the step's stop reads, agree.
     """
     yield from _points(n, 5, seed=seed)
     yield _signed_zeros(n)

@@ -9,6 +9,8 @@ differences of the interpreter (oracles.fd_gradient) check both from
 outside.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,56 @@ def test_evaluate_names_the_same_subexpression_as_the_interpreter(text, point, e
     assert isinstance(kernel_error.value.__cause__, (ZeroDivisionError, ValueError, OverflowError))
 
 
+# every statement kind that can raise: (text, point, entry points, subexpression, cause type, cause text)
+RAISING_STATEMENTS = {
+    "division by zero": ("1/x2", [1.0, 0.0, 0.0, 0.0], (evaluate, gradient), "1.0/x2",
+                         ZeroDivisionError, "float division by zero"),
+    "sqrt of a negative": ("sqrt(x1)", [-1.0, 0.0, 0.0, 0.0], (evaluate, gradient), "sqrt(x1)",
+                           ValueError, "math domain error"),
+    "sqrt' at 0": ("sqrt(x1)", [0.0, 0.0, 0.0, 0.0], (gradient,), "sqrt(x1)",
+                   ZeroDivisionError, "float division by zero"),
+    "fractional power of a negative base": ("x1^0.5", [-2.0, 0.0, 0.0, 0.0], (evaluate, gradient), "x1^0.5",
+                                            ValueError, "fractional power of a negative base"),
+    "0^-1": ("x1^-1", [0.0, 0.0, 0.0, 0.0], (evaluate, gradient), "x1^-1.0",
+             ZeroDivisionError, "0.0 cannot be raised to a negative power"),
+    "c*x^(c-1) at 0": ("x1^0.5", [0.0, 0.0, 0.0, 0.0], (gradient,), "x1^0.5",
+                       ZeroDivisionError, "0.0 cannot be raised to a negative power"),
+    "log of a negative base": ("x1^x2", [-1.0, 2.0, 0.0, 0.0], (gradient,), "x1^x2",
+                               ValueError, "math domain error"),
+    "log of a zero base": ("x1^x2", [0.0, 0.5, 0.0, 0.0], (gradient,), "x1^x2",
+                           ValueError, "math domain error"),
+    "** overflow": ("x1^4", [1e80, 0.0, 0.0, 0.0], (evaluate, gradient), "x1^4.0",
+                    OverflowError, "(34, 'Numerical result out of range')"),
+    "exp overflow": ("exp(x1)", [1000.0, 0.0, 0.0, 0.0], (evaluate, gradient), "exp(x1)",
+                     OverflowError, "math range error"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RAISING_STATEMENTS))
+def test_each_raising_statement_is_named_with_its_cause(kind):
+    text, point, entry_points, expression, cause_type, cause_text = RAISING_STATEMENTS[kind]
+    for entry_point in entry_points:
+        field = parse(text, DIM1)  # a fresh field: the first call compiles the kernel
+        with pytest.raises(EvaluationError) as info:
+            entry_point(field, point)
+        assert str(info.value) == f"{cause_text} in subexpression {expression!r}"
+        assert info.value.expression == expression
+        cause = info.value.__cause__
+        assert type(cause) is cause_type and str(cause) == cause_text
+        with pytest.raises(EvaluationError) as again:  # the compiled kernel names it the same way
+            entry_point(field, point)
+        assert str(again.value) == str(info.value)
+
+
+def test_an_overflowed_literal_is_written_1e999_and_reads_inf():
+    field = parse("x1 + 1e400", DIM1)
+    text = _KernelSource(field).text
+    assert "1e999" in text and "inf" not in text
+    assert evaluate(field, [1.0, 0.0, 0.0, 0.0]) == math.inf
+    value, components = field.gradient_kernel.gradient([1.0, 0.0, 0.0, 0.0])
+    assert value == math.inf and components == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_a_square_differentiates_to_two_times_the_base_without_a_pow():
     # b ** 1.0 is b for every double, so 2.0 * b gives the partial's bits
     field = parse("x1^2 + x2^3", DIM1)
@@ -280,4 +332,5 @@ def test_malformed_list_points_raise_value_error(n):
         for entry_point in (evaluate, gradient):
             with pytest.raises(ValueError) as info:
                 entry_point(field, point)
+            assert type(info.value) is ValueError  # to_floats's own error, not renamed by the kernel
             assert str(info.value) == f"point must have length {size}"
