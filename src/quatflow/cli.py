@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -213,9 +214,10 @@ def run_config_file(path: str | Path, tolerance_scale: float = 1.0) -> int:
 def _shared_output_prefixes(paths: list[Path]) -> list[tuple[Path, Path, Path]]:
     """(earlier config, later config, resolved prefix) for each reused output prefix.
 
-    Only the raw output_prefix field is read; a config without a valid one,
-    or whose prefix cannot be resolved (a symlink loop, say), cannot clash
-    and reports its own error when it runs.
+    Only the raw output_prefix field is read; a config without a valid one
+    cannot clash and reports its own error when it runs.  os.path.realpath
+    stops at a symlink loop instead of raising, on every Python version, so
+    two prefixes under the same loop resolve alike and clash.
     """
     owners: dict[Path, Path] = {}
     clashes = []
@@ -224,8 +226,8 @@ def _shared_output_prefixes(paths: list[Path]) -> list[tuple[Path, Path, Path]]:
             prefix = read_config(path).get("output_prefix")
             if not is_output_prefix(prefix):
                 continue
-            resolved = Path(prefix).resolve()
-        except (OSError, ConfigError, RuntimeError):  # RuntimeError: a symlink loop before Python 3.13
+            resolved = Path(os.path.realpath(prefix))
+        except (OSError, ConfigError):
             continue
         if resolved in owners:
             clashes.append((owners[resolved], path, resolved))

@@ -16,9 +16,11 @@ reordered and signed; that is exact, so it gives the bits of the product
 Omega grad H, except that a -0.0 component stays -0.0.
 Two fixed-step one-step methods integrate the flow on Python floats:
 classical RK4 and the implicit midpoint rule, solved by Newton iteration
-with a finite-difference Jacobian and symplectic for any constant Omega;
-it alone imports numpy, for its Newton matrix and solve.  Both size
-a point by _scale, max(1, |x|) with an |x| that cannot overflow.
+with a finite-difference Jacobian and symplectic for any constant Omega.
+Up to NUMPY_SOLVE_SIZE = 8 coordinates (n = 1, 2) its Newton system is
+solved on floats by gaussian_solve; past it, by numpy, which the module
+imports there alone.  Both size a point by _scale, max(1, |x|) with an
+|x| that cannot overflow.
 Every failed step is an IntegrationError, NewtonDivergenceError included;
 the steppers check each new state through _require_finite and return it
 as a list of floats.  The flow is autonomous, so no step reads the time,
@@ -37,6 +39,9 @@ from .structures import LABELS, BlockDim, StructureKind, build_structure, to_flo
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# up to this 4n the Newton matrix is solved on floats; past it, on numpy,
+# where the import costs less than the elimination's (4n)^3 / 3 float steps
+NUMPY_SOLVE_SIZE = 8
 
 
 class IntegrationError(RuntimeError):
@@ -146,15 +151,16 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     gradient g; the forward-difference Jacobian of X, bumping coordinate a
     by h_a = 1e-7 * max(1, |x_a|), takes one gradient per bumped coordinate,
     divides row a of the differences by h_a and applies Omega once to the
-    matrix, and it and the solve of I - dt/2 J are the only numpy code,
-    run with every numpy float error ignored.  Norms are math.hypot's, which
-    does not overflow past |x| ~ 1.34e154 as |x|^2 does.  A non-finite
-    residual stops the iteration at once with the non-finite-state
-    IntegrationError.  A start near the solution saves iterations and moves
-    y only within the tolerance.
+    matrix.  Up to NUMPY_SOLVE_SIZE coordinates the Newton matrix
+    I - dt/2 J is built and solved on floats, by gaussian_solve; past it,
+    on numpy, run with every numpy float error ignored, the step's only
+    numpy code.  Both paths give the matrix the same bits.  Norms are
+    math.hypot's, which does not overflow past
+    |x| ~ 1.34e154 as |x|^2 does.  A non-finite residual stops the
+    iteration at once with the non-finite-state IntegrationError.  A start
+    near the solution saves iterations and moves y only within the
+    tolerance.
     """
-    import numpy as np
-
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     hamiltonian = system.hamiltonian
@@ -162,6 +168,7 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     x = [*map(float, x)]
     y = x if start is None else [*map(float, start)]
     h = [1e-7 * max(1.0, abs(a)) for a in x]
+    newton_update = _float_newton_update if len(x) <= NUMPY_SOLVE_SIZE else _numpy_newton_update
     for _ in range(NEWTON_MAX_ITER):
         mid = [0.5 * (a + b) for a, b in zip(x, y)]
         g = gradient(hamiltonian, mid)
@@ -169,15 +176,87 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
         _require_finite(residual)
         residual_norm = math.hypot(*residual)
         rows = [gradient(hamiltonian, mid[:a] + [mid[a] + h[a]] + mid[a + 1:]) for a in range(len(mid))]
-        with np.errstate(all="ignore"):
-            # the index is a list: numpy reads a tuple as one index per axis
-            jacobian = ((np.array(rows) - g) / np.array(h)[:, None]).T[list(order)] * np.array(signs)[:, None]
-            delta = np.linalg.solve(np.eye(len(mid)) - 0.5 * dt * jacobian, np.negative(residual)).tolist()
+        delta = newton_update(system, rows, g, h, dt, residual)
         y = [b + d for b, d in zip(y, delta)]
         if math.hypot(*delta) < NEWTON_TOL * _scale(y):
             _require_finite(y)
             return y
     raise NewtonDivergenceError(residual_norm, NEWTON_MAX_ITER)
+
+
+def _float_newton_update(system, rows, g, h, dt, residual) -> list[float]:
+    """Solve (I - dt/2 J) delta = -residual on floats, J[i][a] = s_i (rows[a] - g)[o_i] / h_a.
+
+    Each entry has the bits of the numpy update's: dt/2 (s v) is s (dt/2 v)
+    as negation is exact, and 0.0 - (-e) is 0.0 + e, signed zeros
+    included; row i's 1.0 is added to 0.0 - e, which is 1.0 - e.
+    """
+    half = 0.5 * dt
+    matrix = []
+    for i, (o, s) in enumerate(zip(system.order, system.signs)):
+        base = g[o]
+        if s > 0:
+            row = [0.0 - half * ((r[o] - base) / step) for r, step in zip(rows, h)]
+        else:
+            row = [0.0 + half * ((r[o] - base) / step) for r, step in zip(rows, h)]
+        row[i] += 1.0
+        matrix.append(row)
+    return gaussian_solve(matrix, [-r for r in residual])
+
+
+def _numpy_newton_update(system, rows, g, h, dt, residual) -> list[float]:
+    """The same update on numpy arrays, with np.linalg.solve."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        # the index is a list: numpy reads a tuple as one index per axis
+        jacobian = ((np.array(rows) - g) / np.array(h)[:, None]).T[list(system.order)] * np.array(system.signs)[:, None]
+        return np.linalg.solve(np.eye(len(g)) - 0.5 * dt * jacobian, np.negative(residual)).tolist()
+
+
+def gaussian_solve(matrix, rhs) -> list[float]:
+    """Solve matrix @ x = rhs on Python floats by Gaussian elimination.
+
+    The matrix is a sequence of rows; neither argument is changed.  Each
+    column's pivot is the first entry of largest |value| at or below the
+    diagonal, as LAPACK's idamax picks it, swapped with the diagonal row;
+    an exactly zero pivot raises ValueError("Singular matrix"), numpy's
+    LinAlgError text.  An update by an exact zero, which could change
+    nothing but the sign of a zero, is skipped: that of a row whose
+    multiplier is zero, that of the other right-hand sides by a zero one
+    and, as LAPACK's reference triangular solve skips them, the back
+    substitution terms of a zero solved component and the division of a
+    zero.  So a right-hand side of -0.0 comes back as -0.0.  No float
+    operation here raises: an overflow gives inf and an inf or NaN entry
+    propagates.
+    """
+    rows = [[*row, value] for row, value in zip(matrix, rhs)]  # the right-hand side is column `size`
+    size = len(rows)
+    for k in range(size):
+        best, largest = k, abs(rows[k][k])
+        for i in range(k + 1, size):
+            if abs(rows[i][k]) > largest:
+                best, largest = i, abs(rows[i][k])
+        if largest == 0.0:
+            raise ValueError("Singular matrix")
+        rows[k], rows[best] = rows[best], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        end = size + 1 if pivot_row[size] != 0.0 else size  # a zero right-hand side updates no other
+        for row in rows[k + 1:]:
+            factor = row[k] / pivot
+            if factor != 0.0:
+                for j in range(k + 1, end):
+                    row[j] -= factor * pivot_row[j]
+    solution = [0.0] * size
+    for i in range(size - 1, -1, -1):
+        row = rows[i]
+        total = row[size]
+        for j in range(size - 1, i, -1):  # from the last column back, as LAPACK's column-wise solve
+            if solution[j] != 0.0:
+                total -= row[j] * solution[j]
+        solution[i] = total / row[i] if total != 0.0 else total
+    return solution
 
 
 def _scale(point) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quatflow.dynamics import step_implicit_midpoint, step_rk4
+from quatflow.dynamics import NUMPY_SOLVE_SIZE, step_implicit_midpoint, step_rk4
 from quatflow.expressions import (
     BinaryOp,
     EvaluationError,
@@ -142,7 +142,9 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> t
     bumped by h_a = 1e-7 * max(1, |x_a|), and the loop stops once the update
     norm drops below 1e-12 * max(1, |y|), the package's relative stop, so it
     converges far from the origin too.  Its norms are numpy's and its
-    Jacobian is its own, as first written.
+    Jacobian is its own, as first written.  Up to NUMPY_SOLVE_SIZE
+    coordinates, where the package solves on floats, the Newton system is
+    solved by elimination_reference; past it, by np.linalg.solve.
     """
 
     def field(point):
@@ -162,11 +164,53 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> t
             bumped[a] += h[a]
             jacobian[:, a] = (field(bumped) - field_mid) / h[a]
         newton_matrix = eye - 0.5 * dt * jacobian
-        delta = np.linalg.solve(newton_matrix, -residual)
+        solve = elimination_reference if size <= NUMPY_SOLVE_SIZE else np.linalg.solve
+        delta = solve(newton_matrix, -residual)
         y = y + delta
         if float(np.linalg.norm(delta)) < 1e-12 * max(1.0, float(np.linalg.norm(y))):
             return y, iteration
     raise AssertionError("the reference Newton loop did not converge in 50 iterations")
+
+
+def elimination_reference(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with partial pivoting, entry by entry on numpy scalars.
+
+    The pivot of column k is the first row i >= k of largest |a_ik|, the
+    row idamax picks, swapped into row k; an exactly zero pivot raises
+    ValueError("Singular matrix").  An update by an exact zero is skipped:
+    a row whose multiplier is zero, a right-hand side entry that is zero,
+    a back-substitution term whose solved component is zero and the
+    division of a zero sum by its pivot.  Back substitution subtracts each
+    row's terms from the last column towards the diagonal.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    b = np.array(rhs, dtype=np.float64)
+    size = b.size
+    for k in range(size):
+        p = k
+        for i in range(k + 1, size):
+            if abs(a[i, k]) > abs(a[p, k]):
+                p = i
+        if a[p, k] == 0.0:
+            raise ValueError("Singular matrix")
+        a[[k, p]] = a[[p, k]]
+        b[[k, p]] = b[[p, k]]
+        for i in range(k + 1, size):
+            factor = a[i, k] / a[k, k]
+            if factor == 0.0:
+                continue
+            for j in range(k + 1, size):
+                a[i, j] = a[i, j] - factor * a[k, j]
+            if b[k] != 0.0:
+                b[i] = b[i] - factor * b[k]
+    x = np.empty(size)
+    for i in range(size - 1, -1, -1):
+        total = b[i]
+        for j in range(size - 1, i, -1):
+            if x[j] != 0.0:
+                total = total - a[i, j] * x[j]
+        x[i] = total / a[i, i] if total != 0.0 else total
+    return x
 
 
 def cold_step_jacobian(system, point, dt: float, method: str, h: float) -> np.ndarray:

@@ -174,6 +174,37 @@ def test_warm_started_midpoint_step_equals_the_reference_newton_loop(label, n, m
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_the_float_newton_system_equals_the_numpy_one_byte_for_byte(label, n, monkeypatch):
+    # both updates build I - dt/2 J and -residual; each solver is replaced by a recorder
+    system = _system(label, n)
+    size = 4 * n
+    systems = {}
+
+    def recorder(name):
+        def record(matrix, rhs):
+            systems[name] = (np.array(matrix).tobytes(), np.array(rhs).tobytes())
+            return np.zeros(size)
+        return record
+
+    monkeypatch.setattr(dynamics, "gaussian_solve", recorder("floats"))
+    monkeypatch.setattr(np.linalg, "solve", recorder("numpy"))
+    rng = np.random.default_rng(70 + n)
+    for scale in (1.0, 1e-300, 1e300, 0.0):  # at scale 0.0 every entry is a signed zero
+        g = [0.0, -0.0, *(scale * rng.standard_normal(size - 2))]
+        # equal entries give differences of 0.0, and a -0.0 row against g's 0.0 gives -0.0:
+        # signed zeros that Omega's signs and the identity's 0.0 - v must treat as numpy does
+        rows = [[b if rng.random() < 0.3 else b + scale * rng.standard_normal() for b in g] for _ in range(size)]
+        rows[0] = [-0.0] * size
+        h = [1e-7 * max(1.0, abs(v)) for v in rng.standard_normal(size)]
+        residual = [0.0, -0.0, *rng.standard_normal(size - 2)]
+        for dt in (0.01, 0.5):
+            dynamics._float_newton_update(system, rows, g, h, dt, residual)
+            dynamics._numpy_newton_update(system, rows, g, h, dt, residual)
+            assert systems["floats"] == systems["numpy"]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_eom_residual_equals_the_per_row_loop(label, n):
     system = _system(label, n)
     trajectory = integrate(system, next(_points(n, 1, seed=40 + n)), 0.05, 30, "rk4")

@@ -454,6 +454,18 @@ def test_batch_runs_the_configs_after_an_output_prefix_in_a_symlink_loop(tmp_pat
     assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
 
 
+def test_batch_refuses_two_output_prefixes_in_one_symlink_loop(tmp_path, capsys):
+    # realpath stops at the loop and returns the same path for both, on every Python version
+    (tmp_path / "loop_a").symlink_to(tmp_path / "loop_b")
+    (tmp_path / "loop_b").symlink_to(tmp_path / "loop_a")
+    prefix = str(tmp_path / "loop_a" / "run")
+    batch_dir = write_batch(tmp_path, [("a_loop", dict(output_prefix=prefix)), ("b_loop", dict(output_prefix=prefix))])
+    assert main(["run", "--batch", str(batch_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: configs {batch_dir / 'a_loop.json'} and {batch_dir / 'b_loop.json'} share output_prefix ")
+    assert len(err.splitlines()) == 1
+
+
 # 3000 levels overflow the default recursion limit of 1000 at any stack depth
 @pytest.mark.parametrize(
     "hamiltonian,message",

@@ -11,15 +11,18 @@ gradients, reordered and signed exactly; so the two runs agree in every
 bit: the states, the CSV's cells, the drift series and the EOM residual.
 A run that fails, fails at the same step with the same exception.
 
-One step is not coordinatewise: the implicit midpoint rule's LAPACK solve.
-Its LU factorisation eliminates in the matrix's own order, so on P^T M P
-it can round differently: the first example below, under F from the
-origin, moves the last bit of x4 at step 1.  The bitwise runs therefore solve the
-cycled Newton system rotated back to the base order, which equals the base
-run's system exactly when the stepper built P^T M P: that checks the
-signed reorder of the Newton matrix for every label.  The run with the
-plain solve must stay within 4 k NEWTON_TOL max(1, |y|) after k steps:
-each solve lands within the stop rule of the same root.
+One step is not coordinatewise: the implicit midpoint rule's solve of its
+Newton system, by gaussian_solve up to dynamics.NUMPY_SOLVE_SIZE
+coordinates (all cases here) and by LAPACK past it.  Both eliminate in the
+matrix's own order, so on P^T M P they can round differently: the first
+example below, under F from the origin, moves the last bit of a coordinate
+at step 1 under either.  The bitwise runs therefore solve the cycled Newton system
+rotated back to the base order, whichever solver the stepper calls; the
+rotated system equals the base run's exactly when the stepper built
+P^T M P: that checks the signed reorder of the Newton matrix for every
+label.  The run with the plain solve must stay within
+4 k NEWTON_TOL max(1, |y|) after k steps: each solve lands within the stop
+rule of the same root.
 
 The symplecticity probe differs.  It perturbs the coordinates in their own
 order, so the implicit midpoint rule's warm starts chain through them in
@@ -61,6 +64,7 @@ from quatflow import (
     parse,
     symplecticity_residual,
 )
+from quatflow import dynamics
 from quatflow.cli import trajectory_csv
 from quatflow.diagnostics import SYMPLECTICITY_LIMIT, step_jacobian
 from quatflow.dynamics import NEWTON_TOL
@@ -129,19 +133,26 @@ def _run(system, start, method, steps):
 
 @contextlib.contextmanager
 def _solving_in_the_base_order(source):
-    """np.linalg.solve on the cycled Newton system, rotated back to the base run's order.
+    """Each Newton solve on the cycled system, rotated back to the base run's order.
 
-    The rotated system is the base run's exactly when the cycled Newton
-    matrix is P^T M P bit for bit, and the solve then returns its bits.
+    Both solvers are patched: gaussian_solve on lists of float rows and
+    np.linalg.solve on arrays.  The rotated system is the base run's
+    exactly when the cycled Newton matrix is P^T M P bit for bit, and the
+    solve then returns its bits.
     """
-    solve = np.linalg.solve
-    back = np.argsort(source)
+    solve, float_solve = np.linalg.solve, dynamics.gaussian_solve
+    back = np.argsort(source).tolist()
 
     def rotated_solve(matrix, rhs):
         return solve(matrix[np.ix_(back, back)], np.asarray(rhs)[back])[source]
 
+    def rotated_float_solve(matrix, rhs):
+        solution = float_solve([[matrix[i][j] for j in back] for i in back], [rhs[i] for i in back])
+        return [solution[j] for j in source]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "solve", rotated_solve)
+        patch.setattr(dynamics, "gaussian_solve", rotated_float_solve)
         yield
 
 

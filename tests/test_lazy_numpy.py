@@ -1,12 +1,13 @@
-"""Start-up imports: numpy only for the implicit midpoint solve, and never
-`dataclasses`, `inspect` or `typing`.
+"""Start-up imports: numpy only for the implicit midpoint solve past
+4n = NUMPY_SOLVE_SIZE = 8, and never `dataclasses`, `inspect` or `typing`.
 
 Each case runs in a fresh interpreter on the package under src/ and reports
-which of those modules are in sys.modules when it is done: an RK4 run,
-`verify`, `dump` and a bare `import quatflow` must leave out numpy,
-`dataclasses` and `inspect`, and a midpoint run must bring numpy in, which
-shows the import sits where it is claimed.  `typing` is checked under
-`python -S` only, since a site-packages `.pth` file may import it first.
+which of those modules are in sys.modules when it is done: an RK4 run, a
+midpoint run at n = 1 or n = 2, `verify`, `dump` and a bare
+`import quatflow` must leave out numpy, `dataclasses` and `inspect`, and a
+midpoint run at n = 3 must bring numpy in, which shows the import sits
+where it is claimed.  `typing` is checked under `python -S` only, since a
+site-packages `.pth` file may import it first.
 """
 
 import json
@@ -39,9 +40,11 @@ def _probe(cwd: Path, *argv: str, flags: tuple[str, ...] = ()) -> dict:
     return json.loads(completed.stdout.splitlines()[-1])
 
 
-def _config(tmp_path: Path, method: str) -> str:
+def _config(tmp_path: Path, method: str, n: int = 1) -> str:
+    """The README demo config at block size n: a quadratic from [1, 0, ..., 0]."""
+    squares = "+".join(f"x{a}^2" for a in range(1, 4 * n + 1))
     payload = {
-        "n": 1, "structure": "F", "hamiltonian": "0.5*(x1^2+x2^2+x3^2+x4^2)", "initial": [1, 0, 0, 0],
+        "n": n, "structure": "F", "hamiltonian": f"0.5*({squares})", "initial": [1] + [0] * (4 * n - 1),
         "dt": 0.01, "steps": 100, "method": method, "output_prefix": f"out/{method}", "emit_plot": True,
     }
     path = tmp_path / f"{method}.json"
@@ -53,25 +56,30 @@ def _config(tmp_path: Path, method: str) -> str:
     "argv",
     [
         ["run", "rk4"],
+        ["run", "implicit_midpoint", "1"],
+        ["run", "implicit_midpoint", "2"],
         ["verify", "--n", "2"],
         ["dump", "--what", "omega", "--label", "G", "--n", "2"],
         ["dump", "--what", "structure", "--label", "H", "--n", "2", "--space", "cotangent"],
         [],
     ],
-    ids=["rk4_run", "verify", "dump_omega", "dump_structure", "import"],
+    ids=["rk4_run", "midpoint_n1_run", "midpoint_n2_run", "verify", "dump_omega", "dump_structure", "import"],
 )
 def test_numpy_stays_unloaded(tmp_path, argv):
+    method = None
     if argv[:1] == ["run"]:
-        argv = ["run", _config(tmp_path, argv[1])]
+        method = argv[1]
+        argv = ["run", _config(tmp_path, method, *map(int, argv[2:]))]
     result = _probe(tmp_path, *argv)
     assert result["code"] == (0 if argv else None)
     assert HEAVY.isdisjoint(result["loaded"])
-    if argv[:1] == ["run"]:
-        assert (tmp_path / "out" / "rk4.diagnostics.json").exists()
+    if method:
+        assert (tmp_path / "out" / f"{method}.diagnostics.json").exists()
 
 
 def test_a_midpoint_run_loads_numpy_for_its_solve(tmp_path):
-    result = _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint"))
+    # n = 3: the 12x12 Newton system is past NUMPY_SOLVE_SIZE
+    result = _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint", 3))
     assert result["code"] == 0
     # numpy itself imports inspect, so only dataclasses is checked here
     assert "numpy" in result["loaded"] and "dataclasses" not in result["loaded"]

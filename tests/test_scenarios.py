@@ -1,7 +1,7 @@
 """The committed scenario corpus: declared exit codes and repeatable bytes.
 
-No digest is pinned: midpoint runs go through np.linalg.solve, whose last
-bits may depend on the CPU.  `python tests/scenarios.py --against REV`
+No digest is pinned: midpoint runs past 4n = 8 go through np.linalg.solve,
+whose last bits may depend on the CPU.  `python tests/scenarios.py --against REV`
 compares the bytes of two revisions on one machine.
 """
 
