@@ -39,8 +39,10 @@ from .structures import LABELS, BlockDim, StructureKind, build_structure, to_flo
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-# up to this 4n the Newton matrix is solved on floats; past it, on numpy,
-# where the import costs less than the elimination's (4n)^3 / 3 float steps
+# up to this 4n the Newton matrix is solved on floats, which spares a run
+# numpy's import; at 4n = 8 a float update already costs about 1.4 numpy
+# updates, so an n = 2 run gains only while it is short (README), and past
+# it the elimination's (4n)^3 / 3 float steps outgrow the import at once
 NUMPY_SOLVE_SIZE = 8
 
 
@@ -221,14 +223,14 @@ def gaussian_solve(matrix, rhs) -> list[float]:
     column's pivot is the first entry of largest |value| at or below the
     diagonal, as LAPACK's idamax picks it, swapped with the diagonal row;
     an exactly zero pivot raises ValueError("Singular matrix"), numpy's
-    LinAlgError text.  An update by an exact zero, which could change
-    nothing but the sign of a zero, is skipped: that of a row whose
+    LinAlgError text.  Four updates by an exact zero, which could change
+    nothing but the sign of a zero, are skipped: that of a row whose
     multiplier is zero, that of the other right-hand sides by a zero one
     and, as LAPACK's reference triangular solve skips them, the back
     substitution terms of a zero solved component and the division of a
-    zero.  So a right-hand side of -0.0 comes back as -0.0.  No float
-    operation here raises: an overflow gives inf and an inf or NaN entry
-    propagates.
+    zero.  So a right-hand side of -0.0 comes back as -0.0; an elimination
+    update by a zero pivot-row entry is made.  No float operation here
+    raises: an overflow gives inf and an inf or NaN entry propagates.
     """
     rows = [[*row, value] for row, value in zip(matrix, rhs)]  # the right-hand side is column `size`
     size = len(rows)

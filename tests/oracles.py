@@ -177,10 +177,10 @@ def elimination_reference(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     The pivot of column k is the first row i >= k of largest |a_ik|, the
     row idamax picks, swapped into row k; an exactly zero pivot raises
-    ValueError("Singular matrix").  An update by an exact zero is skipped:
-    a row whose multiplier is zero, a right-hand side entry that is zero,
-    a back-substitution term whose solved component is zero and the
-    division of a zero sum by its pivot.  Back substitution subtracts each
+    ValueError("Singular matrix").  Four updates by an exact zero are
+    skipped: a row whose multiplier is zero, a right-hand side entry that
+    is zero, a back-substitution term whose solved component is zero and
+    the division of a zero sum by its pivot.  Back substitution subtracts each
     row's terms from the last column towards the diagonal.
     """
     a = np.array(matrix, dtype=np.float64)
