@@ -20,10 +20,10 @@ decided, from one table of checks and their thresholds, and ``_fail`` the
 one place a run that fails once its config has loaded is reported: an
 ``error:`` line on stderr and the same message in ``<prefix>.error.log``.
 A config that cannot be read or is invalid fails alone, so a batch runs on
-past it; the batch's clash check reads configs through
-``config.read_config`` and skips a prefix it cannot resolve.  No other
-codes are ever returned.  Output files carry no timestamps, so identical
-configs produce byte-identical artifacts.
+past it; the batch's clash check reads configs through ``read_config``
+and resolves prefixes with ``os.path.realpath``, so two under one symlink
+loop clash.  No other codes are ever returned.  Output files carry no
+timestamps, so identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations

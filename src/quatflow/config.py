@@ -27,12 +27,6 @@ class ConfigError(ValueError):
 class SimulationConfig(Value):
     __match_args__ = ("n", "structure", "hamiltonian", "initial", "dt", "steps", "method", "output_prefix", "emit_plot")
 
-    def __init__(
-        self, n: int, structure: str, hamiltonian: str, initial: tuple[float, ...], dt: float, steps: int,
-        method: str, output_prefix: str, emit_plot: bool,
-    ) -> None:
-        self._set(n, structure, hamiltonian, initial, dt, steps, method, output_prefix, emit_plot)
-
 
 REQUIRED_FIELDS = SimulationConfig.__match_args__
 

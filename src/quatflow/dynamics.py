@@ -33,8 +33,8 @@ import math
 
 from ._records import Record
 from .expressions import ScalarField, gradient
-from .forms import ConstantTwoForm, symplectic_form
-from .structures import LABELS, BlockDim, StructureKind, build_structure, to_floats
+from .forms import symplectic_form
+from .structures import LABELS, StructureKind, build_structure, to_floats
 
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
@@ -74,12 +74,6 @@ class HamiltonianSystem(Record):
     """
 
     __match_args__ = ("dim", "hamiltonian", "omega", "order", "signs")
-
-    def __init__(
-        self, dim: BlockDim, hamiltonian: ScalarField, omega: ConstantTwoForm, order: tuple[int, ...],
-        signs: tuple[int, ...],
-    ) -> None:
-        self._set(dim, hamiltonian, omega, order, signs)
 
     @classmethod
     def build(cls, label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
@@ -157,18 +151,17 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     I - dt/2 J is built and solved on floats, by gaussian_solve; past it,
     on numpy, run with every numpy float error ignored, the step's only
     numpy code.  Both paths give the matrix the same bits.  Norms are
-    math.hypot's, which does not overflow past
-    |x| ~ 1.34e154 as |x|^2 does.  A non-finite residual stops the
-    iteration at once with the non-finite-state IntegrationError.  A start
-    near the solution saves iterations and moves y only within the
-    tolerance.
+    math.hypot's, which does not overflow past |x| ~ 1.34e154 as |x|^2 does.  A
+    non-finite residual stops the iteration at once with the non-finite-state
+    IntegrationError.  A start must have x's length, else ValueError; one near
+    the solution saves iterations and moves y only within the tolerance.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     hamiltonian = system.hamiltonian
     order, signs = system.order, system.signs
     x = [*map(float, x)]
-    y = x if start is None else [*map(float, start)]
+    y = x if start is None else to_floats(start, len(x), "start")
     h = [1e-7 * max(1.0, abs(a)) for a in x]
     newton_update = _float_newton_update if len(x) <= NUMPY_SOLVE_SIZE else _numpy_newton_update
     for _ in range(NEWTON_MAX_ITER):

@@ -91,36 +91,21 @@ class EvaluationError(ExpressionError):
 class Number(Value):
     __match_args__ = ("value",)
 
-    def __init__(self, value: float) -> None:
-        self._set(value)
-
 
 class Variable(Value):
-    __match_args__ = ("index",)
-
-    def __init__(self, index: int) -> None:  # 1-based
-        self._set(index)
+    __match_args__ = ("index",)  # index is 1-based
 
 
 class Negation(Value):
     __match_args__ = ("operand",)
 
-    def __init__(self, operand: Node) -> None:
-        self._set(operand)
-
 
 class BinaryOp(Value):
-    __match_args__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Node, right: Node) -> None:  # op is one of + - * / ^
-        self._set(op, left, right)
+    __match_args__ = ("op", "left", "right")  # op is one of + - * / ^
 
 
 class FunctionCall(Value):
     __match_args__ = ("name", "argument")
-
-    def __init__(self, name: str, argument: Node) -> None:
-        self._set(name, argument)
 
 
 Node = Number | Variable | Negation | BinaryOp | FunctionCall
@@ -130,9 +115,6 @@ class ScalarField(Value):
     """A parsed Hamiltonian H: R^{4n} -> R."""
 
     __match_args__ = ("dim", "root")
-
-    def __init__(self, dim: BlockDim, root: Node) -> None:
-        self._set(dim, root)
 
     @cached_property
     def gradient_kernel(self) -> "_Kernel":
@@ -161,10 +143,7 @@ _VARIABLE_RE = re.compile(r"^x(\d+)$")
 
 
 class _Token(Value):
-    __match_args__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int) -> None:  # kind: number | ident | op | end
-        self._set(kind, text, offset)
+    __match_args__ = ("kind", "text", "offset")  # kind: number | ident | op | end
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -123,9 +123,6 @@ class EuclideanMetric(Value):
 
     __match_args__ = ("dim",)
 
-    def __init__(self, dim: BlockDim) -> None:
-        self._set(dim)
-
 
 def build_structure(kind: StructureKind, dim: BlockDim) -> StructureTensor:
     """Construct the named structure tensor from its block table.

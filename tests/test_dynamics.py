@@ -244,6 +244,13 @@ def test_midpoint_rejects_bad_parameters():
             step_implicit_midpoint(system, POINT, dt)
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_midpoint_rejects_a_start_of_the_wrong_length(length):
+    # an extra entry is not dropped, and a short start is not reported as a bad point
+    with pytest.raises(ValueError, match="^start must have length 4$"):
+        step_implicit_midpoint(_system("F"), POINT, 0.1, start=[*POINT, 0.0][:length])
+
+
 # --- trajectories ----------------------------------------------------------
 
 def test_integrate_length_contract():

@@ -13,10 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatflow import BlockDim, EvaluationError, HamiltonianSystem, evaluate, gradient, parse
-from quatflow.expressions import DEMO_HAMILTONIANS, _KernelSource
+from quatflow.expressions import DEMO_HAMILTONIANS, ScalarField, _KernelSource
 from oracles import dual_gradient, fd_gradient, interpret
+from test_expressions import _nodes
 
 EPS = np.finfo(np.float64).eps
 DIM1 = BlockDim(1)
@@ -87,6 +90,27 @@ def _value_cases():
 def test_kernel_value_equals_the_interpreter_bit_for_bit(field, point):
     value, _ = field.gradient_kernel.gradient(point.tolist())
     assert value.hex() == evaluate(field, point).hex() == interpret(field, point).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_nodes(), n=st.sampled_from([1, 2]), data=st.data())
+def test_the_kernel_equals_the_interpreter_on_random_trees(node, n, data):
+    # bit for bit, signed zeros included (a NaN's hex is "nan" whatever its sign), or the same error
+    field = ScalarField(BlockDim(n), node)
+    point = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=4 * n, max_size=4 * n), label="point")
+    try:
+        expected = interpret(field, point)
+    except EvaluationError as oracle_error:
+        with pytest.raises(EvaluationError) as kernel_error:
+            evaluate(field, point)
+        assert kernel_error.value.expression == oracle_error.expression
+        return
+    assert evaluate(field, point).hex() == expected.hex()
+    try:
+        value, _ = field.gradient_kernel.gradient(point)
+    except EvaluationError:  # only a derivative failed, as at sqrt(0)
+        return
+    assert value.hex() == expected.hex()
 
 
 def test_gradient_is_deterministic_across_calls_and_parses():

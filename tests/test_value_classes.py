@@ -5,7 +5,9 @@ small immutable records.  Eleven compare and hash by value; the forms, the
 structure tensor, the system and the trajectory compare by identity, since
 their fields are normalised rows and states that nothing compares whole.
 Every record refuses assignment after construction, and its cached
-properties are built on first read and kept.
+properties are built on first read and kept.  The ten records without a
+constructor of their own bind arguments as a def would, with a TypeError
+for a missing, unknown or repeated one.
 """
 
 import numpy as np
@@ -61,6 +63,12 @@ IDENTITY_CASES = {
                                           "order": (1, 0, 3, 2), "signs": (-1, 1, -1, 1)}),
 }
 FROZEN_CASES = {**VALUE_CASES, **IDENTITY_CASES}
+# the records whose fields Record.__init__ binds, with no constructor of their own
+BOUND_CASES = {
+    name: FROZEN_CASES[name]
+    for name in ("Number", "Variable", "Negation", "BinaryOp", "FunctionCall", "ScalarField", "_Token",
+                 "EuclideanMetric", "HamiltonianSystem", "SimulationConfig")
+}
 # the one mutable record: the kernel writer fills in expr and partial after construction
 KERNEL_VALUE = (_Value, {"node": Number(1.0), "expr": "1.0", "varying": False, "operands": (), "partial": None})
 
@@ -76,6 +84,44 @@ def test_positional_and_keyword_construction_agree(name):
             assert getattr(record, field) == value
     with pytest.raises(TypeError):
         cls(*kwargs.values(), None)
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_a_missing_unknown_or_repeated_argument_raises_type_error(name):
+    cls, kwargs = BOUND_CASES[name]
+    values = [*kwargs.values()]
+    first, last = next(iter(kwargs)), [*kwargs][-1]
+    for args, keywords in [
+        (values[:-1], {}),  # the last field missing
+        ((), {field: value for field, value in kwargs.items() if field != last}),
+        ((), {}),
+        (values, {"unknown": 1}),
+        ((), {**kwargs, "unknown": 1}),
+        (values[:1], {first: values[0]}),  # the first field, positionally and by keyword
+        (values[:1], kwargs),
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **keywords)
+
+
+def test_keywords_bind_to_their_fields_in_any_order():
+    expected = BinaryOp("+", Number(1.0), Variable(2))
+    assert BinaryOp(right=Variable(2), op="+", left=Number(1.0)) == expected
+    assert BinaryOp("+", right=Variable(2), left=Number(1.0)) == expected
+
+
+def test_a_bad_argument_is_named_with_the_fields():
+    for call, message in [
+        (lambda: Number(), "Number(value): missing argument 'value'"),
+        (lambda: BinaryOp("+", Number(1.0)), "BinaryOp(op, left, right): missing argument 'right'"),
+        (lambda: Variable(index=1, offset=2), "Variable(index): unknown argument 'offset'"),
+        (lambda: _Token("end", "", kind="op"),
+         "_Token(kind, text, offset): repeated argument 'kind', missing argument 'offset'"),
+        (lambda: Negation(Variable(1), Variable(2)), "Negation(operand): extra argument Variable(index=2)"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", VALUE_CASES)
