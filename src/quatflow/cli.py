@@ -76,7 +76,7 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     digits round-trip any IEEE double exactly.
     """
     hamiltonian = trajectory.system.hamiltonian
-    size = trajectory.system.dim.total
+    size = trajectory.system.omega.dim.total
     header = "t," + ",".join(f"x{a}" for a in range(1, size + 1)) + ",energy"
     row = ",".join(["%.17g"] * (size + 2))
     lines = [header]

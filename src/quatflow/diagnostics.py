@@ -112,7 +112,7 @@ def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: 
     one product J^T (Omega J) runs on Python floats; past it, on numpy.
     """
     rows = step_jacobian(system, point, dt, method)
-    order, signs = system.order, system.signs
+    order, signs = system.omega.order, system.omega.signs
     # a huge Jacobian overflows here; the residual then reads inf or NaN and fails its gate
     if len(rows) > NUMPY_PRODUCT_SIZE:
         import numpy as np
@@ -136,8 +136,8 @@ def _max(values: list[float]) -> float:
 
 def algebra_residuals(system: HamiltonianSystem) -> dict[str, int]:
     """Quaternion-relation residuals, worst case over both triples."""
-    tangent = verify_quaternion_relations(*structure_triple("tangent", system.dim))
-    cotangent = verify_quaternion_relations(*structure_triple("cotangent", system.dim))
+    tangent = verify_quaternion_relations(*structure_triple("tangent", system.omega.dim))
+    cotangent = verify_quaternion_relations(*structure_triple("cotangent", system.omega.dim))
     return {key: max(value, cotangent[key]) for key, value in tangent.items()}
 
 

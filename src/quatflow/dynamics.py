@@ -9,7 +9,7 @@ Omega^T X = grad H, so
 
 Omega is the label's dual (cotangent) tensor, a signed permutation, so
 Omega Omega^T = I and Omega^{-T} is Omega itself.  HamiltonianSystem.build
-checks that Omega is exactly that tensor and takes its (order, signs):
+checks that Omega is exactly that tensor and holds it as the system's omega:
 (Omega v)_i = signs_i v_{order_i}.  Each field evaluation is one call of
 the Hamiltonian's compiled reverse-mode gradient kernel, whose list is
 reordered and signed; that is exact, so it gives the bits of the product
@@ -69,22 +69,21 @@ class NewtonDivergenceError(IntegrationError):
 class HamiltonianSystem(Record):
     """An energy function together with one of the three symplectic forms.
 
-    order and signs, the label's cotangent tensor's, hold Omega as a signed
-    permutation: (Omega v)_i == signs_i * v[order_i] for every vector v.
+    omega, the label's cotangent tensor, holds Omega as a signed permutation,
+    (Omega v)_i == omega.signs[i] * v[omega.order[i]], with its label and dim.
     """
 
-    __match_args__ = ("dim", "hamiltonian", "omega", "order", "signs")
+    __match_args__ = ("hamiltonian", "omega")
 
     @classmethod
     def build(cls, label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
         if label not in LABELS:
             raise ValueError(f"structure label must be one of {LABELS}, got {label!r}")
-        omega = symplectic_form(label, hamiltonian.dim)
-        dual = build_structure(StructureKind(label, "cotangent"), hamiltonian.dim)
+        omega = build_structure(StructureKind(label, "cotangent"), hamiltonian.dim)
         # the field applies Omega in place of Omega^{-T}, exact only for a signed permutation
-        if omega.rows != dual.rows:
+        if symplectic_form(label, hamiltonian.dim).rows != omega.rows:
             raise AssertionError("Omega is not the dual structure tensor, so Omega^{-T} is not Omega")
-        return cls(hamiltonian.dim, hamiltonian, omega, dual.order, dual.signs)
+        return cls(hamiltonian, omega)
 
 
 class Trajectory(Record):
@@ -96,7 +95,7 @@ class Trajectory(Record):
     __match_args__ = ("system", "states", "step")
 
     def __init__(self, system: HamiltonianSystem, states, step: float) -> None:
-        states = tuple(to_floats(row, system.dim.total, "each state") for row in states)
+        states = tuple(to_floats(row, system.omega.dim.total, "each state") for row in states)
         if not (step > 0.0 and states):
             raise ValueError("a trajectory needs a positive step and at least one state")
         self._set(system, states, step)
@@ -109,7 +108,7 @@ class Trajectory(Record):
 def hamiltonian_vector_field(system: HamiltonianSystem, point) -> list[float]:
     """Solve i_X Phi = dH at a point: X = Omega^{-T} grad H = Omega grad H."""
     grad = gradient(system.hamiltonian, point)
-    return [s * grad[o] for o, s in zip(system.order, system.signs)]
+    return [s * grad[o] for o, s in zip(system.omega.order, system.omega.signs)]
 
 
 def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
@@ -125,7 +124,7 @@ def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     hamiltonian = system.hamiltonian
-    order, signs = system.order, system.signs
+    order, signs = system.omega.order, system.omega.signs
     half = 0.5 * dt
     g1 = gradient(hamiltonian, x)
     g2 = gradient(hamiltonian, [a + (half * s) * g1[o] for a, s, o in zip(x, signs, order)])
@@ -159,7 +158,7 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     hamiltonian = system.hamiltonian
-    order, signs = system.order, system.signs
+    order, signs = system.omega.order, system.omega.signs
     x = [*map(float, x)]
     y = x if start is None else to_floats(start, len(x), "start")
     h = [1e-7 * max(1.0, abs(a)) for a in x]
@@ -188,7 +187,7 @@ def _float_newton_update(system, rows, g, h, dt, residual) -> list[float]:
     """
     half = 0.5 * dt
     matrix = []
-    for i, (o, s) in enumerate(zip(system.order, system.signs)):
+    for i, (o, s) in enumerate(zip(system.omega.order, system.omega.signs)):
         base = g[o]
         if s > 0:
             row = [0.0 - half * ((r[o] - base) / step) for r, step in zip(rows, h)]
@@ -205,7 +204,8 @@ def _numpy_newton_update(system, rows, g, h, dt, residual) -> list[float]:
 
     with np.errstate(all="ignore"):
         # the index is a list: numpy reads a tuple as one index per axis
-        jacobian = ((np.array(rows) - g) / np.array(h)[:, None]).T[list(system.order)] * np.array(system.signs)[:, None]
+        jacobian = ((np.array(rows) - g) / np.array(h)[:, None]).T[list(system.omega.order)]
+        jacobian *= np.array(system.omega.signs)[:, None]
         return np.linalg.solve(np.eye(len(g)) - 0.5 * dt * jacobian, np.negative(residual)).tolist()
 
 
@@ -282,7 +282,7 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x0 = to_floats(initial, system.dim.total, "initial point")
+    x0 = to_floats(initial, system.omega.dim.total, "initial point")
     if not all(map(math.isfinite, x0)):
         raise ValueError("initial point must be finite")
     try:

@@ -23,6 +23,7 @@ from quatflow.expressions import (
     format_expression,
     gradient,
 )
+from quatflow.forms import symplectic_form
 from quatflow.structures import LABELS, BlockDim
 
 
@@ -45,6 +46,15 @@ def expm_taylor(matrix: np.ndarray) -> np.ndarray:
 def dense(rows) -> np.ndarray:
     """The square matrix whose rows, each a {column: value} map, are rows."""
     return np.array([[row.get(b, 0) for b in range(len(rows))] for row in rows])
+
+
+def omega_matrix(system) -> np.ndarray:
+    """A system's dense Omega, from the forms chain for the label the system carries.
+
+    The steppers apply Omega as system.omega's (order, signs); this matrix is
+    -d(dual(omega)) built again, so a test that uses it does not share them.
+    """
+    return symplectic_form(system.omega.kind.label, system.omega.dim).matrix
 
 
 def signed_perm_det(matrix: np.ndarray) -> int:
@@ -113,7 +123,7 @@ def rk4_step_on_arrays(system, x: np.ndarray, dt: float) -> np.ndarray:
     is summed in place in gradient space and permuted once; a non-finite
     state raises AssertionError.
     """
-    order, signs = list(system.order), np.array(system.signs)
+    order, signs = list(system.omega.order), np.array(system.omega.signs)
 
     def grad(point):
         return np.array(gradient(system.hamiltonian, point))
@@ -146,9 +156,10 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> t
     coordinates, where the package solves on floats, the Newton system is
     solved by elimination_reference; past it, by np.linalg.solve.
     """
+    omega = omega_matrix(system)
 
     def field(point):
-        return system.omega.matrix @ gradient(system.hamiltonian, point)
+        return omega @ gradient(system.hamiltonian, point)
 
     size = x.size
     h = 1e-7 * np.maximum(1, np.abs(x))

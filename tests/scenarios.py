@@ -49,6 +49,14 @@ def load_manifest() -> list[dict]:
 
 def run_scenario(scenario: dict) -> dict:
     """Run one scenario: its exit code, stdout, stderr and artifact bytes."""
+    with tempfile.TemporaryDirectory() as temporary:
+        work = Path(temporary) / "corpus"
+        shutil.copytree(CORPUS, work, ignore=shutil.ignore_patterns(MANIFEST.name))
+        return run_in(work, scenario["argv"])
+
+
+def run_in(work: Path, argv) -> dict:
+    """Run `quatflow argv` in-process in work, as a scenario runs: the files it adds are its artifacts."""
     from quatflow.cli import main  # imported late: main() picks the package to run
 
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -56,26 +64,23 @@ def run_scenario(scenario: dict) -> dict:
     def show(message, category, filename, lineno, file=None, line=None):
         stderr.write(f"{Path(filename).name}:{lineno}: {category.__name__}: {message}\n")
 
-    with tempfile.TemporaryDirectory() as scratch:
-        work = Path(scratch) / "corpus"
-        shutil.copytree(CORPUS, work, ignore=shutil.ignore_patterns(MANIFEST.name))
-        inputs = set(work.rglob("*"))
-        cwd = os.getcwd()
-        os.chdir(work)
-        try:
-            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                warnings.simplefilter("default")
-                warnings.showwarning = show
-                code = main(list(scenario["argv"]))
-        except Exception as exc:  # reported like an exit code, so one crash stops no comparison
-            code = f"uncaught {type(exc).__name__}: {exc}"
-        finally:
-            os.chdir(cwd)
-        artifacts = {
-            path.relative_to(work).as_posix(): path.read_bytes()
-            for path in sorted(work.rglob("*"))
-            if path not in inputs and path.is_file()
-        }
+    inputs = set(work.rglob("*"))
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("default")
+            warnings.showwarning = show
+            code = main(list(argv))
+    except Exception as exc:  # reported like an exit code, so one crash stops no comparison
+        code = f"uncaught {type(exc).__name__}: {exc}"
+    finally:
+        os.chdir(cwd)
+    artifacts = {
+        path.relative_to(work).as_posix(): path.read_bytes()
+        for path in sorted(work.rglob("*"))
+        if path not in inputs and path.is_file()
+    }
     return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "artifacts": artifacts}
 
 

@@ -31,7 +31,7 @@ from quatflow import (
 from quatflow import dynamics
 from quatflow.cli import trajectory_csv
 import oracles
-from oracles import dense, rk4_on_field, rk4_step_on_arrays
+from oracles import dense, omega_matrix, rk4_on_field, rk4_step_on_arrays
 
 SIZES = (1, 2, 8)
 
@@ -54,34 +54,36 @@ def _points(n: int, count: int, seed: int):
 
 
 def _matrix_field(system):
-    return lambda point: system.omega.matrix @ gradient(system.hamiltonian, point)
+    omega = omega_matrix(system)
+    return lambda point: omega @ gradient(system.hamiltonian, point)
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_signed_permutation_field_equals_the_matrix_product(label, n):
     system = _system(label, n)
-    size = 4 * n
-    assert np.array_equal(np.array(system.signs)[:, None] * np.eye(size)[list(system.order)], system.omega.matrix)
-    # build takes Omega's order and signs from the dual tensor, which Omega equals
+    omega, size = system.omega, 4 * n
+    # build holds the label's dual tensor as omega, and the forms chain's Omega equals it
     dual = build_structure(StructureKind(label, "cotangent"), BlockDim(n))
-    assert np.array_equal(system.omega.matrix, dense(dual.rows))
-    assert system.omega.rows == dual.rows
-    assert system.order == dual.order and system.signs == dual.signs
+    assert (omega.kind, omega.dim, omega.order, omega.signs) == (dual.kind, dual.dim, dual.order, dual.signs)
+    assert np.array_equal(np.array(omega.signs)[:, None] * np.eye(size)[list(omega.order)], omega_matrix(system))
+    assert np.array_equal(dense(omega.rows), omega_matrix(system))
+    field = _matrix_field(system)
     for point in _points(n, 20, seed=n):
-        assert np.array_equal(hamiltonian_vector_field(system, point), _matrix_field(system)(point))
+        assert np.array_equal(hamiltonian_vector_field(system, point), field(point))
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8))
 @pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_rk4_step_equals_the_textbook_formula(label, n):
     system = _system(label, n)
+    field = _matrix_field(system)
     for point in _points(n, 10, seed=10 + n):
-        textbook = rk4_on_field(_matrix_field(system), point, 0.01, 1)[-1]
+        textbook = rk4_on_field(field, point, 0.01, 1)[-1]
         assert np.array_equal(step_rk4(system, point, 0.01), textbook)
     start = next(_points(n, 1, seed=20 + n))
     trajectory = integrate(system, start, 0.02, 50, "rk4")
-    assert np.array_equal(trajectory.states, np.array(rk4_on_field(_matrix_field(system), start, 0.02, 50)))
+    assert np.array_equal(trajectory.states, np.array(rk4_on_field(field, start, 0.02, 50)))
 
 
 def _signed_zeros(n: int) -> np.ndarray:
@@ -209,10 +211,10 @@ def test_eom_residual_equals_the_per_row_loop(label, n):
     system = _system(label, n)
     trajectory = integrate(system, next(_points(n, 1, seed=40 + n)), 0.05, 30, "rk4")
     rows, dt = np.array(trajectory.states), trajectory.step
-    worst = 0.0
+    worst, field = 0.0, _matrix_field(system)
     for k in range(1, len(rows) - 1):
         velocity = (rows[k + 1] - rows[k - 1]) / (2.0 * dt)
-        worst = max(worst, float(np.abs(velocity - _matrix_field(system)(rows[k])).max()))
+        worst = max(worst, float(np.abs(velocity - field(rows[k])).max()))
     assert eom_residual(trajectory) == worst
 
 

@@ -3,7 +3,7 @@
 
 Each case runs in a fresh interpreter on the package under src/ and reports
 which of those modules are in sys.modules when it is done: an RK4 run, a
-midpoint run at n = 1 or n = 2, `verify`, `dump` and a bare
+midpoint run at n = 1 or n = 2, a batch of both, `verify`, `dump` and a bare
 `import quatflow` must leave out numpy, `dataclasses` and `inspect`, and a
 midpoint run at n = 3 must bring numpy in, which shows the import sits
 where it is claimed.  `typing` is checked under `python -S` only, since a
@@ -11,6 +11,7 @@ site-packages `.pth` file may import it first.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,15 @@ if len(sys.argv) > 1:
 print(json.dumps({"code": code, "loaded": sorted({"numpy", "dataclasses", "inspect", "typing"} & set(sys.modules))}))
 """
 HEAVY = {"numpy", "dataclasses", "inspect"}
+# (n, form, energy of S = x1^2 + ... + x{4n}^2, method, dt, steps): the runs of the mixed batch benchmark
+MIXED_BATCH = (
+    (1, "F", "0.5*{S}", "rk4", 0.01, 200),
+    (1, "G", "sqrt(1+{S})", "implicit_midpoint", 0.05, 20),
+    (2, "H", "0.25*(1+{S})^2", "rk4", 0.01, 100),
+    (2, "F", "exp(0.5*{S})", "implicit_midpoint", 0.05, 4),
+    (8, "G", "exp(0.5*{S})", "rk4", 0.02, 8),
+    (2, "G", "sqrt(1+{S})", "rk4", 0.02, 60),
+)
 
 
 def _probe(cwd: Path, *argv: str, flags: tuple[str, ...] = ()) -> dict:
@@ -75,6 +85,26 @@ def test_numpy_stays_unloaded(tmp_path, argv):
     assert HEAVY.isdisjoint(result["loaded"])
     if method:
         assert (tmp_path / "out" / f"{method}.diagnostics.json").exists()
+
+
+def test_a_mixed_batch_leaves_numpy_unloaded(tmp_path):
+    # RK4 at n = 1, 2 and 8 and the midpoint rule at n = 1 and 2, from |x0| = 0.8
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for k, (n, label, energy, method, dt, steps) in enumerate(MIXED_BATCH, start=1):
+        squares = "+".join(f"x{a}^2" for a in range(1, 4 * n + 1))
+        payload = {
+            "n": n, "structure": label, "hamiltonian": energy.format(S=f"({squares})"),
+            "initial": [(-1) ** a * 0.8 / math.sqrt(4 * n) for a in range(4 * n)], "dt": dt, "steps": steps,
+            "method": method, "output_prefix": f"out/b{k}", "emit_plot": False,
+        }
+        (batch / f"b{k}.json").write_text(json.dumps(payload), encoding="utf-8")
+    result = _probe(tmp_path, "run", "--batch", "batch")
+    assert result["code"] == 0
+    assert HEAVY.isdisjoint(result["loaded"])
+    assert sorted(path.name for path in (tmp_path / "out").glob("*.diagnostics.json")) == [
+        f"b{k}.diagnostics.json" for k in range(1, len(MIXED_BATCH) + 1)
+    ]
 
 
 def test_a_midpoint_run_loads_numpy_for_its_solve(tmp_path):

@@ -7,7 +7,8 @@ their fields are normalised rows and states that nothing compares whole.
 Every record refuses assignment after construction, and its cached
 properties are built on first read and kept.  The ten records without a
 constructor of their own bind arguments as a def would, with a TypeError
-for a missing, unknown or repeated one.
+for a missing, unknown or repeated one.  A built system holds two fields,
+its energy and its label's cotangent tensor.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from quatflow import (
     StructureKind,
     StructureTensor,
     Trajectory,
+    build_structure,
     parse,
 )
 from quatflow.config import REQUIRED_FIELDS, SimulationConfig
@@ -52,8 +54,7 @@ VALUE_CASES = {
 IDENTITY_CASES = {
     "HamiltonianSystem": (
         HamiltonianSystem,
-        {"dim": DIM, "hamiltonian": SYSTEM.hamiltonian, "omega": SYSTEM.omega, "order": SYSTEM.order,
-         "signs": SYSTEM.signs},
+        {"hamiltonian": SYSTEM.hamiltonian, "omega": SYSTEM.omega},
     ),
     "Trajectory": (Trajectory, {"system": SYSTEM, "states": ((1.0, 0.0, 0.0, 0.0),), "step": 0.1}),
     "AffineOneForm": (AffineOneForm, {"dim": DIM, "linear": ({0: 0.5}, {1: 0.5}, {2: 0.5}, {3: 0.5}),
@@ -203,6 +204,21 @@ def test_ast_nodes_match_positional_patterns():
         case _:
             matched = False
     assert matched
+
+
+@pytest.mark.parametrize("n", (1, 2, 8))
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_a_system_is_its_energy_and_the_labels_cotangent_tensor(label, n):
+    dim = BlockDim(n)
+    field = parse("x1*x2", dim)
+    dual = build_structure(StructureKind(label, "cotangent"), dim)
+    match HamiltonianSystem.build(label, field):
+        case HamiltonianSystem(hamiltonian, StructureTensor(kind, omega_dim, order, signs)):
+            assert hamiltonian is field
+            assert (kind, omega_dim, order, signs) == (dual.kind, dim, dual.order, dual.signs)
+        case _:
+            pytest.fail("a system does not match HamiltonianSystem(hamiltonian, omega)")
+    assert HamiltonianSystem.__match_args__ == ("hamiltonian", "omega")
 
 
 def test_required_fields_follow_the_constructor_order():
