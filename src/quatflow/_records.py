@@ -6,8 +6,11 @@ StructureKind, StructureTensor, the forms and Trajectory check or
 normalise theirs in their own __init__ and store them with _set.  Then
 assigning or deleting an attribute raises AttributeError.  repr shows the
 fields.  A Value also compares and hashes by its fields, and equals only a
-record of its own class; a plain Record compares by identity.  The methods
-are written out, not generated at import, so defining a record is cheap.
+record of its own class; a plain Record compares by identity.  A record
+pickles as its class and fields, so what it caches on first use (rows,
+compiled kernels, generated functions) stays out of the pickle and is
+built again when next read.  The methods are written out, not generated
+at import, so defining a record is cheap.
 """
 
 
@@ -34,6 +37,9 @@ class Record:
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, field) for field in self.__match_args__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -107,9 +107,10 @@ def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> t
 def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: str) -> float:
     """Entrywise max of J^T Omega J - Omega for one step map.
 
-    Omega J is a signed reorder of J's rows, and Omega's nonzero entries
-    are signs_a at (a, order_a).  Up to NUMPY_PRODUCT_SIZE coordinates the
-    one product J^T (Omega J) runs on Python floats; past it, on numpy.
+    Omega J is a signed reorder of J's rows, each column's image by
+    omega.apply, and Omega's nonzero entries are signs_a at (a, order_a).
+    Up to NUMPY_PRODUCT_SIZE coordinates the one product J^T (Omega J) runs
+    on Python floats; past it, on numpy.
     """
     rows = step_jacobian(system, point, dt, method)
     order, signs = system.omega.order, system.omega.signs
@@ -124,7 +125,7 @@ def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: 
             product[range(len(order)), order] -= row_signs
             return float(np.abs(product).max())
     columns = list(zip(*rows))
-    images = [[s * column[o] for o, s in zip(order, signs)] for column in columns]
+    images = [*map(system.omega.apply, columns)]
     return _max([abs(sum(map(mul, column, image)) - (signs[a] if b == order[a] else 0))
                  for a, column in enumerate(columns) for b, image in enumerate(images)])
 

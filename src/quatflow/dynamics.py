@@ -11,9 +11,10 @@ Omega is the label's dual (cotangent) tensor, a signed permutation, so
 Omega Omega^T = I and Omega^{-T} is Omega itself.  HamiltonianSystem.build
 checks that Omega is exactly that tensor and holds it as the system's omega:
 (Omega v)_i = signs_i v_{order_i}.  Each field evaluation is one call of
-the Hamiltonian's compiled reverse-mode gradient kernel, whose list is
-reordered and signed; that is exact, so it gives the bits of the product
-Omega grad H, except that a -0.0 component stays -0.0.
+the Hamiltonian's compiled reverse-mode gradient kernel, whose list the
+tensor's generated omega.apply reorders and signs; that is exact, so it
+gives the bits of the product Omega grad H, except that a -0.0 component
+stays -0.0.
 Two fixed-step one-step methods integrate the flow on Python floats:
 classical RK4 and the implicit midpoint rule, solved by Newton iteration
 with a finite-difference Jacobian and symplectic for any constant Omega.
@@ -106,9 +107,8 @@ class Trajectory(Record):
 
 
 def hamiltonian_vector_field(system: HamiltonianSystem, point) -> list[float]:
-    """Solve i_X Phi = dH at a point: X = Omega^{-T} grad H = Omega grad H."""
-    grad = gradient(system.hamiltonian, point)
-    return [s * grad[o] for o, s in zip(system.omega.order, system.omega.signs)]
+    """Solve i_X Phi = dH at a point: X = Omega^{-T} grad H = Omega grad H, by omega.apply."""
+    return system.omega.apply(gradient(system.hamiltonian, point))
 
 
 def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
@@ -116,23 +116,21 @@ def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
 
     The step runs on Python floats, x best a list or tuple of them.  The
     stages k_i = Omega g_i are kept as the gradients g_i: each stage point is
-    x_a + (h signs_a) * g[order_a], and k1 + 2 k2 + 2 k3 + k4 is summed as
-    ((g1 + 2 g2) + 2 g3) + g4 in gradient space and permuted once.
-    Negation and reordering are exact, so these float operations, in this
-    order, give the bits of the textbook formula.
+    omega.shift(x, g, h), x_a + (h signs_a) * g[order_a], and
+    k1 + 2 k2 + 2 k3 + k4 is summed as ((g1 + 2 g2) + 2 g3) + g4 in gradient
+    space and shifted once.  Negation and reordering are exact, so these
+    float operations, in this order, give the bits of the textbook formula.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    hamiltonian = system.hamiltonian
-    order, signs = system.omega.order, system.omega.signs
+    hamiltonian, shift = system.hamiltonian, system.omega.shift
     half = 0.5 * dt
     g1 = gradient(hamiltonian, x)
-    g2 = gradient(hamiltonian, [a + (half * s) * g1[o] for a, s, o in zip(x, signs, order)])
-    g3 = gradient(hamiltonian, [a + (half * s) * g2[o] for a, s, o in zip(x, signs, order)])
-    g4 = gradient(hamiltonian, [a + (dt * s) * g3[o] for a, s, o in zip(x, signs, order)])
+    g2 = gradient(hamiltonian, shift(x, g1, half))
+    g3 = gradient(hamiltonian, shift(x, g2, half))
+    g4 = gradient(hamiltonian, shift(x, g3, dt))
     total = [((a + 2.0 * b) + 2.0 * c) + d for a, b, c, d in zip(g1, g2, g3, g4)]
-    sixth = dt / 6.0
-    y = [a + (sixth * s) * total[o] for a, s, o in zip(x, signs, order)]
+    y = shift(x, total, dt / 6.0)
     _require_finite(y)
     return y
 
@@ -157,8 +155,7 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    hamiltonian = system.hamiltonian
-    order, signs = system.omega.order, system.omega.signs
+    hamiltonian, apply = system.hamiltonian, system.omega.apply
     x = [*map(float, x)]
     y = x if start is None else to_floats(start, len(x), "start")
     h = [1e-7 * max(1.0, abs(a)) for a in x]
@@ -166,7 +163,7 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     for _ in range(NEWTON_MAX_ITER):
         mid = [0.5 * (a + b) for a, b in zip(x, y)]
         g = gradient(hamiltonian, mid)
-        residual = [b - a - dt * (s * g[o]) for a, b, s, o in zip(x, y, signs, order)]
+        residual = [b - a - dt * v for a, b, v in zip(x, y, apply(g))]
         _require_finite(residual)
         residual_norm = math.hypot(*residual)
         rows = [gradient(hamiltonian, mid[:a] + [mid[a] + h[a]] + mid[a + 1:]) for a in range(len(mid))]

@@ -19,7 +19,7 @@ omega = 1/2 sum_a x_a dx_a.  A form's matrix is held as its rows, row a a
 read-only map {b: M[a, b]} of the nonzero entries in Python floats; a row
 may be given dense instead.  The chain touches only those entries, so it
 is exact and linear in n.  A 2-form's matrix is also a read-only numpy
-array, built when first read.
+array, built when first read.  A form pickles its rows as plain dicts.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ class AffineOneForm(Record):
         size = dim.total
         self._set(dim, _sparse_rows(linear, size, "linear part"), to_floats(constant, size, "constant part"))
 
+    def __reduce__(self):
+        return type(self), (self.dim, [*map(dict, self.linear)], self.constant)
+
     def coefficients(self, point) -> list[float]:
         """The dx-basis coefficients of the form at a point."""
         point = to_floats(point, self.dim.total, "point")
@@ -73,6 +76,9 @@ class ConstantTwoForm(Record):
         if any(rows[b].get(a) != -v for a, row in enumerate(rows) for b, v in row.items()):
             raise ValueError("2-form matrix must be skew-symmetric")
         self._set(dim, rows)
+
+    def __reduce__(self):
+        return type(self), (self.dim, [*map(dict, self.rows)])
 
     @cached_property
     def matrix(self):

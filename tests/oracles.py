@@ -143,6 +143,16 @@ def rk4_step_on_arrays(system, x: np.ndarray, dt: float) -> np.ndarray:
     return y
 
 
+def apply_reference(tensor, v) -> list[float]:
+    """T v, signs_i * v[order_i], as the comprehension StructureTensor.apply replaced."""
+    return [s * v[o] for o, s in zip(tensor.order, tensor.signs)]
+
+
+def shift_reference(tensor, x, v, h: float) -> list[float]:
+    """x + h T v, x_i + (h signs_i) * v[order_i], as the comprehension StructureTensor.shift replaced."""
+    return [a + (h * s) * v[o] for a, s, o in zip(x, tensor.signs, tensor.order)]
+
+
 def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> tuple[np.ndarray, int]:
     """The implicit midpoint step's Newton loop on numpy arrays: (y, iterations).
 

@@ -2,6 +2,8 @@
 plain formulas they replace, compared bit for bit.
 
 The field applies Omega as (order, signs) instead of a matrix product,
+through the functions each structure tensor generates from them, apply
+and shift, which must equal the comprehensions they replaced;
 both steppers run on lists of floats and on gradients, the Newton
 Jacobian applies Omega once as a reorder of the gradient differences'
 matrix, the EOM residual is one comprehension over float rows and each
@@ -10,6 +12,9 @@ in the same order are exact, so each must equal its reference with
 np.array_equal (or ==, or byte for byte where a signed zero must survive),
 not merely to a tolerance.
 """
+
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from quatflow import (
     step_rk4,
 )
 from quatflow import dynamics
+from quatflow.structures import SPACES, identity_tensor
 from quatflow.cli import trajectory_csv
 import oracles
 from oracles import dense, omega_matrix, rk4_on_field, rk4_step_on_arrays
@@ -103,6 +109,75 @@ def test_rk4_step_equals_the_array_step_byte_for_byte(energy, label, n):
         assert type(stepped) is list and len(stepped) == 4 * n
         assert all(type(v) is float for v in stepped)
         assert np.array(stepped).tobytes() == rk4_step_on_arrays(system, start, 0.01).tobytes()
+
+
+# signed zeros, subnormals, infinities and the extremes of the normal range
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, math.inf, -math.inf,
+                  1.7976931348623157e308, -1e300, 1.0, -0.1)
+
+
+def _special_vectors(size: int, count: int, seed: int) -> list[list[float]]:
+    """Vectors mixing SPECIAL_FLOATS with random normal floats, as lists."""
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for _ in range(count):
+        special = rng.choice(SPECIAL_FLOATS, size)
+        vectors.append(np.where(rng.random(size) < 0.5, special, rng.standard_normal(size)).tolist())
+    return vectors
+
+
+def _assert_same_bits(got, want):
+    """Byte-equal floats, signed zeros included; a NaN only has to be a NaN."""
+    assert type(got) is list and len(got) == len(want)
+    for value, reference in zip(got, want):
+        assert type(value) is float
+        if math.isnan(reference):
+            assert math.isnan(value)
+        else:
+            assert struct.pack("<d", value) == struct.pack("<d", reference)
+
+
+def _tensors(n: int):
+    dim = BlockDim(n)
+    yield identity_tensor(dim)
+    for space in SPACES:
+        for label in ("F", "G", "H"):
+            yield build_structure(StructureKind(label, space), dim)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 8, 64))
+def test_generated_apply_and_shift_equal_the_comprehensions_bit_for_bit(n):
+    size = 4 * n
+    vectors = _special_vectors(size, 6, seed=n)
+    for tensor in _tensors(n):
+        for v in vectors:
+            _assert_same_bits(tensor.apply(v), oracles.apply_reference(tensor, v))
+            for x in vectors:
+                for h in (0.005, -0.005, 1.0 / 600.0, -3.0, 1e300, -5e-324):
+                    _assert_same_bits(tensor.shift(x, v, h), oracles.shift_reference(tensor, x, v, h))
+        # tuples, as states are held, read the same
+        x, v = vectors[0], vectors[1]
+        _assert_same_bits(tensor.apply(tuple(v)), tensor.apply(v))
+        _assert_same_bits(tensor.shift(tuple(x), tuple(v), 0.5), tensor.shift(x, v, 0.5))
+
+
+@pytest.mark.parametrize("n", (1, 2, 8))
+def test_a_nan_input_gives_nan_where_it_lands(n):
+    size = 4 * n
+    for tensor in _tensors(n):
+        for a in (0, size - 1):
+            v = [0.5] * size
+            v[a] = math.nan
+            # component i reads v[order_i], so the NaN lands where order_i == a
+            landed = tensor.order.index(a)
+            assert [math.isnan(value) for value in tensor.apply(v)] == [i == landed for i in range(size)]
+            assert [math.isnan(value) for value in tensor.shift([1.0] * size, v, 0.25)] == [
+                i == landed for i in range(size)
+            ]
+            assert [math.isnan(value) for value in tensor.shift(v, [1.0] * size, -0.25)] == [
+                i == a for i in range(size)
+            ]
+        assert all(map(math.isnan, tensor.shift([0.0] * size, [1.0] * size, math.nan)))
 
 
 def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +214,20 @@ def test_report_keys(tmp_path, steps):
     # steps = 1 leaves no interior point for the equation-of-motion residual
     expected = [key for key in REPORT_KEYS if steps >= 2 or key != "eom_residual_max"]
     assert list(json.loads(text)) == expected  # sort_keys keeps this order in the file
+
+
+@pytest.mark.parametrize(
+    "series",
+    [[0.0, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.1102230246251565e-16], [2.5e-13], []],
+    ids=["special", "single", "empty"],
+)
+def test_the_report_is_the_indented_encoders_text_byte_for_byte(series):
+    document = {
+        "n": 1, "structure": "F", "method": "rk4", "dt": 0.01, "steps": 4, "tolerance_scale": 1.0,
+        "energy_drift_series": series, "passed": False, "energy_drift_max": math.nan,
+        "symplecticity_residual": 1e-17, "threshold_energy_drift_max": 1e-08, "algebra_residual_f_squared": 0,
+    }
+    assert cli._diagnostics_json(document) == json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def test_run_integration_abort_writes_partial(tmp_path, capsys):

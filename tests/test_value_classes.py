@@ -5,11 +5,15 @@ small immutable records.  Eleven compare and hash by value; the forms, the
 structure tensor, the system and the trajectory compare by identity, since
 their fields are normalised rows and states that nothing compares whole.
 Every record refuses assignment after construction, and its cached
-properties are built on first read and kept.  The ten records without a
+properties are built on first read and kept; a pickle holds the fields
+alone, so the caches are built again after it.  The ten records without a
 constructor of their own bind arguments as a def would, with a TypeError
 for a missing, unknown or repeated one.  A built system holds two fields,
 its energy and its label's cotangent tensor.
 """
+
+import pickle
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -25,7 +29,12 @@ from quatflow import (
     StructureTensor,
     Trajectory,
     build_structure,
+    gradient,
+    hamiltonian_vector_field,
+    integrate,
+    liouville_form,
     parse,
+    symplectic_form,
 )
 from quatflow.config import REQUIRED_FIELDS, SimulationConfig
 from quatflow.expressions import BinaryOp, FunctionCall, Negation, Number, Variable, _Token, _Value
@@ -181,6 +190,9 @@ def test_kernel_values_stay_mutable():
 def test_cached_properties_are_built_once_and_kept():
     tensor = IDENTITY_CASES["StructureTensor"][0](**IDENTITY_CASES["StructureTensor"][1])
     assert tensor.rows is tensor.rows and tensor.rows == ({1: -1}, {0: 1}, {3: -1}, {2: 1})
+    assert tensor.apply is tensor.apply and tensor.shift is tensor.shift
+    assert tensor.apply([1.0, 2.0, 3.0, 4.0]) == [-2.0, 1.0, -4.0, 3.0]
+    assert tensor.shift([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], 0.5) == [0.0, 1.5, -1.0, 2.5]
     form = ConstantTwoForm(**IDENTITY_CASES["ConstantTwoForm"][1])
     assert form.matrix is form.matrix and not form.matrix.flags.writeable
     assert np.array_equal(form.matrix, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -188,6 +200,49 @@ def test_cached_properties_are_built_once_and_kept():
     assert field.gradient_kernel is field.gradient_kernel
     # a built kernel is not a field: equality and hash read dim and root only
     assert field == twin and hash(field) == hash(twin)
+
+
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_value_records_pickle_to_an_equal_record(name):
+    cls, kwargs = VALUE_CASES[name]
+    record = cls(**kwargs)
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_records_pickle_their_fields_and_leave_their_caches_behind():
+    field = parse("0.5*(x1^2+x2^2) + sin(x3)*x4", DIM)
+    point = [0.1, -0.2, 0.3, 0.4]
+    grad = gradient(field, point)  # compiles the field's kernel
+    system = HamiltonianSystem.build("G", field)  # reads the tensor's rows
+    tensor = system.omega
+    apply, shift = tensor.apply, tensor.shift
+    trajectory = integrate(system, point, 0.01, 3, "rk4")
+    two_form, one_form = symplectic_form("H", DIM), liouville_form("F", DIM)
+    assert two_form.matrix is not None and "gradient_kernel" in vars(field)
+
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field and "gradient_kernel" not in vars(copy) and gradient(copy, point) == grad
+
+    copy = pickle.loads(pickle.dumps(tensor))
+    assert copy._fields() == tensor._fields() and not vars(copy).keys() & {"rows", "apply", "shift"}
+    assert copy.rows == tensor.rows and copy.apply(point) == apply(point)
+    assert copy.shift(point, grad, 0.5) == shift(point, grad, 0.5)
+
+    copy = pickle.loads(pickle.dumps(system))
+    assert copy.hamiltonian == field and copy.omega._fields() == tensor._fields()
+    assert hamiltonian_vector_field(copy, point) == hamiltonian_vector_field(system, point)
+
+    copy = pickle.loads(pickle.dumps(trajectory))
+    assert (copy.states, copy.step) == (trajectory.states, trajectory.step)
+    assert copy.system.hamiltonian == field and copy.system.omega._fields() == tensor._fields()
+
+    copy = pickle.loads(pickle.dumps(two_form))
+    assert (copy.dim, copy.rows) == (two_form.dim, two_form.rows) and "matrix" not in vars(copy)
+    assert all(type(row) is MappingProxyType for row in copy.rows)
+
+    copy = pickle.loads(pickle.dumps(one_form))
+    assert (copy.dim, copy.linear, copy.constant) == (one_form.dim, one_form.linear, one_form.constant)
+    assert all(type(row) is MappingProxyType for row in copy.linear)
 
 
 def test_repr_names_the_class_and_its_fields():
