@@ -70,8 +70,8 @@ def eom_residual(trajectory: Trajectory) -> float:
                  for before, velocity, after in zip(previous, field, following)])
 
 
-def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> tuple[tuple[float, ...], ...]:
-    """Central-difference Jacobian of the one-step map at a point, as rows.
+def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> list[list[float]]:
+    """Central-difference Jacobian of the one-step map at a point, as columns.
 
     The step is JACOBIAN_PROBE_STEP times the smallest power of two that is
     >= max(1, |x|), so the difference stays well above the rounding of the
@@ -101,30 +101,29 @@ def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> t
                 result = stepper(system, perturbed, dt)
             previous[direction] = (perturbed, result)
         columns.append([(f - b) / (2.0 * h) for f, b in zip(previous[h][1], previous[-h][1])])
-    return tuple(zip(*columns))
+    return columns
 
 
 def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: str) -> float:
     """Entrywise max of J^T Omega J - Omega for one step map.
 
-    Omega J is a signed reorder of J's rows, each column's image by
-    omega.apply, and Omega's nonzero entries are signs_a at (a, order_a).
-    Up to NUMPY_PRODUCT_SIZE coordinates the one product J^T (Omega J) runs
-    on Python floats; past it, on numpy.
+    step_jacobian gives J's columns, the rows of J^T.  Omega J is a signed
+    reorder of J's rows, each column's image by omega.apply, and Omega's
+    nonzero entries are signs_a at (a, order_a).  Up to NUMPY_PRODUCT_SIZE
+    coordinates J^T (Omega J) runs on Python floats; past it, on numpy.
     """
-    rows = step_jacobian(system, point, dt, method)
+    columns = step_jacobian(system, point, dt, method)
     order, signs = system.omega.order, system.omega.signs
     # a huge Jacobian overflows here; the residual then reads inf or NaN and fails its gate
-    if len(rows) > NUMPY_PRODUCT_SIZE:
+    if len(columns) > NUMPY_PRODUCT_SIZE:
         import numpy as np
 
-        jacobian, row_signs = np.array(rows), np.array(signs, dtype=float)
+        jacobian_t, row_signs = np.array(columns), np.array(signs, dtype=float)
         with np.errstate(all="ignore"):
             # the index is a list: numpy reads a tuple as one index per axis
-            product = jacobian.T @ (row_signs[:, None] * jacobian[list(order)])
+            product = jacobian_t @ (row_signs[:, None] * jacobian_t.T[list(order)])
             product[range(len(order)), order] -= row_signs
             return float(np.abs(product).max())
-    columns = list(zip(*rows))
     images = [*map(system.omega.apply, columns)]
     return _max([abs(sum(map(mul, column, image)) - (signs[a] if b == order[a] else 0))
                  for a, column in enumerate(columns) for b, image in enumerate(images)])

@@ -178,18 +178,16 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
 def _float_newton_update(system, rows, g, h, dt, residual) -> list[float]:
     """Solve (I - dt/2 J) delta = -residual on floats, J[i][a] = s_i (rows[a] - g)[o_i] / h_a.
 
-    Each entry has the bits of the numpy update's: dt/2 (s v) is s (dt/2 v)
-    as negation is exact, and 0.0 - (-e) is 0.0 + e, signed zeros
-    included; row i's 1.0 is added to 0.0 - e, which is 1.0 - e.
+    Row i holds 0.0 + k v, k = -(dt/2) s_i folding Omega's sign in as shift
+    folds it into k = -h.  Negation is exact, so k v is -((dt/2) (s_i v)),
+    and 0.0 + (-e) is the numpy update's 0.0 - e, signed zeros included;
+    row i's 1.0 is added to 0.0 - e, which is 1.0 - e.
     """
     half = 0.5 * dt
     matrix = []
     for i, (o, s) in enumerate(zip(system.omega.order, system.omega.signs)):
-        base = g[o]
-        if s > 0:
-            row = [0.0 - half * ((r[o] - base) / step) for r, step in zip(rows, h)]
-        else:
-            row = [0.0 + half * ((r[o] - base) / step) for r, step in zip(rows, h)]
+        base, k = g[o], -half * s
+        row = [0.0 + k * ((r[o] - base) / step) for r, step in zip(rows, h)]
         row[i] += 1.0
         matrix.append(row)
     return gaussian_solve(matrix, [-r for r in residual])

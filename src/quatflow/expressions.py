@@ -43,7 +43,7 @@ import re
 from functools import cached_property
 
 from ._records import Value
-from .structures import BlockDim, to_floats
+from .structures import BlockDim, _generate, to_floats
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -339,10 +339,10 @@ class _KernelSource:
 
     The text defines value(x), the forward statements without those
     partials, returning H, and kernel(x), the whole forward sweep and the
-    reverse sweep, returning (H, grad H).  Each starts by unpacking x into
-    x1 .. x{4n}: a list or tuple of 4n entries as it is, unless one is not
-    a float, and any other x through to_floats(x, 4n, "point"), so a list
-    of floats costs one unpack and one chain of class tests.  Its
+    reverse sweep, returning (H, grad H).  Each sends an x that is not a
+    list or tuple of 4n entries through to_floats(x, 4n, "point") first,
+    unpacks x into x1 .. x{4n} once and runs one chain of class tests,
+    which sends x through to_floats should an entry not be a float.  Its
     statements then run inside one try.  owners maps the line number of
     each forward statement in the text to the node it belongs to; the
     handler looks up the line that raised and raises EvaluationError naming
@@ -363,14 +363,13 @@ class _KernelSource:
         lines: list[str] = []
         self.owners: dict[int, Node] = {}
         classes = " is ".join(f"x{a}.__class__" for a in range(1, size + 1))
+        convert = f"to_floats(x, {size}, 'point')"
         for name, gradient, result in (("value", False, root.expr), ("kernel", True, f"{root.expr}, [{components}]")):
             lines += [
                 f"def {name}(x):",
-                f"    if (x.__class__ is list or x.__class__ is tuple) and len(x) == {size}:",
-                f"        {unpack}, = x",
-                f"        if not {classes} is float: {unpack}, = to_floats(x, {size}, 'point')",
-                "    else:",
-                f"        {unpack}, = to_floats(x, {size}, 'point')",
+                f"    if not (x.__class__ is list or x.__class__ is tuple) or len(x) != {size}: x = {convert}",
+                f"    {unpack}, = x",
+                f"    if not {classes} is float: {unpack}, = {convert}",
                 "    try:",
             ]
             for statement, owner, partial in self.forward:
@@ -509,9 +508,7 @@ class _Kernel:
             **_NAMESPACE, "to_floats": to_floats, "owners": source.owners,
             "EvaluationError": EvaluationError, "format_expression": format_expression,
         }
-        exec(compile(source.text, "<quatflow kernel>", "exec"), namespace)
-        self.value = namespace["value"]
-        self.gradient = namespace["kernel"]
+        self.value, self.gradient = _generate(source.text, namespace, "value", "kernel")
 
 
 # --- demo Hamiltonians -----------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 from ._records import Record, Value
@@ -105,9 +106,9 @@ class StructureTensor(Record):
     relations are measured by the verify_* functions so that deliberately
     corrupted tensors can be inspected too.  rows, built when first read,
     holds row i as the read-only map {order_i: signs_i}.  apply and shift,
-    also built when first read, are functions generated from order and
-    signs, one list display each with the signs folded in, so that
-    applying T costs no loop: apply(v) is T v, for F at n = 1
+    also built when first read, are compiled by _generate, as the field's
+    kernel is, from order and signs: one list display each with the signs
+    folded in, so applying T costs no loop: apply(v) is T v, for F at n = 1
     [v[1], -v[0], v[3], -v[2]], and shift(x, v, h) is x + h T v,
     [x[0] + h*v[1], x[1] + k*v[0], ...] with k = -h.  h * -1 is -h
     exactly, so shift has the bits of x_i + (h signs_i) v[order_i], and
@@ -129,19 +130,18 @@ class StructureTensor(Record):
     @cached_property
     def apply(self) -> Callable[[Sequence[float]], list[float]]:
         terms = (f"{'-' if s < 0 else ''}v[{o}]" for o, s in zip(self.order, self.signs))
-        return _generate("apply", f"def apply(v):\n    return [{', '.join(terms)}]\n")
+        return _generate(f"def apply(v):\n    return [{', '.join(terms)}]\n", {}, "apply")
 
     @cached_property
     def shift(self) -> Callable[[Sequence[float], Sequence[float], float], list[float]]:
         terms = (f"x[{i}] + {'k' if s < 0 else 'h'}*v[{o}]" for i, (o, s) in enumerate(zip(self.order, self.signs)))
-        return _generate("shift", f"def shift(x, v, h):\n    k = -h\n    return [{', '.join(terms)}]\n")
+        return _generate(f"def shift(x, v, h):\n    k = -h\n    return [{', '.join(terms)}]\n", {}, "shift")
 
 
-def _generate(name: str, source: str):
-    """The function called name that source defines, compiled."""
-    namespace: dict = {}
-    exec(compile(source, f"<quatflow {name}>", "exec"), namespace)
-    return namespace[name]
+def _generate(source: str, namespace: dict, *names: str):
+    """Compile source with namespace as its globals: the function named, or a tuple of those named."""
+    exec(compile(source, f"<quatflow {names[-1]}>", "exec"), namespace)
+    return itemgetter(*names)(namespace)
 
 
 class EuclideanMetric(Value):

@@ -272,6 +272,7 @@ def test_the_float_newton_system_equals_the_numpy_one_byte_for_byte(label, n, mo
         # signed zeros that Omega's signs and the identity's 0.0 - v must treat as numpy does
         rows = [[b if rng.random() < 0.3 else b + scale * rng.standard_normal() for b in g] for _ in range(size)]
         rows[0] = [-0.0] * size
+        rows[-1] = [math.inf, -math.inf] * (size // 2)  # infinite differences against the finite g
         h = [1e-7 * max(1.0, abs(v)) for v in rng.standard_normal(size)]
         residual = [0.0, -0.0, *rng.standard_normal(size - 2)]
         for dt in (0.01, 0.5):

@@ -167,9 +167,9 @@ def _probe(system, point, method):
 def _probe_bound(base, cycled, x0, y0, source, method) -> float:
     """B above, from the two step-map Jacobians; asserts D's own bound."""
     m = len(source)
-    jacobian = np.array(step_jacobian(base, x0, DT, method))
+    jacobian = np.array(step_jacobian(base, x0, DT, method)).T  # the package gives columns
     rotated = jacobian[np.ix_(source, source)]
-    difference = float(np.abs(np.array(step_jacobian(cycled, y0, DT, method)) - rotated).max())
+    difference = float(np.abs(np.array(step_jacobian(cycled, y0, DT, method)).T - rotated).max())
     if method == "rk4":
         assert difference == 0.0
     else:

@@ -152,7 +152,7 @@ def test_symplecticity_residual_is_nan_when_one_jacobian_entry_is(where, product
     # the identity is the Jacobian of a symplectic map: every entry of J^T Omega J - Omega is 0
     monkeypatch.setattr(diagnostics, "NUMPY_PRODUCT_SIZE", product_size)
     jacobian = np.eye(4)
-    monkeypatch.setattr(diagnostics, "step_jacobian", lambda *args: [list(row) for row in jacobian])
+    monkeypatch.setattr(diagnostics, "step_jacobian", lambda *args: [list(column) for column in jacobian.T])
     assert symplecticity_residual(_system(), np.ones(4), 0.01, "rk4") == 0.0
     jacobian[NAN_AT[where], NAN_AT[where]] = math.nan
     assert math.isnan(symplecticity_residual(_system(), np.ones(4), 0.01, "rk4"))
@@ -309,7 +309,7 @@ class _ProbeSteps:
 def test_probe_jacobian_agrees_with_cold_started_steps(method, label, n):
     system = _layer_system(label, n)
     point = _point(n, seed=n)
-    warm = step_jacobian(system, point, 0.05, method)
+    warm = np.array(step_jacobian(system, point, 0.05, method)).T  # columns, as the oracle's rows
     cold = cold_step_jacobian(system, point, 0.05, method, JACOBIAN_PROBE_STEP)
     if method == "rk4":
         assert np.array_equal(warm, cold)  # RK4 steps take no start

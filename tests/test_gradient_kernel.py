@@ -329,7 +329,7 @@ def test_a_list_of_ints_or_numpy_scalars_is_taken_as_floats(n):
     field = _mixed(n)
     ints = [a % 3 for a in range(4 * n)]
     floats = [float(v) for v in ints]
-    for values in (ints, [np.float64(v) for v in floats], [*floats[:-1], ints[-1]]):
+    for values in (ints, [np.float64(v) for v in floats], [*floats[:-1], ints[-1]], (*floats[:-1], ints[-1])):
         grad = gradient(field, values)
         assert all(type(v) is float for v in grad)
         assert np.array(grad).tobytes() == np.array(gradient(field, floats)).tobytes()
@@ -348,6 +348,8 @@ def test_malformed_list_points_raise_value_error(n):
     cases = {
         "short": [0.5] * (size - 1),
         "long": [0.5] * (size + 1),
+        "short tuple": (0.5,) * (size - 1),
+        "long tuple": (0.5,) * (size + 1),
         "nested": [[0.5] * size],
         "2-D array": np.full((2, size), 0.5),
         "column array": np.full((size, 1), 0.5),

@@ -2,12 +2,13 @@
 4n = NUMPY_SOLVE_SIZE = 8, and never `dataclasses`, `inspect` or `typing`.
 
 Each case runs in a fresh interpreter on the package under src/ and reports
-which of those modules are in sys.modules when it is done: an RK4 run, a
-midpoint run at n = 1 or n = 2, a batch of both, `verify`, `dump` and a bare
-`import quatflow` must leave out numpy, `dataclasses` and `inspect`, and a
-midpoint run at n = 3 must bring numpy in, which shows the import sits
-where it is claimed.  `typing` is checked under `python -S` only, since a
-site-packages `.pth` file may import it first.
+which of those modules are in sys.modules when it is done: an RK4 run at
+n = 1 or n = 32, a midpoint run at n = 1 or n = 2, a batch of both,
+`verify`, `dump` and a bare `import quatflow` must leave out numpy,
+`dataclasses` and `inspect`, and a midpoint run at n = 3 must bring numpy
+in, which shows the import sits where it is claimed.  `typing` is checked
+under `python -S` only, since a site-packages `.pth` file may import it
+first.
 """
 
 import json
@@ -50,12 +51,12 @@ def _probe(cwd: Path, *argv: str, flags: tuple[str, ...] = ()) -> dict:
     return json.loads(completed.stdout.splitlines()[-1])
 
 
-def _config(tmp_path: Path, method: str, n: int = 1) -> str:
+def _config(tmp_path: Path, method: str, n: int = 1, label: str = "F", steps: int = 100) -> str:
     """The README demo config at block size n: a quadratic from [1, 0, ..., 0]."""
     squares = "+".join(f"x{a}^2" for a in range(1, 4 * n + 1))
     payload = {
-        "n": n, "structure": "F", "hamiltonian": f"0.5*({squares})", "initial": [1] + [0] * (4 * n - 1),
-        "dt": 0.01, "steps": 100, "method": method, "output_prefix": f"out/{method}", "emit_plot": True,
+        "n": n, "structure": label, "hamiltonian": f"0.5*({squares})", "initial": [1] + [0] * (4 * n - 1),
+        "dt": 0.01, "steps": steps, "method": method, "output_prefix": f"out/{method}", "emit_plot": True,
     }
     path = tmp_path / f"{method}.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -105,6 +106,15 @@ def test_a_mixed_batch_leaves_numpy_unloaded(tmp_path):
     assert sorted(path.name for path in (tmp_path / "out").glob("*.diagnostics.json")) == [
         f"b{k}.diagnostics.json" for k in range(1, len(MIXED_BATCH) + 1)
     ]
+
+
+def test_an_rk4_run_at_n32_leaves_numpy_unloaded(tmp_path):
+    # Omega's generated functions run at size, and 4n = 128 keeps the probe's
+    # product below NUMPY_PRODUCT_SIZE = 160, on floats
+    result = _probe(tmp_path, "run", _config(tmp_path, "rk4", 32, label="G", steps=10))
+    assert result["code"] == 0
+    assert HEAVY.isdisjoint(result["loaded"])
+    assert (tmp_path / "out" / "rk4.diagnostics.json").exists()
 
 
 def test_a_midpoint_run_loads_numpy_for_its_solve(tmp_path):
