@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, _scale, hamiltonian_vector_field
+from . import dynamics
+from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, _scale
 from .expressions import evaluate
-from .structures import structure_triple, verify_quaternion_relations
+from .structures import _generate, structure_triple, verify_quaternion_relations
 
 # energy-drift ceilings per one-step method (quadratic well, desk scale)
 ENERGY_DRIFT_LIMITS = {"rk4": 1e-8, "implicit_midpoint": 1e-10}
@@ -57,17 +58,25 @@ def energy_drift(trajectory: Trajectory) -> tuple[list[float], float]:
 def eom_residual(trajectory: Trajectory) -> float:
     """Max-norm mismatch between central-difference velocities and X.
 
-    Compares (p_{k+1} - p_{k-1}) / (2 dt) with X(p_k) at every interior
-    point; a well-integrated smooth flow scores O(dt^2).
+    Compares (p_{k+1} - p_{k-1}) / (2 dt) with X(p_k) = Omega grad H(p_k) at
+    every interior point; a well-integrated smooth flow scores O(dt^2).
+    Each point's entries come from one row function generated from Omega's
+    order and signs, entry i |(after_i - before_i) / span - signs_i g[order_i]|
+    with x - (-v) written x + v, which is exact.  Each gradient is a call of
+    dynamics.gradient, looked up when the probe runs.
     """
     rows = trajectory.states
     if len(rows) < 3:
         raise ValueError("equation-of-motion residual needs at least 3 points")
     system, span = trajectory.system, 2.0 * trajectory.step
-    fields = (hamiltonian_vector_field(system, point) for point in rows[1:-1])
-    return _max([abs((after - before) / span - velocity)
-                 for previous, field, following in zip(rows, fields, rows[2:])
-                 for before, velocity, after in zip(previous, field, following)])
+    omega, gradient = system.omega, dynamics.gradient
+    terms = (f"abs((a[{i}] - b[{i}]) / span {'+' if s < 0 else '-'} g[{o}])"
+             for i, (o, s) in enumerate(zip(omega.order, omega.signs)))
+    row = _generate(f"def row(b, g, a, span):\n    return [{', '.join(terms)}]\n", {}, "row")
+    values = []
+    for before, point, after in zip(rows, rows[1:-1], rows[2:]):
+        values += row(before, gradient(system.hamiltonian, point), after, span)
+    return _max(values)
 
 
 def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> list[list[float]]:

@@ -23,19 +23,21 @@ solved on floats by gaussian_solve; past it, by numpy, which the module
 imports there alone.  Both size a point by _scale, max(1, |x|) with an
 |x| that cannot overflow.
 Every failed step is an IntegrationError, NewtonDivergenceError included;
-the steppers check each new state through _require_finite and return it
-as a list of floats.  The flow is autonomous, so no step reads the time,
-and a trajectory's k-th state is the state at time k * dt.
+the steppers check that each new state is finite, as _require_finite
+does, and return it as a list of floats.  The flow is autonomous, so no
+step reads the time, and a trajectory's k-th state is the state at time
+k * dt.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from ._records import Record
 from .expressions import ScalarField, gradient
 from .forms import symplectic_form
-from .structures import LABELS, StructureKind, build_structure, to_floats
+from .structures import LABELS, StructureKind, StructureTensor, _generate, build_structure, to_floats
 
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
@@ -72,9 +74,16 @@ class HamiltonianSystem(Record):
 
     omega, the label's cotangent tensor, holds Omega as a signed permutation,
     (Omega v)_i == omega.signs[i] * v[omega.order[i]], with its label and dim.
+    _rk4_step, built when step_rk4 first reads it and left out of a pickle,
+    is that step's arithmetic as one function generated from omega by
+    _rk4_source.
     """
 
     __match_args__ = ("hamiltonian", "omega")
+
+    @cached_property
+    def _rk4_step(self):
+        return _generate(_rk4_source(self.omega), {"IntegrationError": IntegrationError}, "rk4")
 
     @classmethod
     def build(cls, label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
@@ -114,25 +123,62 @@ def hamiltonian_vector_field(system: HamiltonianSystem, point) -> list[float]:
 def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
     """One classical fourth-order Runge-Kutta step of the flow.
 
-    The step runs on Python floats, x best a list or tuple of them.  The
-    stages k_i = Omega g_i are kept as the gradients g_i: each stage point is
-    omega.shift(x, g, h), x_a + (h signs_a) * g[order_a], and
-    k1 + 2 k2 + 2 k3 + k4 is summed as ((g1 + 2 g2) + 2 g3) + g4 in gradient
-    space and shifted once.  Negation and reordering are exact, so these
-    float operations, in this order, give the bits of the textbook formula.
+    The step runs on Python floats, x best a list or tuple of them.  Its
+    arithmetic and the check of its state are system._rk4_step,
+    straight-line code with Omega's signs folded in (_rk4_source), handed
+    this module's gradient, read when the step runs, for its four gradient
+    calls; the first is at x, so a bad x raises the kernel's error.  The
+    stages k_i = Omega g_i are kept as the gradients g_i: each stage point
+    is x_a + (h signs_a) * g[order_a], and k1 + 2 k2 + 2 k3 + k4 is summed
+    as ((g1 + 2 g2) + 2 g3) + g4 in gradient space and shifted once.
+    Negation and reordering are exact, so these float operations, in this
+    order, give the bits of the textbook formula.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    hamiltonian, shift = system.hamiltonian, system.omega.shift
-    half = 0.5 * dt
-    g1 = gradient(hamiltonian, x)
-    g2 = gradient(hamiltonian, shift(x, g1, half))
-    g3 = gradient(hamiltonian, shift(x, g2, half))
-    g4 = gradient(hamiltonian, shift(x, g3, dt))
-    total = [((a + 2.0 * b) + 2.0 * c) + d for a, b, c, d in zip(g1, g2, g3, g4)]
-    y = shift(x, total, dt / 6.0)
-    _require_finite(y)
-    return y
+    return system._rk4_step(gradient, system.hamiltonian, x, dt)
+
+
+def _rk4_source(omega: StructureTensor) -> str:
+    """Source of rk4(gradient, hamiltonian, x, dt), step_rk4 without its dt check.
+
+    x and the first three stage gradients, each read more than once, are
+    unpacked into locals x0.., a0.., b0.., c0..; the last gradient, read
+    once, is indexed.  Component i of each stage point and of the update
+    is written x{i} + h*... where signs_i is 1 and x{i} + k*... with
+    k = -h where it is -1; h * -1 is -h exactly, so each has the bits of
+    x_i + (h signs_i) * v[order_i].  h is 0.5 * dt, 0.5 * dt, dt and
+    dt / 6.0 in turn.  The new state's components y0.. are checked as
+    _require_finite checks a state, each by -1e999 < y < 1e999, which no
+    NaN or infinity passes.
+    """
+    scales = [("h" if s > 0 else "k", o) for o, s in zip(omega.order, omega.signs)]
+
+    def names(p: str) -> str:
+        return ", ".join(f"{p}{i}" for i in range(len(scales)))
+
+    def point(p: str) -> str:  # x + h Omega g for the stage gradient g unpacked as p0..
+        return "[" + ", ".join(f"x{i} + {k}*{p}{o}" for i, (k, o) in enumerate(scales)) + "]"
+
+    update = [f"    y{i} = x{i} + {k}*(a{o} + 2.0*b{o} + 2.0*c{o} + g[{o}])" for i, (k, o) in enumerate(scales)]
+    return "\n".join([
+        "def rk4(gradient, hamiltonian, x, dt):",
+        f"    {names('a')}, = gradient(hamiltonian, x)",
+        f"    {names('x')}, = x",
+        "    h = 0.5 * dt",
+        "    k = -h",
+        f"    {names('b')}, = gradient(hamiltonian, {point('a')})",
+        f"    {names('c')}, = gradient(hamiltonian, {point('b')})",
+        "    h = dt",
+        "    k = -h",
+        f"    g = gradient(hamiltonian, {point('c')})",
+        "    h = dt / 6.0",
+        "    k = -h",
+        *update,
+        "    if " + " and ".join(f"-1e999 < y{i} < 1e999" for i in range(len(scales))) + ":",
+        f"        return [{names('y')}]",
+        "    raise IntegrationError('non-finite state after step')",
+    ]) + "\n"
 
 
 def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) -> list[float]:
@@ -178,8 +224,8 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
 def _float_newton_update(system, rows, g, h, dt, residual) -> list[float]:
     """Solve (I - dt/2 J) delta = -residual on floats, J[i][a] = s_i (rows[a] - g)[o_i] / h_a.
 
-    Row i holds 0.0 + k v, k = -(dt/2) s_i folding Omega's sign in as shift
-    folds it into k = -h.  Negation is exact, so k v is -((dt/2) (s_i v)),
+    Row i holds 0.0 + k v, k = -(dt/2) s_i folding Omega's sign in as the
+    RK4 step folds it into k = -h.  Negation is exact, so k v is -((dt/2) (s_i v)),
     and 0.0 + (-e) is the numpy update's 0.0 - e, signed zeros included;
     row i's 1.0 is added to 0.0 - e, which is 1.0 - e.
     """

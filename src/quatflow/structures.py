@@ -105,15 +105,12 @@ class StructureTensor(Record):
     Construction only checks the shape; the quaternion and skew-symmetry
     relations are measured by the verify_* functions so that deliberately
     corrupted tensors can be inspected too.  rows, built when first read,
-    holds row i as the read-only map {order_i: signs_i}.  apply and shift,
-    also built when first read, are compiled by _generate, as the field's
-    kernel is, from order and signs: one list display each with the signs
-    folded in, so applying T costs no loop: apply(v) is T v, for F at n = 1
-    [v[1], -v[0], v[3], -v[2]], and shift(x, v, h) is x + h T v,
-    [x[0] + h*v[1], x[1] + k*v[0], ...] with k = -h.  h * -1 is -h
-    exactly, so shift has the bits of x_i + (h signs_i) v[order_i], and
-    apply those of signs_i * v[order_i] but for the sign bit of a NaN.
-    A pickle holds the four fields alone.
+    holds row i as the read-only map {order_i: signs_i}.  apply, also built
+    when first read, is compiled by _generate, as the field's kernel is,
+    from order and signs: one list display with the signs folded in, so
+    applying T costs no loop: apply(v) is T v, for F at n = 1
+    [v[1], -v[0], v[3], -v[2]], with the bits of signs_i * v[order_i] but
+    for the sign bit of a NaN.  A pickle holds the four fields alone.
     """
 
     __match_args__ = ("kind", "dim", "order", "signs")
@@ -131,11 +128,6 @@ class StructureTensor(Record):
     def apply(self) -> Callable[[Sequence[float]], list[float]]:
         terms = (f"{'-' if s < 0 else ''}v[{o}]" for o, s in zip(self.order, self.signs))
         return _generate(f"def apply(v):\n    return [{', '.join(terms)}]\n", {}, "apply")
-
-    @cached_property
-    def shift(self) -> Callable[[Sequence[float], Sequence[float], float], list[float]]:
-        terms = (f"x[{i}] + {'k' if s < 0 else 'h'}*v[{o}]" for i, (o, s) in enumerate(zip(self.order, self.signs)))
-        return _generate(f"def shift(x, v, h):\n    k = -h\n    return [{', '.join(terms)}]\n", {}, "shift")
 
 
 def _generate(source: str, namespace: dict, *names: str):

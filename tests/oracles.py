@@ -153,6 +153,23 @@ def shift_reference(tensor, x, v, h: float) -> list[float]:
     return [a + (h * s) * v[o] for a, s, o in zip(x, tensor.signs, tensor.order)]
 
 
+def rk4_shift_reference(tensor, field_gradient, x, dt: float) -> list[float]:
+    """One RK4 step as lists, the stage-by-stage form the generated step replaced.
+
+    field_gradient(point) gives grad H.  Each stage point is x + h T g by
+    shift_reference, and g1 + 2 g2 + 2 g3 + g4 is summed as
+    ((g1 + 2 g2) + 2 g3) + g4 in gradient space and shifted once by dt / 6;
+    the state is not checked.
+    """
+    half = 0.5 * dt
+    g1 = field_gradient(x)
+    g2 = field_gradient(shift_reference(tensor, x, g1, half))
+    g3 = field_gradient(shift_reference(tensor, x, g2, half))
+    g4 = field_gradient(shift_reference(tensor, x, g3, dt))
+    total = [((a + 2.0 * b) + 2.0 * c) + d for a, b, c, d in zip(g1, g2, g3, g4)]
+    return shift_reference(tensor, x, total, dt / 6.0)
+
+
 def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> tuple[np.ndarray, int]:
     """The implicit midpoint step's Newton loop on numpy arrays: (y, iterations).
 

@@ -128,20 +128,21 @@ def test_energy_drift_is_nan_when_one_energy_is(where):
 
 @pytest.mark.parametrize("where", NAN_AT)
 def test_eom_residual_is_nan_when_one_entry_is(where, monkeypatch):
-    # five interior points at rest; the field is NaN in one component of one of them
+    # five interior points at rest; the gradient, so the field, is NaN in one
+    # component of one of them, injected where the probe looks gradient up
     system = _system(text="0")
     trajectory = Trajectory(system, [[1.0, 2.0, 3.0, 4.0]] * 7, 0.1)
     assert eom_residual(trajectory) == 0.0
     points = []
 
-    def field(system, point):
+    def nan_gradient(field, point):
         points.append(point)
-        velocity = [0.0] * 4
+        grad = [0.0] * 4
         if len(points) - 1 == range(5)[NAN_AT[where]]:
-            velocity[NAN_AT[where]] = math.nan
-        return velocity
+            grad[NAN_AT[where]] = math.nan
+        return grad
 
-    monkeypatch.setattr(diagnostics, "hamiltonian_vector_field", field)
+    monkeypatch.setattr(dynamics, "gradient", nan_gradient)
     assert math.isnan(eom_residual(trajectory))
     assert len(points) == 5
 

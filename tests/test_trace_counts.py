@@ -63,7 +63,7 @@ def counted(monkeypatch):
     return counts, step_gradients
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 8])
 def test_rk4_run_makes_the_analytic_number_of_calls(tmp_path, counted, n):
     counts, step_gradients = counted
     steps = 20

@@ -190,9 +190,13 @@ def test_kernel_values_stay_mutable():
 def test_cached_properties_are_built_once_and_kept():
     tensor = IDENTITY_CASES["StructureTensor"][0](**IDENTITY_CASES["StructureTensor"][1])
     assert tensor.rows is tensor.rows and tensor.rows == ({1: -1}, {0: 1}, {3: -1}, {2: 1})
-    assert tensor.apply is tensor.apply and tensor.shift is tensor.shift
+    assert tensor.apply is tensor.apply
     assert tensor.apply([1.0, 2.0, 3.0, 4.0]) == [-2.0, 1.0, -4.0, 3.0]
-    assert tensor.shift([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], 0.5) == [0.0, 1.5, -1.0, 2.5]
+    system = HamiltonianSystem(parse("x1", DIM), tensor)
+    assert system._rk4_step is system._rk4_step
+    # a constant gradient g sums to 6 g, so the step is x + dt Omega g
+    constant = lambda field, point: [1.0, 2.0, 3.0, 4.0]  # noqa: E731
+    assert system._rk4_step(constant, None, [1.0, 1.0, 1.0, 1.0], 0.5) == [0.0, 1.5, -1.0, 2.5]
     form = ConstantTwoForm(**IDENTITY_CASES["ConstantTwoForm"][1])
     assert form.matrix is form.matrix and not form.matrix.flags.writeable
     assert np.array_equal(form.matrix, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -215,8 +219,8 @@ def test_records_pickle_their_fields_and_leave_their_caches_behind():
     grad = gradient(field, point)  # compiles the field's kernel
     system = HamiltonianSystem.build("G", field)  # reads the tensor's rows
     tensor = system.omega
-    apply, shift = tensor.apply, tensor.shift
-    trajectory = integrate(system, point, 0.01, 3, "rk4")
+    apply = tensor.apply
+    trajectory = integrate(system, point, 0.01, 3, "rk4")  # compiles the system's step
     two_form, one_form = symplectic_form("H", DIM), liouville_form("F", DIM)
     assert two_form.matrix is not None and "gradient_kernel" in vars(field)
 
@@ -224,13 +228,15 @@ def test_records_pickle_their_fields_and_leave_their_caches_behind():
     assert copy == field and "gradient_kernel" not in vars(copy) and gradient(copy, point) == grad
 
     copy = pickle.loads(pickle.dumps(tensor))
-    assert copy._fields() == tensor._fields() and not vars(copy).keys() & {"rows", "apply", "shift"}
+    assert copy._fields() == tensor._fields() and not vars(copy).keys() & {"rows", "apply"}
     assert copy.rows == tensor.rows and copy.apply(point) == apply(point)
-    assert copy.shift(point, grad, 0.5) == shift(point, grad, 0.5)
 
+    assert "_rk4_step" in vars(system)
     copy = pickle.loads(pickle.dumps(system))
     assert copy.hamiltonian == field and copy.omega._fields() == tensor._fields()
+    assert "_rk4_step" not in vars(copy)
     assert hamiltonian_vector_field(copy, point) == hamiltonian_vector_field(system, point)
+    assert integrate(copy, point, 0.01, 3, "rk4").states == trajectory.states
 
     copy = pickle.loads(pickle.dumps(trajectory))
     assert (copy.states, copy.step) == (trajectory.states, trajectory.step)
