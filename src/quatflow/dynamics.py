@@ -18,7 +18,7 @@ stays -0.0.
 Two fixed-step one-step methods integrate the flow on Python floats:
 classical RK4 and the implicit midpoint rule, solved by Newton iteration
 with a finite-difference Jacobian and symplectic for any constant Omega.
-Up to NUMPY_SOLVE_SIZE = 8 coordinates (n = 1, 2) its Newton system is
+Up to NUMPY_SOLVE_SIZE = 16 coordinates (n <= 4) its Newton system is
 solved on floats by gaussian_solve; past it, by numpy, which the module
 imports there alone.  Both size a point by _scale, max(1, |x|) with an
 |x| that cannot overflow.
@@ -43,10 +43,11 @@ from .structures import LABELS, StructureKind, StructureTensor, _generate, build
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # up to this 4n the Newton matrix is solved on floats, which spares a run
-# numpy's import; at 4n = 8 a float update already costs about 1.4 numpy
-# updates, so an n = 2 run gains only while it is short (README), and past
-# it the elimination's (4n)^3 / 3 float steps outgrow the import at once
-NUMPY_SOLVE_SIZE = 8
+# numpy's import (110-170 ms); a float solve makes a step about 0.4 ms
+# slower at n = 3 and 0.5 ms at n = 4, so the import pays for ~400 and ~280
+# steps, far more than the probe's 8n solves, while at n = 8 it pays for
+# ~45 steps and the probe's 64 solves already outgrow it (README)
+NUMPY_SOLVE_SIZE = 16
 
 
 class IntegrationError(RuntimeError):

@@ -16,8 +16,8 @@ each in its own interpreter.  Every difference in exit code, stdout,
 stderr and artifacts is reported; for a CSV or JSON artifact, the cells
 whose numbers moved, with the largest |delta| and the largest relative
 delta.  The contract is the two revisions on one machine: midpoint runs
-past 4n = 8 go through np.linalg.solve, whose last bits may depend on the
-CPU; up to 4n = 8 the Newton system is solved on Python floats, whose
+past 4n = 16 go through np.linalg.solve, whose last bits may depend on the
+CPU; up to 4n = 16 the Newton system is solved on Python floats, whose
 bits do not.
 """
 

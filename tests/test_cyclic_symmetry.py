@@ -12,7 +12,7 @@ bit: the states, the CSV's cells, the drift series and the EOM residual.
 A run that fails, fails at the same step with the same exception.
 
 One step is not coordinatewise: the implicit midpoint rule's solve of its
-Newton system, by gaussian_solve up to dynamics.NUMPY_SOLVE_SIZE
+Newton system, by gaussian_solve up to dynamics.NUMPY_SOLVE_SIZE = 16
 coordinates (all cases here) and by LAPACK past it.  Both eliminate in the
 matrix's own order, so on P^T M P they can round differently: the first
 example below, under F from the origin, moves the last bit of a coordinate

@@ -25,7 +25,7 @@ from quatflow.dynamics import gaussian_solve
 from oracles import elimination_reference
 
 UNIT_ROUNDOFF = 2.0**-53
-SIZES = (4, 8)
+SIZES = (4, 8, 12, 16)
 
 
 def _bound(m: int) -> float:
@@ -77,7 +77,7 @@ def test_agrees_with_numpy_within_the_backward_error_bound(m):
         assert np.abs(np.array(x) - reference).max() <= apart
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 4, 8))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 8, 12, 16))
 def test_equals_the_elimination_oracle_bit_for_bit_on_tied_pivots(m):
     # entries from {-2, -1, 1, 2} / 3 tie in |value| often and round in every division
     rng = np.random.default_rng(10 + m)

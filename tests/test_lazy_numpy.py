@@ -1,11 +1,11 @@
 """Start-up imports: numpy only for the implicit midpoint solve past
-4n = NUMPY_SOLVE_SIZE = 8, and never `dataclasses`, `inspect` or `typing`.
+4n = NUMPY_SOLVE_SIZE = 16, and never `dataclasses`, `inspect` or `typing`.
 
 Each case runs in a fresh interpreter on the package under src/ and reports
 which of those modules are in sys.modules when it is done: an RK4 run at
-n = 1 or n = 32, a midpoint run at n = 1 or n = 2, a batch of both,
+n = 1 or n = 32, a midpoint run at n = 1, 2 or 4, a batch of both,
 `verify`, `dump` and a bare `import quatflow` must leave out numpy,
-`dataclasses` and `inspect`, and a midpoint run at n = 3 must bring numpy
+`dataclasses` and `inspect`, and a midpoint run at n = 5 must bring numpy
 in, which shows the import sits where it is claimed.  `typing` is checked
 under `python -S` only, since a site-packages `.pth` file may import it
 first.
@@ -41,6 +41,8 @@ MIXED_BATCH = (
     (8, "G", "exp(0.5*{S})", "rk4", 0.02, 8),
     (2, "G", "sqrt(1+{S})", "rk4", 0.02, 60),
 )
+# the midpoint benchmark's run, in the same form
+MIDPOINT_N4 = (4, "G", "exp(0.5*{S})", "implicit_midpoint", 0.05, 12)
 
 
 def _probe(cwd: Path, *argv: str, flags: tuple[str, ...] = ()) -> dict:
@@ -61,6 +63,16 @@ def _config(tmp_path: Path, method: str, n: int = 1, label: str = "F", steps: in
     path = tmp_path / f"{method}.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path.name
+
+
+def _radial_config(n, label, energy, method, dt, steps, prefix) -> dict:
+    """A benchmark-shaped config: alternating signs at |x0| = 0.8."""
+    squares = "+".join(f"x{a}^2" for a in range(1, 4 * n + 1))
+    return {
+        "n": n, "structure": label, "hamiltonian": energy.format(S=f"({squares})"),
+        "initial": [(-1) ** a * 0.8 / math.sqrt(4 * n) for a in range(4 * n)], "dt": dt, "steps": steps,
+        "method": method, "output_prefix": prefix, "emit_plot": False,
+    }
 
 
 @pytest.mark.parametrize(
@@ -92,14 +104,8 @@ def test_a_mixed_batch_leaves_numpy_unloaded(tmp_path):
     # RK4 at n = 1, 2 and 8 and the midpoint rule at n = 1 and 2, from |x0| = 0.8
     batch = tmp_path / "batch"
     batch.mkdir()
-    for k, (n, label, energy, method, dt, steps) in enumerate(MIXED_BATCH, start=1):
-        squares = "+".join(f"x{a}^2" for a in range(1, 4 * n + 1))
-        payload = {
-            "n": n, "structure": label, "hamiltonian": energy.format(S=f"({squares})"),
-            "initial": [(-1) ** a * 0.8 / math.sqrt(4 * n) for a in range(4 * n)], "dt": dt, "steps": steps,
-            "method": method, "output_prefix": f"out/b{k}", "emit_plot": False,
-        }
-        (batch / f"b{k}.json").write_text(json.dumps(payload), encoding="utf-8")
+    for k, spec in enumerate(MIXED_BATCH, start=1):
+        (batch / f"b{k}.json").write_text(json.dumps(_radial_config(*spec, f"out/b{k}")), encoding="utf-8")
     result = _probe(tmp_path, "run", "--batch", "batch")
     assert result["code"] == 0
     assert HEAVY.isdisjoint(result["loaded"])
@@ -117,9 +123,19 @@ def test_an_rk4_run_at_n32_leaves_numpy_unloaded(tmp_path):
     assert (tmp_path / "out" / "rk4.diagnostics.json").exists()
 
 
+def test_a_midpoint_run_at_n4_leaves_numpy_unloaded(tmp_path):
+    # its 16x16 Newton systems, the probe's 32 solves included, are solved
+    # on floats up to NUMPY_SOLVE_SIZE
+    (tmp_path / "mid.json").write_text(json.dumps(_radial_config(*MIDPOINT_N4, "out/mid")), encoding="utf-8")
+    result = _probe(tmp_path, "run", "mid.json")
+    assert result["code"] == 0
+    assert HEAVY.isdisjoint(result["loaded"])
+    assert (tmp_path / "out" / "mid.diagnostics.json").exists()
+
+
 def test_a_midpoint_run_loads_numpy_for_its_solve(tmp_path):
-    # n = 3: the 12x12 Newton system is past NUMPY_SOLVE_SIZE
-    result = _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint", 3))
+    # n = 5: the 20x20 Newton system is past NUMPY_SOLVE_SIZE
+    result = _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint", 5))
     assert result["code"] == 0
     # numpy itself imports inspect, so only dataclasses is checked here
     assert "numpy" in result["loaded"] and "dataclasses" not in result["loaded"]
