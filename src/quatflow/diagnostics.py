@@ -31,9 +31,9 @@ import math
 from operator import mul
 
 from . import dynamics
-from .dynamics import _STEPPERS, HamiltonianSystem, Trajectory, _scale
+from .dynamics import HamiltonianSystem, Trajectory, _scale, _stepper
 from .expressions import evaluate
-from .structures import _generate, structure_triple, verify_quaternion_relations
+from .structures import _generate, structure_triple, to_floats, verify_quaternion_relations
 
 # energy-drift ceilings per one-step method (quadratic well, desk scale)
 ENERGY_DRIFT_LIMITS = {"rk4": 1e-8, "implicit_midpoint": 1e-10}
@@ -91,8 +91,8 @@ def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> l
     difference of the two perturbed points, which is within O(h dt) of its
     solution.  Each perturbed step checks its own state is finite.
     """
-    stepper = _STEPPERS[method]
-    base = [*map(float, point)]
+    stepper = _stepper(method)
+    base = list(to_floats(point, system.omega.dim.total, "point"))
     mantissa, exponent = math.frexp(_scale(base))
     h = math.ldexp(JACOBIAN_PROBE_STEP, exponent - (mantissa == 0.5))
     warm = method == "implicit_midpoint"
@@ -152,6 +152,7 @@ def algebra_residuals(system: HamiltonianSystem) -> dict[str, int]:
 
 def default_thresholds(method: str, dt: float, tolerance_scale: float = 1.0) -> dict[str, float]:
     """Pass/fail ceilings for a run: drift per method, EOM scaled as dt^2."""
+    _stepper(method)  # an unknown method raises integrate's ValueError
     return {
         "energy_drift_max": ENERGY_DRIFT_LIMITS[method] * tolerance_scale,
         "eom_residual_max": dt * dt * tolerance_scale,

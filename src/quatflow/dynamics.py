@@ -37,7 +37,7 @@ from functools import cached_property
 from ._records import Record
 from .expressions import ScalarField, gradient
 from .forms import symplectic_form
-from .structures import LABELS, StructureKind, StructureTensor, _generate, build_structure, to_floats
+from .structures import LABELS, StructureKind, StructureTensor, _generate, _read_point, build_structure, to_floats
 
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
 NEWTON_TOL = 1e-12
@@ -84,7 +84,7 @@ class HamiltonianSystem(Record):
 
     @cached_property
     def _rk4_step(self):
-        return _generate(_rk4_source(self.omega), {"IntegrationError": IntegrationError}, "rk4")
+        return _generate(_rk4_source(self.omega), {"IntegrationError": IntegrationError, "to_floats": to_floats}, "rk4")
 
     @classmethod
     def build(cls, label: str, hamiltonian: ScalarField) -> "HamiltonianSystem":
@@ -128,7 +128,7 @@ def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
     arithmetic and the check of its state are system._rk4_step,
     straight-line code with Omega's signs folded in (_rk4_source), handed
     this module's gradient, read when the step runs, for its four gradient
-    calls; the first is at x, so a bad x raises the kernel's error.  The
+    calls; it first reads x as the kernel reads a point, with its errors.  The
     stages k_i = Omega g_i are kept as the gradients g_i: each stage point
     is x_a + (h signs_a) * g[order_a], and k1 + 2 k2 + 2 k3 + k4 is summed
     as ((g1 + 2 g2) + 2 g3) + g4 in gradient space and shifted once.
@@ -164,8 +164,8 @@ def _rk4_source(omega: StructureTensor) -> str:
     update = [f"    y{i} = x{i} + {k}*(a{o} + 2.0*b{o} + 2.0*c{o} + g[{o}])" for i, (k, o) in enumerate(scales)]
     return "\n".join([
         "def rk4(gradient, hamiltonian, x, dt):",
+        *(f"    {line}" for line in _read_point([f"x{i}" for i in range(len(scales))])),
         f"    {names('a')}, = gradient(hamiltonian, x)",
-        f"    {names('x')}, = x",
         "    h = 0.5 * dt",
         "    k = -h",
         f"    {names('b')}, = gradient(hamiltonian, {point('a')})",
@@ -203,7 +203,7 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     hamiltonian, apply = system.hamiltonian, system.omega.apply
-    x = [*map(float, x)]
+    x = to_floats(x, system.omega.dim.total, "point")
     y = x if start is None else to_floats(start, len(x), "start")
     h = [1e-7 * max(1.0, abs(a)) for a in x]
     newton_update = _float_newton_update if len(x) <= NUMPY_SOLVE_SIZE else _numpy_newton_update
@@ -309,6 +309,13 @@ _STEPPERS = {"rk4": step_rk4, "implicit_midpoint": step_implicit_midpoint}
 METHODS = tuple(_STEPPERS)
 
 
+def _stepper(method: str):
+    """method's one-step function, read from _STEPPERS when called; integrate's ValueError if unknown."""
+    if method not in _STEPPERS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return _STEPPERS[method]
+
+
 def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method: str) -> Trajectory:
     """Repeatedly step the flow; the result includes the initial state.
 
@@ -320,8 +327,7 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    stepper = _stepper(method)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     x0 = to_floats(initial, system.omega.dim.total, "initial point")
@@ -331,7 +337,6 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
         states = [x0] * (steps + 1)
     except (OverflowError, MemoryError):  # more rows than a list can index, or than memory holds
         raise ValueError("the step count is too large to hold the trajectory") from None
-    stepper = _STEPPERS[method]
     for k in range(steps):
         try:
             states[k + 1] = stepper(system, states[k], dt)

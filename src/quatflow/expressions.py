@@ -16,22 +16,22 @@ parses back to inf.
 
 Identifiers are the coordinates x1 .. x{4n}; the function set is sin, cos,
 exp, sqrt; numeric literals are IEEE doubles.  Each field compiles, on the
-first `evaluate` or `gradient` call, into one kernel with two entry points
-over plain floats: a straight-line forward sweep that computes H, and the
+first `evaluate` or `gradient` call, into a kernel of two plain functions
+over floats: a straight-line forward sweep that computes H, and the
 same sweep followed by one reverse (adjoint) sweep, so the whole gradient
 costs a small multiple of one evaluation whatever the dimension (the
 cheap-gradient principle; Griewank & Walther, Evaluating Derivatives, 2nd
-ed., 2008).  Both entry points use a point that is a list or tuple of 4n
-Python floats as it is, and convert any other point (an array, or a list
-holding ints or numpy scalars) with structures.to_floats, which checks its
-length, so every form of a point gives the same bits; this module never
+ed., 2008).  Both read a point by structures._read_point: a list or tuple
+of 4n Python floats as it is, and any other point (an array, or a list
+holding ints or numpy scalars) through structures.to_floats, which checks
+its length, so every form of a point gives the same bits; this module never
 imports numpy.  `gradient` returns the kernel's list of 4n floats.
 `evaluate` runs only the statements H needs, so it returns a value
 wherever H is defined, even where its derivative is not.  A domain error
 raises EvaluationError naming the offending subexpression, and nesting too
 deep for the recursive parser or code generator an ExpressionError, never
-a RecursionError; a field too deep to compile is compiled once and raises
-the same error on every later use.
+a RecursionError; a field too deep to compile is compiled once into two
+functions that raise that error.
 The tests keep two independent oracles: an AST interpreter with central
 differences, and the seeded dual-number passes the kernel replaced.
 """
@@ -43,7 +43,7 @@ import re
 from functools import cached_property
 
 from ._records import Value
-from .structures import BlockDim, _generate, to_floats
+from .structures import BlockDim, _generate, _read_point, to_floats
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -117,18 +117,16 @@ class ScalarField(Value):
     __match_args__ = ("dim", "root")
 
     @cached_property
-    def gradient_kernel(self) -> "_Kernel":
-        """The compiled value and value-and-gradient functions, built on first use.
+    def gradient_kernel(self) -> tuple:
+        """The compiled functions (value, gradient) of a point, built on first use, or two that raise if too deep."""
+        try:
+            source = _KernelSource(self)
+            return _generate(source.text, {**_NAMESPACE, "owners": source.owners}, "value", "gradient")
+        except RecursionError:  # the code generator recurses once per AST level
+            def too_deep(x):
+                raise ExpressionError("expression nested too deeply to compile")
 
-        A field that fails to compile is not compiled again: the failure is
-        kept with the field and raised afresh on every later use.
-        """
-        if "_too_deep" not in vars(self):
-            try:
-                return _Kernel(self)
-            except RecursionError:  # the code generator recurses once per AST level
-                vars(self)["_too_deep"] = True
-        raise ExpressionError("expression nested too deeply to compile")
+            return too_deep, too_deep
 
 
 # --- parsing ---------------------------------------------------------------
@@ -284,17 +282,20 @@ def format_expression(field_or_node: ScalarField | Node) -> str:
 
 def evaluate(field: ScalarField, point) -> float:
     """H at a point, from the value statements of the field's compiled kernel."""
-    return field.gradient_kernel.value(point)
+    return field.gradient_kernel[0](point)
 
 
 def gradient(field: ScalarField, point) -> list[float]:
     """The gradient dH at a point, the kernel's list of 4n floats."""
-    return field.gradient_kernel.gradient(point)[1]
+    return field.gradient_kernel[1](point)
 
 
 # --- compiled kernel -------------------------------------------------------
 
-_NAMESPACE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "log": math.log}
+_NAMESPACE = {
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "log": math.log,
+    "to_floats": to_floats, "EvaluationError": EvaluationError, "format_expression": format_expression,
+}
 
 
 class _Value:
@@ -338,12 +339,10 @@ class _KernelSource:
     quotients by checked nonzero values and sums only, so it cannot raise.
 
     The text defines value(x), the forward statements without those
-    partials, returning H, and kernel(x), the whole forward sweep and the
-    reverse sweep, returning (H, grad H).  Each sends an x that is not a
-    list or tuple of 4n entries through to_floats(x, 4n, "point") first,
-    unpacks x into x1 .. x{4n} once and runs one chain of class tests,
-    which sends x through to_floats should an entry not be a float.  Its
-    statements then run inside one try.  owners maps the line number of
+    partials, returning H, and gradient(x), the whole forward sweep and the
+    reverse sweep, returning grad H as a list.  Each reads x into x1 ..
+    x{4n} by structures._read_point, as the RK4 step reads its point, and
+    then runs its statements inside one try.  owners maps the line number of
     each forward statement in the text to the node it belongs to; the
     handler looks up the line that raised and raises EvaluationError naming
     that node's subexpression, so the bookkeeping costs nothing until
@@ -358,20 +357,12 @@ class _KernelSource:
         if root.varying:
             self._back(root, None, False)
         size = field.dim.total
-        unpack = ", ".join(f"x{a}" for a in range(1, size + 1))
         components = ", ".join(f"g{a}" if a in self.assigned else "0.0" for a in range(1, size + 1))
         lines: list[str] = []
         self.owners: dict[int, Node] = {}
-        classes = " is ".join(f"x{a}.__class__" for a in range(1, size + 1))
-        convert = f"to_floats(x, {size}, 'point')"
-        for name, gradient, result in (("value", False, root.expr), ("kernel", True, f"{root.expr}, [{components}]")):
-            lines += [
-                f"def {name}(x):",
-                f"    if not (x.__class__ is list or x.__class__ is tuple) or len(x) != {size}: x = {convert}",
-                f"    {unpack}, = x",
-                f"    if not {classes} is float: {unpack}, = {convert}",
-                "    try:",
-            ]
+        header = [f"    {line}" for line in _read_point([f"x{a}" for a in range(1, size + 1)])]
+        for name, gradient, result in (("value", False, root.expr), ("gradient", True, f"[{components}]")):
+            lines += [f"def {name}(x):", *header, "    try:"]
             for statement, owner, partial in self.forward:
                 if gradient or not partial:
                     lines.append(f"        {statement}")
@@ -492,23 +483,6 @@ class _KernelSource:
                 self._back(left, _times(adjoint, base_partial), negated)
             if exponent_partial is not None:
                 self._back(right, _times(adjoint, exponent_partial), negated)
-
-
-class _Kernel:
-    """A field compiled to two functions of the values of its 4n coordinates.
-
-    value(x) returns H and gradient(x) returns (H, grad H) at a point x,
-    best a list or tuple of 4n floats; each raises EvaluationError naming
-    the subexpression whose statement met a domain error.
-    """
-
-    def __init__(self, field: ScalarField):
-        source = _KernelSource(field)
-        namespace = {
-            **_NAMESPACE, "to_floats": to_floats, "owners": source.owners,
-            "EvaluationError": EvaluationError, "format_expression": format_expression,
-        }
-        self.value, self.gradient = _generate(source.text, namespace, "value", "kernel")
 
 
 # --- demo Hamiltonians -----------------------------------------------------

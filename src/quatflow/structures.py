@@ -26,7 +26,7 @@ a, so applying a tensor is a plain matrix-vector product.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence, Set
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
@@ -57,15 +57,35 @@ _BLOCK_ACTION: dict[str, tuple[tuple[int, int], ...]] = {
 MAX_BLOCK_SIZE = 4096
 
 
+_NOT_POINTS = (str, bytes, bytearray, Mapping, Set)  # no sequence of numbers, whatever float() makes of their items
+
+
 def to_floats(values, size: int, what: str) -> tuple[float, ...]:
     """values as a tuple of size Python floats, else ValueError naming what they are."""
-    try:  # an array's extra dimensions become nested lists in tolist(), which float() refuses
-        values = tuple(map(float, values.tolist() if hasattr(values, "tolist") else values))
+    if values.__class__ is not list and values.__class__ is not tuple:
+        # an array's extra dimensions become nested lists in tolist(), which float() refuses
+        values = () if isinstance(values, _NOT_POINTS) else values.tolist() if hasattr(values, "tolist") else values
+    try:
+        values = tuple(map(float, values))
     except TypeError:  # a number where a sequence belongs, or a sequence where a number does
         values = ()
     if len(values) != size:
         raise ValueError(f"{what} must have length {size}")
     return values
+
+
+def _read_point(names: list[str]) -> list[str]:
+    """Source lines reading the point x of a generated function into the locals names.
+
+    A list or tuple of floats is unpacked as it is; any other x or entry goes
+    through to_floats(x, len(names), "point"), which must be among its globals.
+    """
+    unpack, convert = ", ".join(names), f"to_floats(x, {len(names)}, 'point')"
+    return [
+        f"if not (x.__class__ is list or x.__class__ is tuple) or len(x) != {len(names)}: x = {convert}",
+        f"{unpack}, = x",
+        f"if not {' is '.join(f'{name}.__class__' for name in names)} is float: {unpack}, = {convert}",
+    ]
 
 
 class BlockDim(Value):

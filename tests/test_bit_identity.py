@@ -30,10 +30,12 @@ from quatflow import (
     eom_residual,
     gradient,
     hamiltonian_vector_field,
+    evaluate,
     integrate,
     parse,
     step_implicit_midpoint,
     step_rk4,
+    symplecticity_residual,
 )
 from quatflow import dynamics
 from quatflow.dynamics import IntegrationError
@@ -152,6 +154,31 @@ def test_a_wrong_length_point_fails_the_step_as_the_kernel_does(size):
     for x in ([0.1] * size, (0.1,) * size, np.full(size, 0.1)):
         with pytest.raises(ValueError, match="^point must have length 4$"):
             step_rk4(system, x, 0.01)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_a_narrow_float_array_steps_as_its_list_of_floats(dtype, n):
+    # the step reads x as the kernel does, so it never computes in the array's precision
+    system = _system("G", n)
+    for point in _points(n, 5, seed=30 + n):
+        narrow = point.astype(dtype)
+        stepped = step_rk4(system, narrow, 0.01)
+        assert all(type(v) is float for v in stepped)
+        assert np.array(stepped).tobytes() == np.array(step_rk4(system, narrow.tolist(), 0.01)).tobytes()
+
+
+@pytest.mark.parametrize("point", [[0.1] * 3, np.full((2, 4), 0.1), 0.1], ids=["short", "2-D", "number"])
+def test_a_malformed_point_raises_one_error_wherever_it_is_read(point):
+    system = _system("F", 1)
+    energy = system.hamiltonian
+    readers = [partial(evaluate, energy), partial(gradient, energy), lambda x: step_rk4(system, x, 0.01),
+               lambda x: step_implicit_midpoint(system, x, 0.01)]
+    readers += [partial(symplecticity_residual, system, dt=0.01, method=method) for method in dynamics.METHODS]
+    for read in readers:
+        with pytest.raises(ValueError) as info:
+            read(point)
+        assert type(info.value) is ValueError and str(info.value) == "point must have length 4"
 
 
 # signed zeros, subnormals, infinities and the extremes of the normal range

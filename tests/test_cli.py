@@ -509,12 +509,12 @@ def test_a_hamiltonian_too_deep_to_compile_is_compiled_once_per_run(tmp_path, ca
 
     constructions = []
 
-    class CountedKernel(expressions._Kernel):
+    class CountedSource(expressions._KernelSource):
         def __init__(self, field):
             constructions.append(field)
             super().__init__(field)
 
-    monkeypatch.setattr(expressions, "_Kernel", CountedKernel)
+    monkeypatch.setattr(expressions, "_KernelSource", CountedSource)
     config_path, payload = write_config(tmp_path, hamiltonian="+".join(["x1"] * 3000))
     assert main(["run", str(config_path)]) == 1
     assert len(constructions) == 1

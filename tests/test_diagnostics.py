@@ -175,6 +175,16 @@ def test_eom_residual_zero_for_a_constant_flow():
     assert eom_residual(trajectory) == 0.0
 
 
+def test_an_unknown_method_raises_integrates_value_error_everywhere():
+    system, point = _system(), [0.1, 0.2, 0.3, 0.4]
+    calls = [lambda: integrate(system, point, 0.1, 1, "euler"), lambda: step_jacobian(system, point, 0.1, "euler"),
+             lambda: symplecticity_residual(system, point, 0.1, "euler"), lambda: default_thresholds("euler", 0.1)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"method must be one of {dynamics.METHODS}, got 'euler'"
+
+
 def test_eom_residual_needs_three_points():
     system = _system()
     trajectory = integrate(system, np.ones(4), 0.1, 1, "rk4")

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -251,6 +252,29 @@ def test_midpoint_rejects_a_start_of_the_wrong_length(length):
     # an extra entry is not dropped, and a short start is not reported as a bad point
     with pytest.raises(ValueError, match="^start must have length 4$"):
         step_implicit_midpoint(_system("F"), POINT, 0.1, start=[*POINT, 0.0][:length])
+
+
+# text, bytes, a mapping and a set hold four items, none of them a coordinate
+NOT_POINTS = {"text": "1234", "bytes": b"1234", "dict": dict.fromkeys([1.0, 2.0, 3.0, 4.0]),
+              "set": {1.0, 2.0, 3.0, 4.0}, "frozenset": frozenset({1.0, 2.0, 3.0, 4.0})}
+
+
+@pytest.mark.parametrize("value", NOT_POINTS.values(), ids=NOT_POINTS)
+def test_text_bytes_mappings_and_sets_are_not_points(value):
+    system = _system("F")
+    energy = system.hamiltonian
+    readers = {
+        "point": [partial(evaluate, energy), partial(gradient, energy), partial(step_rk4, system, dt=0.1),
+                  partial(step_implicit_midpoint, system, dt=0.1)],
+        "start": [lambda v: step_implicit_midpoint(system, POINT, 0.1, start=v)],
+        "initial point": [lambda v: integrate(system, v, 0.1, 1, "rk4")],
+        "each state": [lambda v: Trajectory(system, [POINT, v], 0.1)],
+    }
+    for what, calls in readers.items():
+        for read in calls:
+            with pytest.raises(ValueError) as info:
+                read(value)
+            assert type(info.value) is ValueError and str(info.value) == f"{what} must have length 4"
 
 
 # --- trajectories ----------------------------------------------------------

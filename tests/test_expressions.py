@@ -144,12 +144,12 @@ def test_a_flat_chain_too_deep_to_compile_is_an_expression_error(op, monkeypatch
 
     constructions = []
 
-    class CountedKernel(expressions._Kernel):
+    class CountedSource(expressions._KernelSource):
         def __init__(self, field):
             constructions.append(field)
             super().__init__(field)
 
-    monkeypatch.setattr(expressions, "_Kernel", CountedKernel)
+    monkeypatch.setattr(expressions, "_KernelSource", CountedSource)
     field = parse(op.join(["x1"] * 3000), DIM1)  # the parser loops over a chain
     for entry_point in (evaluate, gradient, evaluate):
         with pytest.raises(ExpressionError, match="^expression nested too deeply to compile$") as info:
