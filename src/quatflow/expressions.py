@@ -29,9 +29,9 @@ imports numpy.  `gradient` returns the kernel's list of 4n floats.
 `evaluate` runs only the statements H needs, so it returns a value
 wherever H is defined, even where its derivative is not.  A domain error
 raises EvaluationError naming the offending subexpression, and nesting too
-deep for the recursive parser or code generator an ExpressionError, never
-a RecursionError; a field too deep to compile is compiled once into two
-functions that raise that error.
+deep for the recursive parser an ExpressionSyntaxError, never a
+RecursionError.  The code generator and `format_expression` walk the tree
+with explicit stacks, so every field that parses compiles and formats.
 The tests keep two independent oracles: an AST interpreter with central
 differences, and the seeded dual-number passes the kernel replaced.
 """
@@ -118,15 +118,9 @@ class ScalarField(Value):
 
     @cached_property
     def gradient_kernel(self) -> tuple:
-        """The compiled functions (value, gradient) of a point, built on first use, or two that raise if too deep."""
-        try:
-            source = _KernelSource(self)
-            return _generate(source.text, {**_NAMESPACE, "owners": source.owners}, "value", "gradient")
-        except RecursionError:  # the code generator recurses once per AST level
-            def too_deep(x):
-                raise ExpressionError("expression nested too deeply to compile")
-
-            return too_deep, too_deep
+        """The compiled functions (value, gradient) of a point, built on first use."""
+        source = _KernelSource(self)
+        return _generate(source.text, {**_NAMESPACE, "owners": source.owners}, "value", "gradient")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -252,30 +246,37 @@ def parse(text: str, dim: BlockDim) -> ScalarField:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
-def _format(node: Node, minimum: int) -> str:
-    if isinstance(node, Number):
-        # repr names an overflowed literal inf, which is no literal; 1e999 parses back to it
-        text, own = repr(node.value).replace("inf", "1e999"), 9
-    elif isinstance(node, Variable):
-        text, own = f"x{node.index}", 9
-    elif isinstance(node, FunctionCall):
-        text, own = f"{node.name}({_format(node.argument, 0)})", 9
-    elif isinstance(node, Negation):
-        text, own = f"-{_format(node.operand, 3)}", 3
-    else:
-        own = _PRECEDENCE[node.op]
-        if node.op == "^":
-            # base must be an atom, exponent may be a unary chain
-            text = f"{_format(node.left, 5)}^{_format(node.right, 3)}"
-        else:
-            text = f"{_format(node.left, own)}{node.op}{_format(node.right, own + 1)}"
-    return f"({text})" if own < minimum else text
-
-
 def format_expression(field_or_node: ScalarField | Node) -> str:
     """Render an AST back to parseable source text."""
     node = field_or_node.root if isinstance(field_or_node, ScalarField) else field_or_node
-    return _format(node, 0)
+    # one stack of text and (node, minimum precedence) entries, popped left to right
+    text, stack = [], [(node, 0)]
+    while stack:
+        entry = stack.pop()
+        if entry.__class__ is str:
+            text.append(entry)
+            continue
+        node, minimum = entry
+        if isinstance(node, Number):
+            # repr names an overflowed literal inf, which is no literal; 1e999 parses back to it
+            parts, own = [repr(node.value).replace("inf", "1e999")], 9
+        elif isinstance(node, Variable):
+            parts, own = [f"x{node.index}"], 9
+        elif isinstance(node, FunctionCall):
+            parts, own = [f"{node.name}(", (node.argument, 0), ")"], 9
+        elif isinstance(node, Negation):
+            parts, own = ["-", (node.operand, 3)], 3
+        else:
+            own = _PRECEDENCE[node.op]
+            if node.op == "^":
+                # base must be an atom, exponent may be a unary chain
+                parts = [(node.left, 5), "^", (node.right, 3)]
+            else:
+                parts = [(node.left, own), node.op, (node.right, own + 1)]
+        if own < minimum:
+            parts = ["(", *parts, ")"]
+        stack += reversed(parts)
+    return "".join(text)
 
 
 # --- evaluation ------------------------------------------------------------
@@ -326,6 +327,16 @@ def _times(adjoint: str | None, factor: str) -> str:
     return factor if adjoint is None else f"{adjoint} * {factor}"
 
 
+def _operands(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, BinaryOp):
+        return node.left, node.right
+    if isinstance(node, Negation):
+        return (node.operand,)
+    if isinstance(node, FunctionCall):
+        return (node.argument,)
+    return ()
+
+
 class _KernelSource:
     """Straight-line Python source of one field's two kernel functions.
 
@@ -355,7 +366,7 @@ class _KernelSource:
         self.assigned: set[int] = set()
         root = self._emit(field.root)
         if root.varying:
-            self._back(root, None, False)
+            self._back(root)
         size = field.dim.total
         components = ", ".join(f"g{a}" if a in self.assigned else "0.0" for a in range(1, size + 1))
         lines: list[str] = []
@@ -386,17 +397,30 @@ class _KernelSource:
     def _check(self, node: Node, condition: str, error: str, partial: bool = False) -> None:
         self.forward.append((f"if {condition}: raise {error}", node, partial))
 
-    def _emit(self, node: Node) -> _Value:
+    def _emit(self, root: Node) -> _Value:
+        """Emit the forward sweep of root's tree, each node's operands left to right before it."""
+        nodes, stack = [], [root]
+        while stack:  # each node, then its right operand's subtree, then its left's: the emitting order reversed
+            node = stack.pop()
+            nodes.append(node)
+            stack += _operands(node)
+        values: list[_Value] = []  # the values of the finished subtrees; each node pops its operands'
+        for node in reversed(nodes):
+            values.append(self._node(node, values))
+        return values[0]
+
+    def _node(self, node: Node, values: list[_Value]) -> _Value:
+        """Emit one node's statements, popping its operands' values off values."""
         if isinstance(node, Number):
             return _Value(node, _literal(node.value), False)
         if isinstance(node, Variable):
             return _Value(node, f"x{node.index}", True)
         if isinstance(node, Negation):
-            operand = self._emit(node.operand)
+            operand = values.pop()
             return _Value(node, self._line(node, f"-{operand.expr}"), operand.varying, (operand,))
         if isinstance(node, FunctionCall):
-            return self._emit_function(node)
-        left, right = self._emit(node.left), self._emit(node.right)
+            return self._emit_function(node, values.pop())
+        right, left = values.pop(), values.pop()
         value = _Value(node, "", left.varying or right.varying, (left, right))
         if node.op != "^":
             value.expr = self._line(node, f"{left.expr} {node.op} {right.expr}")
@@ -419,8 +443,7 @@ class _KernelSource:
         value.partial = (base_partial, exponent_partial)
         return value
 
-    def _emit_function(self, node: FunctionCall) -> _Value:
-        operand = self._emit(node.argument)
+    def _emit_function(self, node: FunctionCall, operand: _Value) -> _Value:
         value = _Value(node, "", operand.varying, (operand,))
         value.expr = self._line(node, f"{node.name}({operand.expr})")
         if not operand.varying:
@@ -436,53 +459,59 @@ class _KernelSource:
             self._check(node, f"{value.partial} == 0.0", "ZeroDivisionError('float division by zero')", partial=True)
         return value
 
-    def _back(self, value: _Value, adjoint: str | None, negated: bool) -> None:
-        """Emit the reverse sweep below a node whose adjoint is -+adjoint (None: 1)."""
-        node = value.node
-        if isinstance(node, Variable):
-            term = adjoint or "1.0"
-            if node.index in self.assigned:
-                self.reverse.append(f"g{node.index} {'-=' if negated else '+='} {term}")
+    def _back(self, root: _Value) -> None:
+        """Emit the reverse sweep, each node before its operands and the left operand's subtree first.
+
+        A stack entry (value, adjoint, negated) stands for a node whose adjoint is -+adjoint (None: 1).
+        """
+        stack: list[tuple[_Value, str | None, bool]] = [(root, None, False)]
+        while stack:
+            value, adjoint, negated = stack.pop()
+            node = value.node
+            if isinstance(node, Variable):
+                term = adjoint or "1.0"
+                if node.index in self.assigned:
+                    self.reverse.append(f"g{node.index} {'-=' if negated else '+='} {term}")
+                else:
+                    self.assigned.add(node.index)
+                    self.reverse.append(f"g{node.index} = {'-' if negated else ''}{term}")
+                continue
+            if isinstance(node, Negation):
+                stack.append((value.operands[0], adjoint, not negated))
+                continue
+            if adjoint is not None and not _simple(adjoint):
+                name = f"a{len(self.reverse)}"
+                self.reverse.append(f"{name} = {adjoint}")
+                adjoint = name
+            if isinstance(node, FunctionCall):
+                (operand,) = value.operands
+                if node.name == "sqrt":
+                    stack.append((operand, f"{adjoint or '1.0'} / {value.partial}", negated))
+                else:
+                    stack.append((operand, _times(adjoint, value.partial), negated != (node.name == "cos")))
+                continue
+            left, right = value.operands  # the right operand is stacked first, so the left's subtree comes first
+            if node.op in "+-":
+                if right.varying:
+                    stack.append((right, adjoint, negated != (node.op == "-")))
+                if left.varying:
+                    stack.append((left, adjoint, negated))
+            elif node.op == "*":
+                if right.varying:
+                    stack.append((right, _times(adjoint, left.expr), negated))
+                if left.varying:
+                    stack.append((left, _times(adjoint, right.expr), negated))
+            elif node.op == "/":
+                if right.varying:
+                    stack.append((right, f"{_times(adjoint, value.expr)} / {right.expr}", not negated))
+                if left.varying:
+                    stack.append((left, f"{adjoint or '1.0'} / {right.expr}", negated))
             else:
-                self.assigned.add(node.index)
-                self.reverse.append(f"g{node.index} = {'-' if negated else ''}{term}")
-            return
-        if isinstance(node, Negation):
-            self._back(value.operands[0], adjoint, not negated)
-            return
-        if adjoint is not None and not _simple(adjoint):
-            name = f"a{len(self.reverse)}"
-            self.reverse.append(f"{name} = {adjoint}")
-            adjoint = name
-        if isinstance(node, FunctionCall):
-            (operand,) = value.operands
-            if node.name == "sqrt":
-                self._back(operand, f"{adjoint or '1.0'} / {value.partial}", negated)
-            else:
-                self._back(operand, _times(adjoint, value.partial), negated != (node.name == "cos"))
-            return
-        left, right = value.operands
-        if node.op in "+-":
-            if left.varying:
-                self._back(left, adjoint, negated)
-            if right.varying:
-                self._back(right, adjoint, negated != (node.op == "-"))
-        elif node.op == "*":
-            if left.varying:
-                self._back(left, _times(adjoint, right.expr), negated)
-            if right.varying:
-                self._back(right, _times(adjoint, left.expr), negated)
-        elif node.op == "/":
-            if left.varying:
-                self._back(left, f"{adjoint or '1.0'} / {right.expr}", negated)
-            if right.varying:
-                self._back(right, f"{_times(adjoint, value.expr)} / {right.expr}", not negated)
-        else:
-            base_partial, exponent_partial = value.partial
-            if base_partial is not None:
-                self._back(left, _times(adjoint, base_partial), negated)
-            if exponent_partial is not None:
-                self._back(right, _times(adjoint, exponent_partial), negated)
+                base_partial, exponent_partial = value.partial
+                if exponent_partial is not None:
+                    stack.append((right, _times(adjoint, exponent_partial), negated))
+                if base_partial is not None:
+                    stack.append((left, _times(adjoint, base_partial), negated))
 
 
 # --- demo Hamiltonians -----------------------------------------------------

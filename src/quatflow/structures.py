@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence, Set
 from functools import cached_property
+from math import copysign
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -57,17 +58,19 @@ _BLOCK_ACTION: dict[str, tuple[tuple[int, int], ...]] = {
 MAX_BLOCK_SIZE = 4096
 
 
-_NOT_POINTS = (str, bytes, bytearray, Mapping, Set)  # no sequence of numbers, whatever float() makes of their items
+_NOT_POINTS = (str, bytes, bytearray, Mapping, Set)  # no sequence of numbers, whatever their items are
 
 
 def to_floats(values, size: int, what: str) -> tuple[float, ...]:
     """values as a tuple of size Python floats, else ValueError naming what they are."""
-    if values.__class__ is not list and values.__class__ is not tuple:
-        # an array's extra dimensions become nested lists in tolist(), which float() refuses
-        values = () if isinstance(values, _NOT_POINTS) else values.tolist() if hasattr(values, "tolist") else values
     try:
-        values = tuple(map(float, values))
-    except TypeError:  # a number where a sequence belongs, or a sequence where a number does
+        if values.__class__ is not list and values.__class__ is not tuple:
+            # an array's extra dimensions become nested lists in tolist(), which copysign refuses
+            values = () if isinstance(values, _NOT_POINTS) else values.tolist() if hasattr(values, "tolist") else tuple(values)
+        # copysign(v, v) is v as a float, bits and all, and refuses the text float() reads;
+        # map reads values twice, hence the tuple of any other iterable above
+        values = tuple(map(copysign, values, values))
+    except TypeError:  # a number where a sequence belongs, or anything but a real number where one does
         values = ()
     if len(values) != size:
         raise ValueError(f"{what} must have length {size}")

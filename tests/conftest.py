@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quatflow import BlockDim, HamiltonianSystem, parse
+from quatflow import BlockDim, HamiltonianSystem, expressions, parse
 from quatflow.expressions import DEMO_HAMILTONIANS
 
 
@@ -28,3 +28,17 @@ def quadratic_systems(quadratic_field):
 @pytest.fixture
 def unit_start():
     return np.array([1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.fixture
+def kernel_sources(monkeypatch):
+    """The fields a _KernelSource is built for, one entry per compilation."""
+    built = []
+
+    class CountedSource(expressions._KernelSource):
+        def __init__(self, field):
+            built.append(field)
+            super().__init__(field)
+
+    monkeypatch.setattr(expressions, "_KernelSource", CountedSource)
+    return built

@@ -487,13 +487,8 @@ def test_batch_refuses_two_output_prefixes_in_one_symlink_loop(tmp_path, capsys)
     [
         ("(" * 3000 + "x1" + ")" * 3000, "invalid config {config}: field 'hamiltonian': expression nested too deeply at offset 0"),
         ("-" * 3000 + "x1", "invalid config {config}: field 'hamiltonian': expression nested too deeply at offset 0"),
-        (
-            "+".join(["x1"] * 3000),
-            "integration aborted: step 0 failed: expression nested too deeply to compile;"
-            " partial trajectory not written: expression nested too deeply to compile",
-        ),
     ],
-    ids=["parentheses", "unary_minus", "flat_sum"],
+    ids=["parentheses", "unary_minus"],
 )
 def test_batch_runs_the_configs_after_a_hamiltonian_nested_too_deeply(tmp_path, capsys, hamiltonian, message):
     batch_dir = write_batch(tmp_path, [("a_deep", dict(hamiltonian=hamiltonian)), ("b_healthy", {})])
@@ -503,29 +498,16 @@ def test_batch_runs_the_configs_after_a_hamiltonian_nested_too_deeply(tmp_path, 
     assert (tmp_path / "out" / "b_healthy.diagnostics.json").exists()
 
 
-def test_a_hamiltonian_too_deep_to_compile_is_compiled_once_per_run(tmp_path, capsys, monkeypatch):
-    # step 0 fails to compile it; the one-state partial CSV then reuses the failure
-    from quatflow import expressions
-
-    constructions = []
-
-    class CountedSource(expressions._KernelSource):
-        def __init__(self, field):
-            constructions.append(field)
-            super().__init__(field)
-
-    monkeypatch.setattr(expressions, "_KernelSource", CountedSource)
-    config_path, payload = write_config(tmp_path, hamiltonian="+".join(["x1"] * 3000))
-    assert main(["run", str(config_path)]) == 1
-    assert len(constructions) == 1
-    message = (
-        "integration aborted: step 0 failed: expression nested too deeply to compile;"
-        " partial trajectory not written: expression nested too deeply to compile"
-    )
-    assert capsys.readouterr().err == f"error: {message}\n"
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_a_flat_chain_of_3000_terms_runs_and_is_compiled_once(tmp_path, capsys, kernel_sources, op):
+    # the chain parses in a loop and compiles in one; the steps, probe and CSV share the kernel
+    config_path, payload = write_config(tmp_path, hamiltonian=op.join(["x1"] * 3000), steps=10)
+    assert main(["run", str(config_path)]) == 0
+    assert len(kernel_sources) == 1
+    assert capsys.readouterr().err == ""
     prefix = payload["output_prefix"]
-    assert Path(f"{prefix}.error.log").read_text(encoding="utf-8") == message + "\n"
-    assert not Path(f"{prefix}.trajectory.csv.partial").exists()
+    assert json.loads(Path(f"{prefix}.diagnostics.json").read_text(encoding="utf-8"))["passed"] is True
+    assert len(Path(f"{prefix}.trajectory.csv").read_text(encoding="utf-8").splitlines()) == 1 + 11
 
 
 def test_clash_check_skips_a_config_that_is_not_an_object(tmp_path, capsys):

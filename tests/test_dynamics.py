@@ -254,9 +254,13 @@ def test_midpoint_rejects_a_start_of_the_wrong_length(length):
         step_implicit_midpoint(_system("F"), POINT, 0.1, start=[*POINT, 0.0][:length])
 
 
-# text, bytes, a mapping and a set hold four items, none of them a coordinate
+# text, bytes, a mapping and a set hold four items, none of them a coordinate,
+# and an entry written as text or bytes is no coordinate, though float() reads it
 NOT_POINTS = {"text": "1234", "bytes": b"1234", "dict": dict.fromkeys([1.0, 2.0, 3.0, 4.0]),
-              "set": {1.0, 2.0, 3.0, 4.0}, "frozenset": frozenset({1.0, 2.0, 3.0, 4.0})}
+              "set": {1.0, 2.0, 3.0, 4.0}, "frozenset": frozenset({1.0, 2.0, 3.0, 4.0}),
+              "text_entries": ["1", "0", "0", "0"], "text_tuple": ("1", "0", "0", "0"),
+              "one_text_entry": [1.0, 0.0, "0", 0.0], "bytes_entries": [b"1", b"0", b"0", b"0"],
+              "text_array": np.array(["1", "0", "0", "0"])}
 
 
 @pytest.mark.parametrize("value", NOT_POINTS.values(), ids=NOT_POINTS)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quatflow import (
     BlockDim,
     EvaluationError,
-    ExpressionError,
     ExpressionSyntaxError,
     UnknownIdentifierError,
     VariableRangeError,
@@ -138,24 +137,40 @@ def test_nesting_too_deep_to_parse_is_a_syntax_error(text):
     assert str(excinfo.value) == "expression nested too deeply at offset 0"
 
 
+# the parser loops over a chain, and so do the code generator and the formatter;
+# 3000 links outnumber the default recursion limit of 1000.  The oracles recurse,
+# so the checks here are a left-to-right loop and closed forms.
 @pytest.mark.parametrize("op", ["+", "*"])
-def test_a_flat_chain_too_deep_to_compile_is_an_expression_error(op, monkeypatch):
-    from quatflow import expressions
+def test_a_3000_term_chain_compiles_evaluates_differentiates_and_formats(op, kernel_sources):
+    text = op.join(["x1"] * 3000)
+    field = parse(text, DIM1)
+    point = [1.0001, 0.0, 0.0, 0.0]
+    expected = point[0]
+    for _ in range(2999):
+        expected = expected + point[0] if op == "+" else expected * point[0]
+    slope = 3000.0 if op == "+" else 3000 * point[0] ** 2999
+    for _ in range(2):
+        assert evaluate(field, point).hex() == expected.hex()
+        grad = gradient(field, point)
+        assert grad[0] == pytest.approx(slope, rel=1e-12) and grad[1:] == [0.0, 0.0, 0.0]
+    assert len(kernel_sources) == 1
+    assert format_expression(field) == text
 
-    constructions = []
 
-    class CountedSource(expressions._KernelSource):
-        def __init__(self, field):
-            constructions.append(field)
-            super().__init__(field)
-
-    monkeypatch.setattr(expressions, "_KernelSource", CountedSource)
-    field = parse(op.join(["x1"] * 3000), DIM1)  # the parser loops over a chain
-    for entry_point in (evaluate, gradient, evaluate):
-        with pytest.raises(ExpressionError, match="^expression nested too deeply to compile$") as info:
-            entry_point(field, np.ones(4))
-        assert info.value.__context__ is None
-    assert len(constructions) == 1  # the failure is kept, not compiled again
+def test_the_natural_quartic_at_n_256_compiles_evaluates_differentiates_and_formats(kernel_sources):
+    n = 256
+    dim = BlockDim(n)
+    field = parse("0.25*(1+(" + "+".join(f"x{a}^2" for a in range(1, 4 * n + 1)) + "))^2", dim)
+    point = [((37 * a) % 101 - 50) / 100 for a in range(4 * n)]
+    squares = point[0] ** 2.0
+    for v in point[1:]:
+        squares = squares + v ** 2.0
+    assert evaluate(field, point).hex() == (0.25 * (1.0 + squares) ** 2.0).hex()
+    # dH/dx_a = (1 + S) x_a
+    assert gradient(field, point) == pytest.approx([(1.0 + squares) * v for v in point], rel=1e-14, abs=0.0)
+    assert len(kernel_sources) == 1
+    text = format_expression(field)
+    assert format_expression(parse(text, dim)) == text
 
 
 def test_power_is_right_associative():
