@@ -9,10 +9,12 @@ binding looser than '^' so that -x1^2 means -(x1^2)):
     power  := atom ('^' unary)?
     atom   := NUMBER | IDENT | '(' expr ')' | FUNC '(' expr ')'
 
-Tokenizing is one regex pass whose catch-all group marks the first
-character no token starts with.  `format_expression` round-trips every
-literal: one that overflows (1e400) reads inf and is written 1e999, which
-parses back to inf.
+The tokens are the matches of one regex, each read by its group's name
+(its kind), its text and its offset; an `end` group matches the empty
+text at the end of the input, and a catch-all group marks the first
+character no token starts with, such as a digit outside ASCII 0-9.
+`format_expression` round-trips every literal: one that overflows (1e400)
+reads inf and is written 1e999, which parses back to inf.
 
 Identifiers are the coordinates x1 .. x{4n}; the function set is sin, cos,
 exp, sqrt; numeric literals are IEEE doubles.  Each field compiles, on the
@@ -126,30 +128,26 @@ class ScalarField(Value):
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+    r"(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<variable>x[0-9]+(?![A-Za-z0-9_]))"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)"
     r"|(?P<bad>\S)"
 )
-_VARIABLE_RE = re.compile(r"^x(\d+)$")
 
 
-class _Token(Value):
-    __match_args__ = ("kind", "text", "offset")  # kind: number | ident | op | end
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[re.Match]:
+    tokens = []
     for match in _TOKEN_RE.finditer(text):
         if match.lastgroup == "bad":
             raise ExpressionSyntaxError(f"unexpected character {match.group()!r}", match.start())
-        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append(match)
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], dim: BlockDim):
+    def __init__(self, tokens: list[re.Match], dim: BlockDim):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
@@ -157,24 +155,25 @@ class _Parser:
     def accept(self, ops: str) -> str | None:
         """Consume the next token and return its text if it is an operator in ops."""
         token = self.tokens[self.pos]
-        if token.kind == "op" and token.text in ops:
+        if token.lastgroup == "op" and token.group() in ops:
             self.pos += 1
-            return token.text
+            return token.group()
         return None
+
+    def unexpected(self, *expected: str) -> ExpressionSyntaxError:
+        token = self.tokens[self.pos]
+        return ExpressionSyntaxError(f"unexpected token {token.group() or '<end>'!r}", token.start(), expected)
 
     def expect_op(self, text: str) -> None:
         if self.accept(text) is None:
-            token = self.tokens[self.pos]
-            raise ExpressionSyntaxError(
-                f"unexpected token {token.text or '<end>'!r}", token.offset, expected=(f"'{text}'",)
-            )
+            raise self.unexpected(f"'{text}'")
 
     def parse(self) -> Node:
         node = self.expression()
         token = self.tokens[self.pos]
-        if token.kind != "end":
+        if token.lastgroup != "end":
             raise ExpressionSyntaxError(
-                f"trailing input {token.text!r}", token.offset, expected=("operator", "end of input")
+                f"trailing input {token.group()!r}", token.start(), expected=("operator", "end of input")
             )
         return node
 
@@ -207,28 +206,25 @@ class _Parser:
             self.expect_op(")")
             return node
         token = self.tokens[self.pos]
-        if token.kind == "number":
+        kind, text = token.lastgroup, token.group()
+        if kind == "number":
             self.pos += 1
-            return Number(float(token.text))
-        if token.kind == "ident":
+            return Number(float(text))
+        if kind == "variable":
             self.pos += 1
-            variable = _VARIABLE_RE.match(token.text)
-            if variable:
-                index = int(variable.group(1))
-                if not 1 <= index <= self.dim.total:
-                    raise VariableRangeError(index, self.dim.total, token.offset)
-                return Variable(index)
-            if token.text in FUNCTIONS:
+            index = int(text[1:])
+            if not 1 <= index <= self.dim.total:
+                raise VariableRangeError(index, self.dim.total, token.start())
+            return Variable(index)
+        if kind == "ident":
+            self.pos += 1
+            if text in FUNCTIONS:
                 self.expect_op("(")
                 argument = self.expression()
                 self.expect_op(")")
-                return FunctionCall(token.text, argument)
-            raise UnknownIdentifierError(token.text, token.offset)
-        raise ExpressionSyntaxError(
-            f"unexpected token {token.text or '<end>'!r}",
-            token.offset,
-            expected=("number", "identifier", "'('", "'-'"),
-        )
+                return FunctionCall(text, argument)
+            raise UnknownIdentifierError(text, token.start())
+        raise self.unexpected("number", "identifier", "'('", "'-'")
 
 
 def parse(text: str, dim: BlockDim) -> ScalarField:

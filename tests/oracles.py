@@ -149,7 +149,7 @@ def apply_reference(tensor, v) -> list[float]:
 
 
 def shift_reference(tensor, x, v, h: float) -> list[float]:
-    """x + h T v, x_i + (h signs_i) * v[order_i], as the comprehension StructureTensor.shift replaced."""
+    """x + h T v as the comprehension x_i + (h signs_i) * v[order_i]: one stage point of rk4_shift_reference."""
     return [a + (h * s) * v[o] for a, s, o in zip(x, tensor.signs, tensor.order)]
 
 
@@ -418,40 +418,57 @@ _DUAL_FUNCTIONS = {"sin": _dual_sin, "cos": _dual_cos, "exp": _dual_exp, "sqrt":
 _PLAIN_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
 
 
-def _dual_eval(node, values):
-    """Walk the AST with dual numbers or plain floats, naming the failing subexpression."""
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Variable):
-        return values[node.index - 1]
-    if isinstance(node, Negation):
-        return -_dual_eval(node.operand, values)
-    if isinstance(node, BinaryOp):
-        left = _dual_eval(node.left, values)
-        right = _dual_eval(node.right, values)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                if (right.value if isinstance(right, DualScalar) else right) == 0.0:
-                    raise ZeroDivisionError("division by zero")
-                return left / right
-            result = left ** right
-            if isinstance(result, complex):
-                raise ValueError("fractional power of a negative base")
-            return result
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvaluationError(str(exc), format_expression(node)) from exc
-    argument = _dual_eval(node.argument, values)
-    functions = _DUAL_FUNCTIONS if isinstance(argument, DualScalar) else _PLAIN_FUNCTIONS
-    try:
-        return functions[node.name](argument)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise EvaluationError(str(exc), format_expression(node)) from exc
+def _dual_eval(root, values):
+    """Walk the AST post-order with dual numbers or plain floats, naming the failing subexpression.
+
+    A stack of (node, operands done) entries stands in for recursion, so a
+    chain of any length is walked; each node's operands are evaluated left
+    to right before the node itself.
+    """
+    stack, results = [(root, False)], []
+    while stack:
+        node, done = stack.pop()
+        if isinstance(node, Number):
+            results.append(node.value)
+        elif isinstance(node, Variable):
+            results.append(values[node.index - 1])
+        elif not done:
+            stack.append((node, True))
+            if isinstance(node, BinaryOp):
+                stack += [(node.right, False), (node.left, False)]
+            else:
+                stack.append((node.operand if isinstance(node, Negation) else node.argument, False))
+        elif isinstance(node, Negation):
+            results.append(-results.pop())
+        elif isinstance(node, BinaryOp):
+            right = results.pop()
+            left = results.pop()
+            try:
+                if node.op == "+":
+                    result = left + right
+                elif node.op == "-":
+                    result = left - right
+                elif node.op == "*":
+                    result = left * right
+                elif node.op == "/":
+                    if (right.value if isinstance(right, DualScalar) else right) == 0.0:
+                        raise ZeroDivisionError("division by zero")
+                    result = left / right
+                else:
+                    result = left ** right
+                    if isinstance(result, complex):
+                        raise ValueError("fractional power of a negative base")
+            except (ZeroDivisionError, ValueError, OverflowError) as exc:
+                raise EvaluationError(str(exc), format_expression(node)) from exc
+            results.append(result)
+        else:
+            argument = results.pop()
+            functions = _DUAL_FUNCTIONS if isinstance(argument, DualScalar) else _PLAIN_FUNCTIONS
+            try:
+                results.append(functions[node.name](argument))
+            except (ZeroDivisionError, ValueError, OverflowError) as exc:
+                raise EvaluationError(str(exc), format_expression(node)) from exc
+    return results.pop()
 
 
 def dual_gradient(field: ScalarField, point) -> np.ndarray:

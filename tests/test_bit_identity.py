@@ -3,8 +3,8 @@ plain formulas they replace, compared bit for bit.
 
 The field applies Omega as (order, signs) instead of a matrix product,
 through apply, which each structure tensor generates from them, and the
-RK4 step is straight-line code generated from them too; each must equal
-the comprehensions it replaced, shift's stage by stage form included.
+RK4 step is straight-line code generated from them too; apply must equal
+the comprehension it replaced, and the step its stage-by-stage list form.
 Both steppers run on lists of floats and on gradients, the Newton
 Jacobian applies Omega once as a reorder of the gradient differences'
 matrix, the EOM residual is one generated row per interior point and each
@@ -233,7 +233,7 @@ def _feed(gradients, points=None):
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 8, 64))
-def test_generated_apply_and_shift_equal_the_comprehensions_bit_for_bit(n):
+def test_generated_apply_and_rk4_step_equal_the_comprehensions_bit_for_bit(n):
     # the step's shifts x + h T g, stage by stage, meet special floats through gradients fed
     # in; a state the reference leaves non-finite fails the step
     size = 4 * n

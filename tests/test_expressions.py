@@ -25,7 +25,7 @@ from quatflow.expressions import (
     ScalarField,
     Variable,
 )
-from oracles import DualScalar, fd_gradient, quadratic_energy_text
+from oracles import DualScalar, dual_gradient, fd_gradient, interpret, quadratic_energy_text
 
 DIM1 = BlockDim(1)
 
@@ -112,9 +112,36 @@ def test_empty_text_rejected():
         ("x1 + y", UnknownIdentifierError, "unknown identifier 'y' at offset 5", 5, ()),
         ("x0", VariableRangeError, "variable index out of range at offset 0: x0 not in x1..x4", 0, ()),
         ("x5", VariableRangeError, "variable index out of range at offset 0: x5 not in x1..x4", 0, ()),
+        # a coordinate is x and digits that no identifier character follows; any other name is unknown
+        ("x1y", UnknownIdentifierError, "unknown identifier 'x1y' at offset 0", 0, ()),
+        ("X1", UnknownIdentifierError, "unknown identifier 'X1' at offset 0", 0, ()),
+        ("x", UnknownIdentifierError, "unknown identifier 'x' at offset 0", 0, ()),
+        ("sinx1", UnknownIdentifierError, "unknown identifier 'sinx1' at offset 0", 0, ()),
+        (
+            "1e",
+            ExpressionSyntaxError,
+            "trailing input 'e' at offset 1 (expected operator, end of input)",
+            1,
+            ("operator", "end of input"),
+        ),
+        (".5", ExpressionSyntaxError, "unexpected character '.' at offset 0", 0, ()),
+        ("sin", ExpressionSyntaxError, "unexpected token '<end>' at offset 3 (expected '(')", 3, ("'('",)),
+        ("(x1", ExpressionSyntaxError, "unexpected token '<end>' at offset 3 (expected ')')", 3, ("')'",)),
+        (
+            "x1)",
+            ExpressionSyntaxError,
+            "trailing input ')' at offset 2 (expected operator, end of input)",
+            2,
+            ("operator", "end of input"),
+        ),
+        # digits are ASCII: an Arabic-Indic or a fullwidth digit starts no token
+        ("2*x1 + \u0663", ExpressionSyntaxError, "unexpected character '\u0663' at offset 7", 7, ()),
+        ("x\u0661", ExpressionSyntaxError, "unexpected character '\u0661' at offset 1", 1, ()),
+        ("x1 + \uff11\uff12", ExpressionSyntaxError, "unexpected character '\uff11' at offset 5", 5, ()),
     ],
     ids=["empty", "blank", "bad_character", "missing_operand", "unclosed_call", "call_without_parenthesis",
-         "trailing_input", "unknown_identifier", "x0", "x5"],
+         "trailing_input", "unknown_identifier", "x0", "x5", "x1y", "X1", "x", "sinx1", "1e", ".5", "sin",
+         "(x1", "x1)", "arabic_indic_digit", "arabic_indic_digit_in_a_coordinate", "fullwidth_digits"],
 )
 def test_front_end_messages_are_pinned(text, error, message, offset, expected):
     with pytest.raises(error) as excinfo:
@@ -123,6 +150,23 @@ def test_front_end_messages_are_pinned(text, error, message, offset, expected):
     assert str(excinfo.value) == message
     assert excinfo.value.offset == offset
     assert getattr(excinfo.value, "expected", ()) == expected
+
+
+@pytest.mark.parametrize(
+    "text, root, formatted",
+    [
+        ("x01", Variable(1), "x1"),
+        ("1.", Number(1.0), "1.0"),
+        ("1e400", Number(math.inf), "1e999"),
+        # any Unicode whitespace separates tokens
+        ("x1\u00a0+ x2", BinaryOp("+", Variable(1), Variable(2)), "x1+x2"),
+    ],
+    ids=["leading_zero", "trailing_point", "overflowed_literal", "no_break_space"],
+)
+def test_lexer_edge_cases_parse_as_pinned(text, root, formatted):
+    field = parse(text, DIM1)
+    assert field.root == root
+    assert format_expression(field) == formatted
 
 
 # 3000 levels overflow the default recursion limit of 1000 at any stack depth
@@ -137,9 +181,10 @@ def test_nesting_too_deep_to_parse_is_a_syntax_error(text):
     assert str(excinfo.value) == "expression nested too deeply at offset 0"
 
 
-# the parser loops over a chain, and so do the code generator and the formatter;
-# 3000 links outnumber the default recursion limit of 1000.  The oracles recurse,
-# so the checks here are a left-to-right loop and closed forms.
+# the parser loops over a chain, and so do the code generator, the formatter and the
+# oracles' walk; 3000 links outnumber the default recursion limit of 1000.  The value is
+# checked against a left-to-right loop and the interpreter, the gradient against its
+# closed form and the dual-number passes.
 @pytest.mark.parametrize("op", ["+", "*"])
 def test_a_3000_term_chain_compiles_evaluates_differentiates_and_formats(op, kernel_sources):
     text = op.join(["x1"] * 3000)
@@ -154,6 +199,11 @@ def test_a_3000_term_chain_compiles_evaluates_differentiates_and_formats(op, ker
         grad = gradient(field, point)
         assert grad[0] == pytest.approx(slope, rel=1e-12) and grad[1:] == [0.0, 0.0, 0.0]
     assert len(kernel_sources) == 1
+    assert evaluate(field, point).hex() == interpret(field, point).hex()
+    # dH/dx1 sums 3000 chains, which the kernel and the dual passes round in different
+    # orders, so the few ulp of test_gradient_kernel's oracle bound are allowed per link
+    dual = dual_gradient(field, point)
+    assert np.all(np.abs(np.array(grad) - dual) <= 3000 * 4 * np.finfo(np.float64).eps * np.abs(dual))
     assert format_expression(field) == text
 
 

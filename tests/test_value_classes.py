@@ -1,12 +1,12 @@
 """The constructor, equality, hashing and immutability of the value classes.
 
 Structures, expression nodes, forms, systems, trajectories and configs are
-small immutable records.  Eleven compare and hash by value; the forms, the
+small immutable records.  Ten compare and hash by value; the forms, the
 structure tensor, the system and the trajectory compare by identity, since
 their fields are normalised rows and states that nothing compares whole.
 Every record refuses assignment after construction, and its cached
 properties are built on first read and kept; a pickle holds the fields
-alone, so the caches are built again after it.  The ten records without a
+alone, so the caches are built again after it.  The nine records without a
 constructor of their own bind arguments as a def would, with a TypeError
 for a missing, unknown or repeated one.  A built system holds two fields,
 its energy and its label's cotangent tensor.
@@ -37,7 +37,7 @@ from quatflow import (
     symplectic_form,
 )
 from quatflow.config import REQUIRED_FIELDS, SimulationConfig
-from quatflow.expressions import BinaryOp, FunctionCall, Negation, Number, Variable, _Token, _Value
+from quatflow.expressions import BinaryOp, FunctionCall, Negation, Number, Variable, _Value
 
 DIM = BlockDim(1)
 SYSTEM = HamiltonianSystem.build("F", parse("0.5*(x1^2+x2^2)", DIM))
@@ -58,7 +58,6 @@ VALUE_CASES = {
     "FunctionCall": (FunctionCall, {"name": "sin", "argument": Variable(1)}),
     "ScalarField": (ScalarField, {"dim": DIM, "root": BinaryOp("*", Variable(1), Variable(2))}),
     "SimulationConfig": (SimulationConfig, CONFIG_FIELDS),
-    "_Token": (_Token, {"kind": "number", "text": "1.5", "offset": 4}),
 }
 IDENTITY_CASES = {
     "HamiltonianSystem": (
@@ -76,7 +75,7 @@ FROZEN_CASES = {**VALUE_CASES, **IDENTITY_CASES}
 # the records whose fields Record.__init__ binds, with no constructor of their own
 BOUND_CASES = {
     name: FROZEN_CASES[name]
-    for name in ("Number", "Variable", "Negation", "BinaryOp", "FunctionCall", "ScalarField", "_Token",
+    for name in ("Number", "Variable", "Negation", "BinaryOp", "FunctionCall", "ScalarField",
                  "EuclideanMetric", "HamiltonianSystem", "SimulationConfig")
 }
 # the one mutable record: the kernel writer fills in expr and partial after construction
@@ -125,8 +124,8 @@ def test_a_bad_argument_is_named_with_the_fields():
         (lambda: Number(), "Number(value): missing argument 'value'"),
         (lambda: BinaryOp("+", Number(1.0)), "BinaryOp(op, left, right): missing argument 'right'"),
         (lambda: Variable(index=1, offset=2), "Variable(index): unknown argument 'offset'"),
-        (lambda: _Token("end", "", kind="op"),
-         "_Token(kind, text, offset): repeated argument 'kind', missing argument 'offset'"),
+        (lambda: BinaryOp("+", Number(1.0), op="-"),
+         "BinaryOp(op, left, right): repeated argument 'op', missing argument 'right'"),
         (lambda: Negation(Variable(1), Variable(2)), "Negation(operand): extra argument Variable(index=2)"),
     ]:
         with pytest.raises(TypeError) as info:
@@ -145,7 +144,7 @@ def test_value_records_compare_and_hash_by_their_fields(name):
     field = next(iter(kwargs))
     other = {BlockDim: 3, StructureKind: "H", EuclideanMetric: BlockDim(3), Number: 2.5, Variable: 4,
              Negation: Variable(2), BinaryOp: "-", FunctionCall: "cos", ScalarField: BlockDim(2),
-             SimulationConfig: 2, _Token: "ident"}[cls]
+             SimulationConfig: 2}[cls]
     assert first != cls(**{**kwargs, field: other})
     assert first != object() and first != (*kwargs.values(),)
 
