@@ -32,8 +32,8 @@ imports numpy.  `gradient` returns the kernel's list of 4n floats.
 wherever H is defined, even where its derivative is not.  A domain error
 raises EvaluationError naming the offending subexpression, and nesting too
 deep for the recursive parser an ExpressionSyntaxError, never a
-RecursionError.  The code generator and `format_expression` walk the tree
-with explicit stacks, so every field that parses compiles and formats.
+RecursionError.  Every field that parses compiles (by `_records.walk`, as
+records compare, hash, print and pickle) and formats (by a stack).
 The tests keep two independent oracles: an AST interpreter with central
 differences, and the seeded dual-number passes the kernel replaced.
 """
@@ -44,7 +44,7 @@ import math
 import re
 from functools import cached_property
 
-from ._records import Value
+from ._records import Value, walk
 from .structures import BlockDim, _generate, _read_point, to_floats
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -71,10 +71,9 @@ class UnknownIdentifierError(ExpressionError):
 
 
 class VariableRangeError(ExpressionError):
-    def __init__(self, index: int, total: int, offset: int):
-        super().__init__(
-            f"variable index out of range at offset {offset}: x{index} not in x1..x{total}"
-        )
+    def __init__(self, index: int | str, total: int, offset: int):
+        shown = f"{index}" if len(f"{index}") <= 20 else f"{index[:20]}... ({len(index)} digits)"
+        super().__init__(f"variable index out of range at offset {offset}: x{shown} not in x1..x{total}")
         self.index = index
         self.total = total
         self.offset = offset
@@ -212,8 +211,9 @@ class _Parser:
             return Number(float(text))
         if kind == "variable":
             self.pos += 1
-            index = int(text[1:])
-            if not 1 <= index <= self.dim.total:
+            digits = text[1:].lstrip("0") or "0"  # x01 is x1
+            index = int(digits) if len(digits) <= 20 else digits  # int() refuses more than 4,300 digits
+            if len(digits) > len(str(self.dim.total)) or not 1 <= index <= self.dim.total:
                 raise VariableRangeError(index, self.dim.total, token.start())
             return Variable(index)
         if kind == "ident":
@@ -323,16 +323,6 @@ def _times(adjoint: str | None, factor: str) -> str:
     return factor if adjoint is None else f"{adjoint} * {factor}"
 
 
-def _operands(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, BinaryOp):
-        return node.left, node.right
-    if isinstance(node, Negation):
-        return (node.operand,)
-    if isinstance(node, FunctionCall):
-        return (node.argument,)
-    return ()
-
-
 class _KernelSource:
     """Straight-line Python source of one field's two kernel functions.
 
@@ -395,13 +385,8 @@ class _KernelSource:
 
     def _emit(self, root: Node) -> _Value:
         """Emit the forward sweep of root's tree, each node's operands left to right before it."""
-        nodes, stack = [], [root]
-        while stack:  # each node, then its right operand's subtree, then its left's: the emitting order reversed
-            node = stack.pop()
-            nodes.append(node)
-            stack += _operands(node)
         values: list[_Value] = []  # the values of the finished subtrees; each node pops its operands'
-        for node in reversed(nodes):
+        for node in reversed([*walk(root)]):
             values.append(self._node(node, values))
         return values[0]
 

@@ -7,11 +7,14 @@ package, so that agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import io
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
+from quatflow._records import Record, Value
 from quatflow.dynamics import NUMPY_SOLVE_SIZE, step_implicit_midpoint, step_rk4
 from quatflow.expressions import (
     BinaryOp,
@@ -501,3 +504,94 @@ def fd_gradient(field: ScalarField, point, h: float) -> np.ndarray:
         backward[a] -= h
         components[a] = (interpret(field, forward) - interpret(field, backward)) / (2.0 * h)
     return components
+
+
+def reference_repr(record: Record) -> str:
+    """repr as written by recursion: the class and each field, a field that is a record by this function."""
+    fields = (
+        f"{name}={reference_repr(value) if isinstance(value, Record) else repr(value)}"
+        for name, value in zip(record.__match_args__, record._fields())
+    )
+    return f"{type(record).__qualname__}({', '.join(fields)})"
+
+
+def reference_equal(first, second) -> bool:
+    """== as decided by recursion: a Value equals one of its class with equal fields, other records themselves."""
+    if isinstance(first, Value) and type(second) is type(first):
+        return all(map(reference_equal, first._fields(), second._fields()))
+    if isinstance(first, Record) or isinstance(second, Record):
+        return first is second
+    return first is second or first == second
+
+
+class _FieldsPickler(pickle.Pickler):
+    def reducer_override(self, obj):
+        return (type(obj), obj._fields()) if isinstance(obj, Record) else NotImplemented
+
+
+def reference_pickle(record: Record) -> bytes:
+    """A pickle written by recursion, each record reduced to its class and fields, as older versions wrote one."""
+    buffer = io.BytesIO()
+    _FieldsPickler(buffer).dump(record)
+    return buffer.getvalue()
+
+
+def gradient_magnitudes(field: ScalarField, point) -> tuple[np.ndarray, float]:
+    """Each gradient component's running sum of |terms|, and the widest binary exponent on the way.
+
+    The forward-mode chain rule of dual_gradient, every seed at once, with each
+    sum of terms replaced by the sum of their magnitudes: two differentiations
+    that round the same terms in different orders differ by a few ulp of this
+    sum per operation (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, sec. 3.1).  That model assumes no overflow or underflow, so
+    the second result is the largest |e| of any nonzero value or chain-rule
+    factor 2^e met (inf for one that is not finite): while K times it stays
+    under 1000, no product or sum of K of them leaves the normal range, in
+    whatever order they are taken.
+    """
+    values = np.asarray(point, dtype=np.float64)
+    exponents = [0]
+    stack, results = [(field.root, False)], []
+
+    def scaled(factor, bound: np.ndarray) -> np.ndarray:
+        if not bound.any():
+            return bound
+        exponents.append(np.frexp(factor)[1] if np.isfinite(factor) else np.inf)
+        return np.where(bound == 0.0, 0.0, abs(factor) * bound)
+
+    with np.errstate(all="ignore"):
+        while stack:
+            node, done = stack.pop()
+            if isinstance(node, Number):
+                results.append((np.float64(node.value), np.zeros(values.size)))
+            elif isinstance(node, Variable):
+                results.append((values[node.index - 1], np.eye(values.size)[node.index - 1]))
+            elif not done:
+                stack.append((node, True))
+                if isinstance(node, BinaryOp):
+                    stack += [(node.right, False), (node.left, False)]
+                else:
+                    stack.append((node.operand if isinstance(node, Negation) else node.argument, False))
+                continue
+            elif isinstance(node, Negation):
+                value, bound = results.pop()
+                results.append((-value, bound))
+            elif isinstance(node, BinaryOp):
+                (b, db), (a, da) = results.pop(), results.pop()
+                if node.op in "+-":
+                    results.append((a + b if node.op == "+" else a - b, da + db))
+                elif node.op == "*":
+                    results.append((a * b, scaled(b, da) + scaled(a, db)))
+                elif node.op == "/":
+                    results.append((a / b, scaled(1.0 / b, da) + scaled(a / b / b, db)))
+                else:
+                    power = a**b
+                    results.append((power, scaled(b * a ** (b - 1.0), da) + scaled(power * np.log(a), db)))
+            else:
+                a, da = results.pop()
+                value = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}[node.name](a)
+                slope = {"sin": np.cos(a), "cos": np.sin(a), "exp": value, "sqrt": 0.5 / value}[node.name]
+                results.append((value, scaled(slope, da)))
+            value = results[-1][0]
+            exponents.append(np.frexp(value)[1] if np.isfinite(value) else np.inf)
+    return results.pop()[1], float(max(map(abs, exponents)))

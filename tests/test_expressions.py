@@ -112,6 +112,14 @@ def test_empty_text_rejected():
         ("x1 + y", UnknownIdentifierError, "unknown identifier 'y' at offset 5", 5, ()),
         ("x0", VariableRangeError, "variable index out of range at offset 0: x0 not in x1..x4", 0, ()),
         ("x5", VariableRangeError, "variable index out of range at offset 0: x5 not in x1..x4", 0, ()),
+        # more digits than int() reads: out of range, named by its first 20 digits and its length
+        (
+            "x" + "1" * 5000,
+            VariableRangeError,
+            "variable index out of range at offset 0: x11111111111111111111... (5000 digits) not in x1..x4",
+            0,
+            (),
+        ),
         # a coordinate is x and digits that no identifier character follows; any other name is unknown
         ("x1y", UnknownIdentifierError, "unknown identifier 'x1y' at offset 0", 0, ()),
         ("X1", UnknownIdentifierError, "unknown identifier 'X1' at offset 0", 0, ()),
@@ -140,7 +148,7 @@ def test_empty_text_rejected():
         ("x1 + \uff11\uff12", ExpressionSyntaxError, "unexpected character '\uff11' at offset 5", 5, ()),
     ],
     ids=["empty", "blank", "bad_character", "missing_operand", "unclosed_call", "call_without_parenthesis",
-         "trailing_input", "unknown_identifier", "x0", "x5", "x1y", "X1", "x", "sinx1", "1e", ".5", "sin",
+         "trailing_input", "unknown_identifier", "x0", "x5", "5000_digit_index", "x1y", "X1", "x", "sinx1", "1e", ".5", "sin",
          "(x1", "x1)", "arabic_indic_digit", "arabic_indic_digit_in_a_coordinate", "fullwidth_digits"],
 )
 def test_front_end_messages_are_pinned(text, error, message, offset, expected):
@@ -156,12 +164,13 @@ def test_front_end_messages_are_pinned(text, error, message, offset, expected):
     "text, root, formatted",
     [
         ("x01", Variable(1), "x1"),
+        ("x" + "0" * 5000 + "1", Variable(1), "x1"),  # leading zeros of any number
         ("1.", Number(1.0), "1.0"),
         ("1e400", Number(math.inf), "1e999"),
         # any Unicode whitespace separates tokens
         ("x1\u00a0+ x2", BinaryOp("+", Variable(1), Variable(2)), "x1+x2"),
     ],
-    ids=["leading_zero", "trailing_point", "overflowed_literal", "no_break_space"],
+    ids=["leading_zero", "5000_leading_zeros", "trailing_point", "overflowed_literal", "no_break_space"],
 )
 def test_lexer_edge_cases_parse_as_pinned(text, root, formatted):
     field = parse(text, DIM1)

@@ -4,9 +4,11 @@ The AST interpreter (oracles.interpret) computes H in the kernel's order,
 so the kernel's value function agrees with it bit for bit.  The seeded
 dual-number passes (oracles.dual_gradient) differentiate the same AST in
 forward mode.  They round in a different order, so the two agree to a few
-ulp wherever each gradient component is one product chain; central
-differences of the interpreter (oracles.fd_gradient) check both from
-outside.
+ulp wherever each gradient component is one product chain, and on any tree
+to a few ulp of each component's sum of |terms| per operation
+(oracles.gradient_magnitudes) while every number on the way stays in the
+normal range; central differences of the interpreter (oracles.fd_gradient)
+check both from outside.
 """
 
 import math
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatflow import BlockDim, EvaluationError, HamiltonianSystem, evaluate, gradient, parse
+from quatflow._records import walk
 from quatflow.expressions import DEMO_HAMILTONIANS, ScalarField, _KernelSource
-from oracles import dual_gradient, fd_gradient, interpret
+from oracles import dual_gradient, fd_gradient, gradient_magnitudes, interpret
 from test_expressions import _nodes
 
 EPS = np.finfo(np.float64).eps
@@ -110,6 +113,65 @@ def test_the_kernel_equals_the_interpreter_on_random_trees(node, n, data):
         assert len(gradient(field, point)) == 4 * n
     except EvaluationError:  # only a derivative failed, as at sqrt(0)
         pass
+
+
+def _assert_gradient_matches_the_dual_passes(field, point):
+    """Both raise, or both return gradients that agree within the rounding of their orders.
+
+    At a power the two form different partials: the kernel takes the log of
+    the base wherever the exponent reads a coordinate, and the dual passes
+    take base^(c - 1) wherever the exponent's derivative is zero, even for a
+    constant base; so either alone may fail there.  Past the normal range the
+    two orders overflow and underflow at different steps, so there both need
+    only return.
+    """
+    results = []
+    for differentiate in (gradient, dual_gradient):
+        try:
+            results.append(np.array(differentiate(field, point)))
+        except EvaluationError as error:
+            results.append(error)
+    errors = [result for result in results if isinstance(result, EvaluationError)]
+    if errors:
+        assert len(errors) == 2 or "^" in errors[0].expression
+        return
+    kernel, dual = results
+    magnitudes, exponent = gradient_magnitudes(field, point)
+    operations = sum(1 for _ in walk(field.root))
+    if operations * exponent < 1000:
+        assert np.isfinite(kernel).all() and np.isfinite(dual).all()
+        assert np.all(np.abs(kernel - dual) <= 4 * operations * EPS * magnitudes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_nodes(), n=st.sampled_from([1, 2]), data=st.data())
+def test_the_kernel_gradient_matches_the_dual_passes_on_random_trees(node, n, data):
+    point = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=4 * n, max_size=4 * n), label="point")
+    _assert_gradient_matches_the_dual_passes(ScalarField(BlockDim(n), node), point)
+
+
+def test_the_random_tree_gradient_property_admits_its_known_edges():
+    # x4*x4 is subnormal: the kernel's reverse sweep reads inf - inf, the dual passes -inf
+    field, point = parse("(x4+x4)/(x4*x4)", DIM1), [0.0, 0.0, 0.0, -7.578745390673275e-158]
+    assert math.isnan(gradient(field, point)[3]) and dual_gradient(field, point)[3] == -math.inf
+    _assert_gradient_matches_the_dual_passes(field, point)
+    # u = x4/1.19e308 is subnormal: the kernel's product from the root overflows, the dual's from x4 does not
+    field = parse("cos(x4/1.1863236376690618e+308)/sqrt(x4/1.1863236376690618e+308)", DIM1)
+    point = [0.0, 0.0, 0.0, 782.2891168265085]
+    assert gradient(field, point)[3] == -math.inf and math.isfinite(dual_gradient(field, point)[3])
+    _assert_gradient_matches_the_dual_passes(field, point)
+    # log(-0.0) fails in the kernel; the dual passes see x2^0.0's zero derivative and return zeros
+    field, point = parse("sin(-0.0)^x2^0.0", DIM1), [0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(EvaluationError, match="math domain error"):
+        gradient(field, point)
+    assert dual_gradient(field, point).tolist() == [0.0] * 4
+    _assert_gradient_matches_the_dual_passes(field, point)
+    # and the dual passes overflow in 5e-324^(0.03125 - 1), a partial of a constant base the kernel never forms
+    field, point = parse("5e-324^x1", DIM1), [0.03125, 0.0, 0.0, 0.0]
+    with pytest.raises(EvaluationError, match="out of range"):
+        dual_gradient(field, point)
+    assert math.isfinite(gradient(field, point)[0])
+    _assert_gradient_matches_the_dual_passes(field, point)
 
 
 def test_gradient_is_deterministic_across_calls_and_parses():

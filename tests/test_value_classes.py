@@ -9,20 +9,26 @@ properties are built on first read and kept; a pickle holds the fields
 alone, so the caches are built again after it.  The nine records without a
 constructor of their own bind arguments as a def would, with a TypeError
 for a missing, unknown or repeated one.  A built system holds two fields,
-its energy and its label's cotangent tensor.
+its energy and its label's cotangent tensor.  A tree of records, such as a
+parsed energy, compares, hashes, prints and pickles as the recursive
+references in oracles do, at any depth the parser accepts.
 """
 
+import copy
 import pickle
+import time
 from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from quatflow import (
     AffineOneForm,
     BlockDim,
     ConstantTwoForm,
     EuclideanMetric,
+    ExpressionSyntaxError,
     HamiltonianSystem,
     ScalarField,
     StructureKind,
@@ -36,8 +42,11 @@ from quatflow import (
     parse,
     symplectic_form,
 )
+from quatflow._records import Record
 from quatflow.config import REQUIRED_FIELDS, SimulationConfig
 from quatflow.expressions import BinaryOp, FunctionCall, Negation, Number, Variable, _Value
+from oracles import reference_equal, reference_pickle, reference_repr
+from test_expressions import _nodes
 
 DIM = BlockDim(1)
 SYSTEM = HamiltonianSystem.build("F", parse("0.5*(x1^2+x2^2)", DIM))
@@ -284,3 +293,81 @@ def test_a_system_is_its_energy_and_the_labels_cotangent_tensor(label, n):
 def test_required_fields_follow_the_constructor_order():
     assert REQUIRED_FIELDS == tuple(CONFIG_FIELDS)
     assert SimulationConfig(*CONFIG_FIELDS.values()).emit_plot is False
+
+
+# --- trees -----------------------------------------------------------------
+
+def _subtrees(node):
+    # by recursion, apart from the walk under test; drawn trees are shallow
+    yield node
+    for value in node._fields():
+        if isinstance(value, Record):
+            yield from _subtrees(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=_nodes(), second=_nodes())
+def test_trees_compare_hash_print_and_pickle_as_the_recursive_references(first, second):
+    records = [ScalarField(DIM, first), *_subtrees(first), *_subtrees(second)]
+    for record in records:
+        assert repr(record) == reference_repr(record)
+        # a pickle of this version, a deep copy, and a pickle as older versions wrote it
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), pickle.loads(reference_pickle(record))):
+            assert twin is not record and type(twin) is type(record)
+            assert twin == record and reference_equal(twin, record) and hash(twin) == hash(record)
+    for a in records:
+        for b in records:
+            assert (a == b) is reference_equal(a, b)
+            assert a != b or hash(a) == hash(b)
+
+
+def _deepest_power_tower() -> int:
+    """The most links of x1^x1^...^x1 the parser accepts at this stack depth."""
+    low, high = 1, 1000  # the parser spends more than one frame a link, so 1000 fail
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            parse("^".join(["x1"] * middle), DIM)
+            low = middle
+        except ExpressionSyntaxError:
+            high = middle
+    return low
+
+
+def _chain(op: str):
+    return lambda links: op.join(["x1"] * (links + 1))
+
+
+# each field: its text for a number of links, that number (None: the most the parser
+# accepts), its innermost node at a coordinate, and one link around a node
+DEEP_FIELDS = {
+    "sum_3000": (_chain("+"), 2999, Variable, lambda node: BinaryOp("+", node, Variable(1))),
+    "product_3000": (_chain("*"), 2999, Variable, lambda node: BinaryOp("*", node, Variable(1))),
+    "negation_300": (lambda links: "-" * links + "x1^2", 300, lambda a: BinaryOp("^", Variable(a), Number(2.0)), Negation),
+    "power_tower": (_chain("^"), None, Variable, lambda node: BinaryOp("^", Variable(1), node)),
+}
+
+
+def _within_a_second(operation):
+    start = time.perf_counter()
+    result = operation()
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+@pytest.mark.parametrize("name", DEEP_FIELDS)
+def test_deep_fields_compare_hash_print_and_pickle(name):
+    write, links, innermost, link = DEEP_FIELDS[name]
+    links = links or _deepest_power_tower() - 1
+    field, twin = parse(write(links), DIM), parse(write(links), DIM)
+    tree, other, expected = innermost(1), innermost(2), reference_repr(innermost(1))
+    template = reference_repr(link(Variable(9))).replace("Variable(index=9)", "{}")
+    for _ in range(links):
+        tree, other, expected = link(tree), link(other), template.format(expected)
+    built, other = ScalarField(DIM, tree), ScalarField(DIM, other)  # other differs at its innermost coordinate
+    assert _within_a_second(lambda: field == twin) and field == built and built == field
+    assert _within_a_second(lambda: field != other) and other != built
+    assert _within_a_second(lambda: hash(field)) == hash(twin) == hash(built)
+    assert _within_a_second(lambda: repr(field)) == f"ScalarField(dim=BlockDim(n=1), root={expected})"
+    assert _within_a_second(lambda: pickle.loads(pickle.dumps(field))) == field
+    assert _within_a_second(lambda: copy.deepcopy(field)) == field
