@@ -101,6 +101,9 @@ class Trajectory(Record):
     """A uniformly sampled integral curve with its defining system.
 
     states[k], a tuple of 4n Python floats, is the phase point at time k * step.
+    Trajectory(...) reads each row by to_floats, which checks its length;
+    integrate builds its record from rows it has already checked, without
+    that second pass.
     """
 
     __match_args__ = ("system", "states", "step")
@@ -324,6 +327,9 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
     EvaluationError of the energy, aborts with IntegrationError("step k
     failed: ...") carrying the partial trajectory for diagnosis.  A steps
     count too large to hold the trajectory is a ValueError before step 0.
+    Both records hold the rows as they were checked, each a tuple of
+    finite floats: x0 read by to_floats, each later row a stepper's
+    checked state.  They are not read a second time.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -339,8 +345,14 @@ def integrate(system: HamiltonianSystem, initial, dt: float, steps: int, method:
         raise ValueError("the step count is too large to hold the trajectory") from None
     for k in range(steps):
         try:
-            states[k + 1] = stepper(system, states[k], dt)
+            states[k + 1] = tuple(stepper(system, states[k], dt))
         except (IntegrationError, ValueError) as exc:
-            partial = Trajectory(system, states[: k + 1], dt)
-            raise IntegrationError(f"step {k} failed: {exc}", partial=partial) from exc
-    return Trajectory(system, states, dt)
+            raise IntegrationError(f"step {k} failed: {exc}", partial=_checked(system, states[: k + 1], dt)) from exc
+    return _checked(system, states, dt)
+
+
+def _checked(system: HamiltonianSystem, states: list, dt: float) -> Trajectory:
+    """The Trajectory of rows already checked: tuples of finite floats of the right length, and dt > 0."""
+    trajectory = Trajectory.__new__(Trajectory)
+    trajectory._set(system, tuple(states), dt)
+    return trajectory

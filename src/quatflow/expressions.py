@@ -29,11 +29,14 @@ holding ints or numpy scalars) through structures.to_floats, which checks
 its length, so every form of a point gives the same bits; this module never
 imports numpy.  `gradient` returns the kernel's list of 4n floats.
 `evaluate` runs only the statements H needs, so it returns a value
-wherever H is defined, even where its derivative is not.  A domain error
-raises EvaluationError naming the offending subexpression, and nesting too
-deep for the recursive parser an ExpressionSyntaxError, never a
-RecursionError.  Every field that parses compiles (by `_records.walk`, as
-records compare, hash, print and pickle) and formats (by a stack).
+wherever H is defined, even where its derivative is not.  u^2 is u*u, one
+correctly rounded product: a square, as + - * / do, gives inf past the
+double range, while ** (every other power) and exp raise there.  A domain
+error or such an overflow raises EvaluationError naming the offending
+subexpression, and nesting too deep for the recursive parser an
+ExpressionSyntaxError, never a RecursionError.  Every field that parses
+compiles (by `_records.walk`, as records compare, hash, print and pickle)
+and formats (by a stack).
 The tests keep two independent oracles: an AST interpreter with central
 differences, and the seeded dual-number passes the kernel replaced.
 """
@@ -407,7 +410,9 @@ class _KernelSource:
             value.expr = self._line(node, f"{left.expr} {node.op} {right.expr}")
             return value
         b, c = left.expr, right.expr
-        power = value.expr = self._line(node, f"{b} ** {c}")
+        # u^2 is u*u: correctly rounded, inf past the range as * is, and cheaper than a pow
+        square = isinstance(node.right, Number) and node.right.value == 2.0
+        power = value.expr = self._line(node, f"{b} * {b}" if square else f"{b} ** {c}")
         if not (isinstance(node.right, Number) and node.right.value.is_integer()):
             self._check(node, f"{power}.__class__ is complex", "ValueError('fractional power of a negative base')")
         base_partial = exponent_partial = None

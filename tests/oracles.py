@@ -394,7 +394,7 @@ class DualScalar:
         value = self.value ** exponent
         if isinstance(value, complex):
             raise ValueError("fractional power of a negative base")
-        if exponent == 0.0:
+        if exponent == 0.0 or self.derivative == 0.0:  # a constant base forms no base^(c - 1)
             return DualScalar(value, 0.0)
         return DualScalar(value, exponent * self.value ** (exponent - 1.0) * self.derivative)
 
@@ -457,6 +457,8 @@ def _dual_eval(root, values):
                     if (right.value if isinstance(right, DualScalar) else right) == 0.0:
                         raise ZeroDivisionError("division by zero")
                     result = left / right
+                elif node.right == Number(2.0):  # the language's rule: u^2 is u*u
+                    result = left * left
                 else:
                     result = left ** right
                     if isinstance(result, complex):
@@ -487,7 +489,7 @@ def dual_gradient(field: ScalarField, point) -> np.ndarray:
 
 
 def interpret(field: ScalarField, point) -> float:
-    """H at a point by walking the AST with plain floats, never the compiled kernel."""
+    """H at a point by walking the AST with plain floats, never the compiled kernel; u^2 is u*u, as in the language."""
     return float(_dual_eval(field.root, [float(v) for v in point]))
 
 

@@ -391,12 +391,22 @@ def test_midpoint_step_is_discretely_symplectic(label, name):
 # --- value objects ---------------------------------------------------------
 
 def test_trajectory_states_are_read_only():
-    trajectory = integrate(_system("F"), np.array([1.0, 0.0, 0.0, 0.0]), 0.1, 3, "rk4")
-    with pytest.raises(TypeError):
-        trajectory.states[1][0] = 0.0
-    with pytest.raises(TypeError):
-        trajectory.states[1] = (0.0, 0.0, 0.0, 0.0)
-    assert all(type(v) is float for row in trajectory.states for v in row)
+    # integrate builds its records from the rows it checked, as Trajectory(...) would from the same rows
+    records = []
+    for method in dynamics.METHODS:
+        records.append(integrate(_system("F"), np.array([1.0, 0.0, 0.0, 0.0]), 0.1, 3, method))
+        with pytest.raises(IntegrationError) as aborted:  # x1 falls through 0, where sqrt stops being real
+            integrate(_system("F", text="sqrt(x1) + x2"), np.array([0.5, 0.0, 0.0, 0.0]), 0.01, 100, method)
+        records.append(aborted.value.partial)
+    for trajectory in records:
+        with pytest.raises(TypeError):
+            trajectory.states[1][0] = 0.0
+        with pytest.raises(TypeError):
+            trajectory.states[1] = (0.0, 0.0, 0.0, 0.0)
+        assert type(trajectory.states) is tuple and all(type(row) is tuple for row in trajectory.states)
+        assert all(type(v) is float for row in trajectory.states for v in row)
+        rebuilt = Trajectory(trajectory.system, trajectory.states, trajectory.step)
+        assert [[*map(float.hex, row)] for row in rebuilt.states] == [[*map(float.hex, row)] for row in trajectory.states]
 
 
 def test_trajectory_requires_increasing_times():
