@@ -129,14 +129,14 @@ def step_rk4(system: HamiltonianSystem, x, dt: float) -> list[float]:
 
     The step runs on Python floats, x best a list or tuple of them.  Its
     arithmetic and the check of its state are system._rk4_step,
-    straight-line code with Omega's signs folded in (_rk4_source), handed
+    straight-line code with Omega's signs as operators (_rk4_source), handed
     this module's gradient, read when the step runs, for its four gradient
     calls; it first reads x as the kernel reads a point, with its errors.  The
     stages k_i = Omega g_i are kept as the gradients g_i: each stage point
-    is x_a + (h signs_a) * g[order_a], and k1 + 2 k2 + 2 k3 + k4 is summed
-    as ((g1 + 2 g2) + 2 g3) + g4 in gradient space and shifted once.
-    Negation and reordering are exact, so these float operations, in this
-    order, give the bits of the textbook formula.
+    is x_a + h g[order_a], or x_a - h g[order_a] where signs_a is -1, and
+    k1 + 2 k2 + 2 k3 + k4 is summed as ((g1 + 2 g2) + 2 g3) + g4 in gradient
+    space and shifted once.  Negation and reordering are exact, so these
+    float operations, in this order, give the bits of the textbook formula.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -149,37 +149,33 @@ def _rk4_source(omega: StructureTensor) -> str:
     x and the first three stage gradients, each read more than once, are
     unpacked into locals x0.., a0.., b0.., c0..; the last gradient, read
     once, is indexed.  Component i of each stage point and of the update
-    is written x{i} + h*... where signs_i is 1 and x{i} + k*... with
-    k = -h where it is -1; h * -1 is -h exactly, so each has the bits of
-    x_i + (h signs_i) * v[order_i].  h is 0.5 * dt, 0.5 * dt, dt and
-    dt / 6.0 in turn.  The new state's components y0.. are checked as
-    _require_finite checks a state, each by -1e999 < y < 1e999, which no
-    NaN or infinity passes.
+    is x{i} + h*... where signs_i is 1 and x{i} - h*... where it is -1, as
+    the EOM row writes its signs; x - h*v is x + (-h)*v bit for bit, signed
+    zeros included.  h is 0.5 * dt, 0.5 * dt, dt and dt / 6.0 in turn.  The
+    new state's components y0.. are checked as _require_finite checks a
+    state, each by -1e999 < y < 1e999, which no NaN or infinity passes.
     """
-    scales = [("h" if s > 0 else "k", o) for o, s in zip(omega.order, omega.signs)]
+    terms = [("+" if s > 0 else "-", o) for o, s in zip(omega.order, omega.signs)]
 
     def names(p: str) -> str:
-        return ", ".join(f"{p}{i}" for i in range(len(scales)))
+        return ", ".join(f"{p}{i}" for i in range(len(terms)))
 
     def point(p: str) -> str:  # x + h Omega g for the stage gradient g unpacked as p0..
-        return "[" + ", ".join(f"x{i} + {k}*{p}{o}" for i, (k, o) in enumerate(scales)) + "]"
+        return "[" + ", ".join(f"x{i} {op} h*{p}{o}" for i, (op, o) in enumerate(terms)) + "]"
 
-    update = [f"    y{i} = x{i} + {k}*(a{o} + 2.0*b{o} + 2.0*c{o} + g[{o}])" for i, (k, o) in enumerate(scales)]
+    update = [f"    y{i} = x{i} {op} h*(a{o} + 2.0*b{o} + 2.0*c{o} + g[{o}])" for i, (op, o) in enumerate(terms)]
     return "\n".join([
         "def rk4(gradient, hamiltonian, x, dt):",
-        *(f"    {line}" for line in _read_point([f"x{i}" for i in range(len(scales))])),
+        *(f"    {line}" for line in _read_point([f"x{i}" for i in range(len(terms))])),
         f"    {names('a')}, = gradient(hamiltonian, x)",
         "    h = 0.5 * dt",
-        "    k = -h",
         f"    {names('b')}, = gradient(hamiltonian, {point('a')})",
         f"    {names('c')}, = gradient(hamiltonian, {point('b')})",
         "    h = dt",
-        "    k = -h",
         f"    g = gradient(hamiltonian, {point('c')})",
         "    h = dt / 6.0",
-        "    k = -h",
         *update,
-        "    if " + " and ".join(f"-1e999 < y{i} < 1e999" for i in range(len(scales))) + ":",
+        "    if " + " and ".join(f"-1e999 < y{i} < 1e999" for i in range(len(terms))) + ":",
         f"        return [{names('y')}]",
         "    raise IntegrationError('non-finite state after step')",
     ]) + "\n"
@@ -228,10 +224,10 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
 def _float_newton_update(system, rows, g, h, dt, residual) -> list[float]:
     """Solve (I - dt/2 J) delta = -residual on floats, J[i][a] = s_i (rows[a] - g)[o_i] / h_a.
 
-    Row i holds 0.0 + k v, k = -(dt/2) s_i folding Omega's sign in as the
-    RK4 step folds it into k = -h.  Negation is exact, so k v is -((dt/2) (s_i v)),
-    and 0.0 + (-e) is the numpy update's 0.0 - e, signed zeros included;
-    row i's 1.0 is added to 0.0 - e, which is 1.0 - e.
+    Row i holds 0.0 + k v with k = -(dt/2) s_i, a factor kept (the RK4 step
+    writes signs as operators) so that each entry has the bits of numpy's
+    I - dt/2 J: k v is -((dt/2) (s_i v)) exactly, and 0.0 + (-e) is numpy's
+    0.0 - e, signed zeros included; row i's 1.0 is added to it, giving 1.0 - e.
     """
     half = 0.5 * dt
     matrix = []

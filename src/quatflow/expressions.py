@@ -29,9 +29,9 @@ holding ints or numpy scalars) through structures.to_floats, which checks
 its length, so every form of a point gives the same bits; this module never
 imports numpy.  `gradient` returns the kernel's list of 4n floats.
 `evaluate` runs only the statements H needs, so it returns a value
-wherever H is defined, even where its derivative is not.  u^2 is u*u, one
-correctly rounded product: a square, as + - * / do, gives inf past the
-double range, while ** (every other power) and exp raise there.  A domain
+wherever H is defined, even where its derivative is not.  u^1 is u and u^2
+is u*u, in H and in every partial: a square, as + - * / do, gives inf past
+the double range, while ** (every other power) and exp raise there.  A domain
 error or such an overflow raises EvaluationError naming the offending
 subexpression, and nesting too deep for the recursive parser an
 ExpressionSyntaxError, never a RecursionError.  Every field that parses
@@ -317,6 +317,11 @@ def _literal(value: float) -> str:
     return text if math.copysign(1.0, value) > 0.0 else f"({text})"
 
 
+def _power(u: str, c: float) -> str:
+    # u^c for a literal c >= 0, in H and in its partial c * u^(c-1); u^0 is 1.0 and u^1 is u for every double
+    return {0.0: "1.0", 1.0: u, 2.0: f"{u} * {u}"}.get(c, f"{u} ** {_literal(c)}")
+
+
 def _simple(expr: str) -> bool:
     # names and literals carry no blank; every emitted product or quotient does
     return " " not in expr
@@ -410,22 +415,19 @@ class _KernelSource:
             value.expr = self._line(node, f"{left.expr} {node.op} {right.expr}")
             return value
         b, c = left.expr, right.expr
-        # u^2 is u*u: correctly rounded, inf past the range as * is, and cheaper than a pow
-        square = isinstance(node.right, Number) and node.right.value == 2.0
-        power = value.expr = self._line(node, f"{b} * {b}" if square else f"{b} ** {c}")
-        if not (isinstance(node.right, Number) and node.right.value.is_integer()):
+        literal = node.right.value if isinstance(node.right, Number) else None
+        power = value.expr = self._line(node, f"{b} ** {c}" if literal is None else _power(b, literal))
+        if literal is None or not literal.is_integer():
             self._check(node, f"{power}.__class__ is complex", "ValueError('fractional power of a negative base')")
         base_partial = exponent_partial = None
         if right.varying:  # log raises for a base <= 0
             exponent_partial = self._line(node, f"{power} * log({b})", partial=True)
         if left.varying:
-            if not isinstance(node.right, Number):
+            if literal is None:
                 base_partial = self._line(node, f"{c} * {b} ** ({c} - 1.0) if {c} != 0.0 else 0.0", partial=True)
-            elif node.right.value != 0.0:
-                # b ** 1.0 is b for every double, so c * b is the same partial without a pow
-                reduced = node.right.value - 1.0
-                factor = b if reduced == 1.0 else f"{b} ** {_literal(reduced)}"
-                base_partial = self._line(node, f"{c} * {factor}", partial=True)
+            elif literal != 0.0:
+                factor = _power(b, literal - 1.0)  # a square is grouped, so c multiplies u*u as the value's u*u
+                base_partial = self._line(node, f"{c} * {f'({factor})' if ' * ' in factor else factor}", partial=True)
         value.partial = (base_partial, exponent_partial)
         return value
 

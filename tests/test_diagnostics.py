@@ -48,8 +48,8 @@ def _within(probes, thresholds):
     return all(value <= thresholds[key] for value, key in zip(probes, keys))
 
 
-def _run_cli(tmp_path, **config):
-    """Run one config through `quatflow run`: (exit code, diagnostics document)."""
+def _run_cli(tmp_path, *flags, **config):
+    """Run one config through `quatflow run` with flags: (exit code, diagnostics document)."""
     prefix = tmp_path / "out" / "run"
     payload = dict(
         n=1, structure="F", hamiltonian=QUAD, initial=[1, 0, 0, 0], dt=0.01, steps=100,
@@ -58,7 +58,7 @@ def _run_cli(tmp_path, **config):
     payload.update(config)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    code = main(["run", str(path)])
+    code = main(["run", *flags, str(path)])
     return code, json.loads(prefix.with_name("run.diagnostics.json").read_text(encoding="utf-8"))
 
 
@@ -250,6 +250,17 @@ def test_report_passes_respects_tolerance_scale():
     assert not _within(probes, strict)
     relaxed = default_thresholds("rk4", 0.5, tolerance_scale=1e9)
     assert _within(probes, relaxed)
+
+
+def test_a_check_equal_to_its_threshold_passes(tmp_path):
+    # a coarse run's drift fails the default gate; scaled so that its ceiling is exactly that drift, it passes
+    code, document = _run_cli(tmp_path, dt=0.2, steps=10)
+    drift = document["energy_drift_max"]
+    scale = drift / diagnostics.ENERGY_DRIFT_LIMITS["rk4"]
+    assert code == 2 and default_thresholds("rk4", 0.2, scale)["energy_drift_max"] == drift
+    code, document = _run_cli(tmp_path, "--tolerance-scale", repr(scale), dt=0.2, steps=10)
+    assert document["energy_drift_max"] == document["threshold_energy_drift_max"] == drift
+    assert code == 0 and document["passed"] is True
 
 
 def test_report_as_dict_is_flat(tmp_path):

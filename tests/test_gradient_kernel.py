@@ -327,16 +327,21 @@ def test_an_overflowed_literal_is_written_1e999_and_reads_inf():
 
 
 def test_a_square_differentiates_to_two_times_the_base_without_a_pow():
-    # b ** 1.0 is b for every double, so 2.0 * b gives the partial's bits
+    # b ** 1.0 is b for every double, so 2.0 * b gives the partial's bits; a cube's partial squares as H does
     field = parse("x1^2 + x2^3", DIM1)
     text = _KernelSource(field).text
-    assert "** 1.0" not in text
-    assert "x2 ** 2.0" in text
+    assert "**" not in text.replace("x2 ** 3.0", "")  # the cube's value is the one pow
+    assert "3.0 * (x2 * x2)" in text
+    assert "**" not in _KernelSource(parse("x1^1", DIM1)).text
     rng = np.random.default_rng(7)
     samples = rng.uniform(-1.0, 1.0, 2000) * 10.0 ** rng.uniform(-300.0, 150.0, 2000)
     for value in (-0.0, 0.0, 5e-324, -5e-324, 1e154, -1e154, *samples):
         component = gradient(field, [value, 0.0, 0.0, 0.0])[0]
         assert component.hex() == (2.0 * value).hex()
+    # where u ** 2.0 rounds one ulp below u * u, the cube's partial is 3.0 * (u * u), not 3.0 * u ** 2.0
+    u = 74090.40909643816
+    component = gradient(parse("x1^3", DIM1), [u, 0.0, 0.0, 0.0])[0]
+    assert component.hex() == (3.0 * (u * u)).hex() != (3.0 * u**2.0).hex()
 
 
 # --- list points ------------------------------------------------------------
