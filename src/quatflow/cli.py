@@ -13,6 +13,18 @@ Subcommands:
 * ``dump --what structure|omega --label F|G|H --n <int>`` - print the
   requested matrix as integer CSV.
 
+The command line is read from one table, ``_COMMANDS``: each command's
+options with their kind (int, float, str or a tuple of choices) and their
+default or required mark, plus ``run``'s optional config positional.
+``_parse`` reads argv from it and ``_help`` renders ``--help`` from it, so
+the two cannot drift apart.  An option takes ``--opt value`` or
+``--opt=value``; the value may start with ``-``; the last of a repeated
+option wins; only full option names are read, so an abbreviation is an
+unrecognized argument; and ``-h`` or ``--help`` anywhere prints the help
+and exits 0.  A usage error is one ``usage error: <text>`` line, in
+argparse's wording.  argparse itself is not imported: with the gettext and
+locale it loads, it cost every process 3 to 4 ms of start-up.
+
 Exit codes: 0 on success with passing diagnostics, 1 on operational
 failure (including usage errors), 2 when a diagnostic exceeds its
 threshold; ``_render_outputs`` is the one place a run's pass/fail is
@@ -28,7 +40,6 @@ timestamps, so identical configs produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -64,9 +75,28 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+_REQUIRED = object()  # the default of an option that must be given
+# command -> (its help line, its arguments); an argument maps to its kind
+# (int, float, str or a tuple of choices), its default or _REQUIRED, its
+# metavar (None: the choices) and its help line.  "config" is run's optional
+# positional; every other argument is an option.
+_COMMANDS = {
+    "run": ("integrate a configured trajectory", {
+        "config": (str, None, "CONFIG", "path to a simulation config JSON"),
+        "--batch": (str, None, "DIR", "run every *.json config in DIR"),
+        "--tolerance-scale": (float, 1.0, "SCALE",
+                              "multiplier applied to every diagnostic threshold (default 1.0)"),
+    }),
+    "verify": ("check the quaternion algebra", {
+        "--n": (int, _REQUIRED, "N", "block size"),
+    }),
+    "dump": ("print a matrix as integer CSV", {
+        "--what": (("structure", "omega"), _REQUIRED, None, "the matrix to print"),
+        "--label": (LABELS, _REQUIRED, None, "which of the three structures or forms"),
+        "--n": (int, _REQUIRED, "N", "block size"),
+        "--space": (SPACES, "tangent", None, "the structure's space (default tangent)"),
+    }),
+}
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:
@@ -315,58 +345,101 @@ def dump_command(what: str, label: str, n: int, space: str = "tangent") -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="quatflow", description="quaternionic Hamiltonian flow simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command: str) -> str:
+    """The --help text of command, or the program's when command names none."""
+    if command in _COMMANDS:
+        text, table = _COMMANDS[command]
+        usage, rows = [command], {}
+        for name, (kind, default, metavar, about) in table.items():
+            syntax = metavar or "{" + ",".join(kind) + "}"
+            if name.startswith("-"):
+                syntax = f"{name} {syntax}"
+            usage.append(syntax if default is _REQUIRED else f"[{syntax}]")
+            rows[syntax] = about
+    else:
+        text, usage = "quaternionic Hamiltonian flow simulator", ["{" + ",".join(_COMMANDS) + "}", "..."]
+        rows = {name: about for name, (about, _) in _COMMANDS.items()}
+    width = max(map(len, rows)) + 2
+    lines = [f"usage: quatflow {' '.join(usage)}", "", text, ""]
+    return "\n".join(lines + [f"  {syntax:<{width}}{about}" for syntax, about in rows.items()]) + "\n"
 
-    run_parser = sub.add_parser("run", help="integrate a configured trajectory")
-    run_parser.add_argument("config", nargs="?", help="path to a simulation config JSON")
-    run_parser.add_argument("--batch", metavar="DIR", help="run every *.json config in DIR")
-    run_parser.add_argument(
-        "--tolerance-scale",
-        type=float,
-        default=1.0,
-        help="multiplier applied to every diagnostic threshold (default 1.0)",
-    )
 
-    verify_parser = sub.add_parser("verify", help="check the quaternion algebra")
-    verify_parser.add_argument("--n", type=int, required=True, help="block size")
+def _value(name: str, kind, text: str):
+    """text read as option name's kind: int, float, str or one of a tuple of choices."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
 
-    dump_parser = sub.add_parser("dump", help="print a matrix as integer CSV")
-    dump_parser.add_argument("--what", choices=("structure", "omega"), required=True)
-    dump_parser.add_argument("--label", choices=LABELS, required=True)
-    dump_parser.add_argument("--n", type=int, required=True)
-    dump_parser.add_argument("--space", choices=SPACES, default="tangent")
-    return parser
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command argv names and its arguments' values, keyed as in _COMMANDS; else _UsageError."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command, *rest = argv
+    _value("command", tuple(_COMMANDS), command)
+    table = _COMMANDS[command][1]
+    values = {name: spec[1] for name, spec in table.items()}
+    unrecognized = []
+    arguments = iter(rest)
+    for argument in arguments:
+        if not argument.startswith("-"):
+            if "config" in table and values["config"] is None:
+                values["config"] = argument
+            else:
+                unrecognized.append(argument)
+            continue
+        name, inline, text = argument.partition("=")
+        if name not in table:
+            unrecognized.append(argument)
+            continue
+        if not inline:
+            text = next(arguments, None)
+            if text is None:
+                raise _UsageError(f"argument {name}: expected one argument")
+        values[name] = _value(name, table[name][0], text)
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return command, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help(argv[0]), end="")
+        return 0
     try:
-        args = parser.parse_args(argv)
+        command, options = _parse(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help and friends
-        return 0 if exc.code in (0, None) else 1
 
     try:
-        if args.command == "run":
-            if (args.config is None) == (args.batch is None):
+        if command == "run":
+            config, batch, scale = options["config"], options["--batch"], options["--tolerance-scale"]
+            if (config is None) == (batch is None):
                 print("usage error: provide exactly one of <config.json> or --batch DIR", file=sys.stderr)
                 return 1
-            if not 0.0 < args.tolerance_scale < math.inf:
+            if not 0.0 < scale < math.inf:
                 print("usage error: --tolerance-scale must be a positive finite number", file=sys.stderr)
                 return 1
-            if args.batch is not None:
-                return run_batch(args.batch, args.tolerance_scale)
-            return run_config_file(args.config, args.tolerance_scale)
-        if args.n < 1:
+            if batch is not None:
+                return run_batch(batch, scale)
+            return run_config_file(config, scale)
+        if options["--n"] < 1:
             print("usage error: --n must be >= 1", file=sys.stderr)
             return 1
-        if args.command == "verify":
-            return verify_command(args.n)
-        return dump_command(args.what, args.label, args.n, args.space)
+        if command == "verify":
+            return verify_command(options["--n"])
+        return dump_command(options["--what"], options["--label"], options["--n"], options["--space"])
     except (ValueError, OSError, MemoryError) as exc:  # ValueError: a --n past MAX_BLOCK_SIZE, say
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,10 @@ directory, the mutation is applied to the copy, and the mutant's test
 files run on it under pytest, in a fresh interpreter whose PYTHONPATH puts
 the copy first; the working directory is that temporary directory, so
 neither pytest nor Hypothesis writes into the repository.  A mutant is
-killed when some test fails.  Tests that start their own interpreter on
-the repository's src/ (test_cli's memory-cap run, test_lazy_numpy) never
-see a mutant, so no mutant relies on them.
+killed when some test fails.  Tests that start their own interpreter
+(test_cli's memory-cap and `python -m quatflow` runs, test_lazy_numpy) put
+the directory of the package they imported on its PYTHONPATH, so they run
+the mutant too.
 
 First the unmutated copy runs every targeted file, which must pass, and
 the copy must be the package those runs import.  The check then fails
@@ -77,6 +78,10 @@ MUTANTS = [
            ("test_diagnostics.py",)),
     Mutant("gate-boundary", "cli.py", "checks[key] <= thresholds[key]", "checks[key] < thresholds[key]",
            ("test_cli.py", "test_diagnostics.py")),
+    Mutant("option-dash-value", "cli.py", "if text is None:", 'if text is None or text.startswith("-"):',
+           ("test_cli.py",)),
+    Mutant("cli-imports-argparse", "cli.py", "import json\n", "import argparse\nimport json\n",
+           ("test_lazy_numpy.py",)),
     Mutant("back-product-factor", "expressions.py",
            "stack.append((right, _times(adjoint, left.expr), negated))",
            "stack.append((right, _times(adjoint, right.expr), negated))",

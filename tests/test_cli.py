@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quatflow
 from quatflow import BlockDim, HamiltonianSystem, NewtonDivergenceError, StructureTensor, integrate, parse
 from quatflow import cli
 from quatflow.cli import main
@@ -33,6 +34,12 @@ PROBE_OVERFLOW = dict(
     dt=1e-320,
     steps=3,
 )
+
+
+def child_env():
+    """The environment of a child interpreter that runs the package this suite imports."""
+    src = str(Path(quatflow.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -416,13 +423,8 @@ def test_a_step_count_past_the_memory_is_one_error_line(tmp_path):
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
         "from quatflow.cli import main; sys.exit(main(['run', sys.argv[1]]))"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(config_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    result = subprocess.run([sys.executable, "-c", script, str(config_path)], capture_output=True, text=True,
+                            env=child_env())
     assert (result.returncode, result.stderr) == (1, f"error: {STEPS_TOO_LARGE}\n")
 
 
@@ -623,26 +625,64 @@ def test_dump_cotangent_space(capsys):
 
 # --- usage errors ----------------------------------------------------------
 
-def test_no_subcommand_is_a_usage_error(capsys):
-    assert main([]) == 1
-    capsys.readouterr()
+# argv, with CONFIG standing for a coarse run that passes only with
+# --tolerance-scale 1e9; the exit code; the stderr line, "" for none
+USAGE = {
+    "no_command": ([], 1, "usage error: the following arguments are required: command"),
+    "unknown_command": (["frob"], 1, "usage error: argument command: invalid choice: 'frob'"
+                                     " (choose from 'run', 'verify', 'dump')"),
+    "missing_options": (["dump", "--what", "omega"], 1, "usage error: the following arguments are required: --label, --n"),
+    "invalid_choice": (["dump", "--what", "structure", "--label", "Q", "--n", "1"], 1,
+                       "usage error: argument --label: invalid choice: 'Q' (choose from 'F', 'G', 'H')"),
+    "invalid_int": (["verify", "--n", "2.0"], 1, "usage error: argument --n: invalid int value: '2.0'"),
+    "invalid_float": (["run", "CONFIG", "--tolerance-scale", "x"], 1,
+                      "usage error: argument --tolerance-scale: invalid float value: 'x'"),
+    "no_value": (["verify", "--n"], 1, "usage error: argument --n: expected one argument"),
+    "unrecognized": (["verify", "--n", "1", "extra", "--bogus"], 1, "usage error: unrecognized arguments: extra --bogus"),
+    "second_config": (["run", "CONFIG", "CONFIG"], 1, "usage error: unrecognized arguments: CONFIG"),
+    "equals_value": (["dump", "--what=omega", "--label=G", "--n=1"], 0, ""),
+    "equals_empty": (["verify", "--n="], 1, "usage error: argument --n: invalid int value: ''"),
+    "negative_n": (["verify", "--n", "-1"], 1, "usage error: --n must be >= 1"),
+    "negative_scale": (["run", "CONFIG", "--tolerance-scale", "-1"], 1,
+                       "usage error: --tolerance-scale must be a positive finite number"),
+    "option_before_config": (["run", "--tolerance-scale", "1e9", "CONFIG"], 0, ""),
+    "option_after_config": (["run", "CONFIG", "--tolerance-scale", "1e9"], 0, ""),
+    "last_value_wins": (["run", "CONFIG", "--tolerance-scale", "-1", "--tolerance-scale=1e9"], 0, ""),
+    "last_value_fails": (["run", "CONFIG", "--tolerance-scale", "1e9", "--tolerance-scale", "1"], 2, ""),
+    "help_run": (["run", "CONFIG", "-h"], 0, ""),
+    "help_verify": (["verify", "--help", "--n", "x"], 0, ""),
+    "help_dump": (["dump", "--bogus", "-h"], 0, ""),
+    "abbreviation": (["run", "CONFIG", "--tol", "1e9"], 1, "usage error: unrecognized arguments: --tol 1e9"),
+}
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+@pytest.mark.parametrize("argv, code, err", USAGE.values(), ids=USAGE)
+def test_usage(tmp_path, capsys, argv, code, err):
+    config_path, payload = write_config(tmp_path, dt=0.5, steps=10)
+    argv = [str(config_path) if argument == "CONFIG" else argument for argument in argv]
+    err = err.replace("CONFIG", str(config_path))
+    assert main(argv) == code
+    assert capsys.readouterr().err == (err and err + "\n")
+    # a run goes ahead only when its arguments parse and pass main's checks
+    ran = argv[:1] == ["run"] and not err and "-h" not in argv
+    assert Path(f"{payload['output_prefix']}.diagnostics.json").exists() == ran
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "-h"], ["dump", "-h"]])
 def test_help_exits_zero(argv, capsys):
     assert main(argv) == 0
-    assert capsys.readouterr().out.startswith("usage: quatflow")
+    out = capsys.readouterr().out
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    assert out.startswith(f"usage: quatflow {command or '{run,verify,dump}'} ")
+    # the help text is rendered from the table the parser reads
+    names = cli._COMMANDS[command][1] if command else cli._COMMANDS
+    assert all(name in out or name.upper() in out for name in names)
 
 
 def test_run_requires_exactly_one_input_mode(tmp_path, capsys):
     config_path, _ = write_config(tmp_path)
     assert main(["run"]) == 1
     assert main(["run", str(config_path), "--batch", str(tmp_path)]) == 1
-    capsys.readouterr()
-
-
-def test_dump_rejects_unknown_label(capsys):
-    assert main(["dump", "--what", "structure", "--label", "Q", "--n", "1"]) == 1
     capsys.readouterr()
 
 
@@ -660,6 +700,7 @@ def test_module_invocation_smoke():
         [sys.executable, "-m", "quatflow", "verify", "--n", "1"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert "quaternion relations" in result.stdout
