@@ -31,7 +31,7 @@ import math
 from operator import mul
 
 from . import dynamics
-from .dynamics import HamiltonianSystem, Trajectory, _scale, _stepper
+from .dynamics import HamiltonianSystem, Trajectory, _stepper
 from .expressions import evaluate
 from .structures import _generate, structure_triple, to_floats, verify_quaternion_relations
 
@@ -84,8 +84,8 @@ def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> l
 
     The step is JACOBIAN_PROBE_STEP times the smallest power of two that is
     >= max(1, |x|), so the difference stays well above the rounding of the
-    stepped states at any scale; the size is the steppers' _scale, which
-    cannot overflow.  Column a is read from the steps of x +- h e_a.
+    stepped states at any scale; |x| is math.hypot's, as Newton reads it,
+    which cannot overflow.  Column a is read from the steps of x +- h e_a.
     Each implicit midpoint step after the first in a direction starts
     Newton from the previous step in that direction shifted by the
     difference of the two perturbed points, which is within O(h dt) of its
@@ -93,7 +93,7 @@ def step_jacobian(system: HamiltonianSystem, point, dt: float, method: str) -> l
     """
     stepper = _stepper(method)
     base = list(to_floats(point, system.omega.dim.total, "point"))
-    mantissa, exponent = math.frexp(_scale(base))
+    mantissa, exponent = math.frexp(max(1.0, math.hypot(*base)))
     h = math.ldexp(JACOBIAN_PROBE_STEP, exponent - (mantissa == 0.5))
     warm = method == "implicit_midpoint"
     previous = {}  # direction -> (last perturbed point, its step)

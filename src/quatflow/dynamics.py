@@ -20,8 +20,10 @@ classical RK4 and the implicit midpoint rule, solved by Newton iteration
 with a finite-difference Jacobian and symplectic for any constant Omega.
 Up to NUMPY_SOLVE_SIZE = 16 coordinates (n <= 4) its Newton system is
 solved on floats by gaussian_solve; past it, by numpy, which the module
-imports there alone.  Both size a point by _scale, max(1, |x|) with an
-|x| that cannot overflow.
+imports there alone.  Newton stops at an update below NEWTON_TOL times
+max(1, |y|), or once the last two updates contract and predict the next
+below the rounding of y, 2^-52 |y|.  Every norm is math.hypot's, which
+cannot overflow.
 Every failed step is an IntegrationError, NewtonDivergenceError included;
 the steppers check that each new state is finite, as _require_finite
 does, and return it as a list of floats.  The flow is autonomous, so no
@@ -39,14 +41,16 @@ from .expressions import ScalarField, gradient
 from .forms import symplectic_form
 from .structures import LABELS, StructureKind, StructureTensor, _generate, _read_point, build_structure, to_floats
 
-# Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|)
+# Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|),
+# or once the next update is predicted below 2^-52 |y| (step_implicit_midpoint)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # up to this 4n the Newton matrix is solved on floats, which spares a run
-# numpy's import (110-170 ms); a float solve makes a step about 0.4 ms
-# slower at n = 3 and 0.5 ms at n = 4, so the import pays for ~400 and ~280
-# steps, far more than the probe's 8n solves, while at n = 8 it pays for
-# ~45 steps and the probe's 64 solves already outgrow it (README)
+# numpy's import (about 60 ms); a float solve makes a 3-iteration step
+# about 0.13 ms slower at n = 3 and 0.3 ms at n = 4, so the import pays for
+# ~460 and ~200 steps, far more than the probe's 8n solves, while at n = 8
+# it pays for ~32 steps and the probe's 64 solves, 2 iterations each,
+# already outgrow it (README)
 NUMPY_SOLVE_SIZE = 16
 
 
@@ -185,8 +189,14 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     """One implicit midpoint step, y = x + dt * X((x + y)/2).
 
     At most NEWTON_MAX_ITER Newton iterations on Python floats from
-    y = start (default x) stop once the update norm drops below
-    NEWTON_TOL * max(1, |y|).  As in step_rk4, X = Omega g is kept as the
+    y = start (default x) stop once the update norm |d_k| drops below
+    NEWTON_TOL * max(1, |y|), or once the last two updates contract,
+    theta = |d_k| / |d_{k-1}| < 1, and the updates still to come, which sum
+    to at most theta / (1 - theta) |d_k| while they contract so (Hairer and
+    Wanner, Solving ODEs II, IV.8), are predicted to move y by no more than
+    its rounding, 2^-52 |y|.  The second stop only adds to the first, so no
+    step takes more iterations than the first alone would; both read the
+    iteration's one |y|.  As in step_rk4, X = Omega g is kept as the
     gradient g; the forward-difference Jacobian of X, bumping coordinate a
     by h_a = 1e-7 * max(1, |x_a|), takes one gradient per bumped coordinate,
     divides row a of the differences by h_a and applies Omega once to the
@@ -206,6 +216,7 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     y = x if start is None else to_floats(start, len(x), "start")
     h = [1e-7 * max(1.0, abs(a)) for a in x]
     newton_update = _float_newton_update if len(x) <= NUMPY_SOLVE_SIZE else _numpy_newton_update
+    previous = math.nan  # no contraction estimate before the second update: nan < 1.0 is false
     for _ in range(NEWTON_MAX_ITER):
         mid = [0.5 * (a + b) for a, b in zip(x, y)]
         g = gradient(hamiltonian, mid)
@@ -215,9 +226,12 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
         rows = [gradient(hamiltonian, mid[:a] + [mid[a] + h[a]] + mid[a + 1:]) for a in range(len(mid))]
         delta = newton_update(system, rows, g, h, dt, residual)
         y = [b + d for b, d in zip(y, delta)]
-        if math.hypot(*delta) < NEWTON_TOL * _scale(y):
+        size, norm = math.hypot(*y), math.hypot(*delta)
+        theta = norm / previous
+        if norm < NEWTON_TOL * max(1.0, size) or (theta < 1.0 and theta / (1.0 - theta) * norm <= 2.0 ** -52 * size):
             _require_finite(y)
             return y
+        previous = norm
     raise NewtonDivergenceError(residual_norm, NEWTON_MAX_ITER)
 
 
@@ -293,10 +307,6 @@ def gaussian_solve(matrix, rhs) -> list[float]:
                 total -= row[j] * solution[j]
         solution[i] = total / row[i] if total != 0.0 else total
     return solution
-
-
-def _scale(point) -> float:
-    return max(1.0, math.hypot(*point))
 
 
 def _require_finite(values) -> None:

@@ -68,6 +68,10 @@ MUTANTS = [
     Mutant("newton-matrix-half-step", "dynamics.py", "half = 0.5 * dt", "half = dt", ("test_bit_identity.py",)),
     Mutant("newton-update-sign", "dynamics.py",
            "y = [b + d for b, d in zip(y, delta)]", "y = [b - d for b, d in zip(y, delta)]", ("test_dynamics.py",)),
+    Mutant("newton-stop-rounding", "dynamics.py", "<= 2.0 ** -52 * size", "<= 2.0 ** -30 * size",
+           ("test_dynamics.py",)),
+    Mutant("newton-stop-contraction", "dynamics.py",
+           "(theta < 1.0 and theta / (1.0 - theta) * norm", "(theta / (1.0 - theta) * norm", ("test_dynamics.py",)),
     Mutant("probe-step", "diagnostics.py",
            "h = math.ldexp(JACOBIAN_PROBE_STEP, exponent - (mantissa == 0.5))", "h = JACOBIAN_PROBE_STEP",
            ("test_diagnostics.py",)),

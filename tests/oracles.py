@@ -173,18 +173,15 @@ def rk4_shift_reference(tensor, field_gradient, x, dt: float) -> list[float]:
     return shift_reference(tensor, x, total, dt / 6.0)
 
 
-def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> tuple[np.ndarray, int]:
-    """The implicit midpoint step's Newton loop on numpy arrays: (y, iterations).
+def midpoint_newton_update(system, x: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
+    """One Newton update of the midpoint equation y - x - dt X((x + y)/2) = 0 at y, on numpy arrays.
 
-    Newton starts from y = start, or from x when start is None.  Each field
-    value is the matrix product Omega grad H, the Jacobian is filled one
-    forward-difference column per bumped copy of the midpoint, coordinate a
-    bumped by h_a = 1e-7 * max(1, |x_a|), and the loop stops once the update
-    norm drops below 1e-12 * max(1, |y|), the package's relative stop, so it
-    converges far from the origin too.  Its norms are numpy's and its
-    Jacobian is its own, as first written.  Up to NUMPY_SOLVE_SIZE
-    coordinates, where the package solves on floats, the Newton system is
-    solved by elimination_reference; past it, by np.linalg.solve.
+    Each field value is the matrix product Omega grad H, and the Jacobian is
+    filled one forward-difference column per bumped copy of the midpoint,
+    coordinate a bumped by h_a = 1e-7 * max(1, |x_a|).  Its Jacobian is its
+    own, as first written.  Up to NUMPY_SOLVE_SIZE coordinates, where the
+    package solves on floats, the Newton system is solved by
+    elimination_reference; past it, by np.linalg.solve.
     """
     omega = omega_matrix(system)
 
@@ -193,23 +190,45 @@ def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> t
 
     size = x.size
     h = 1e-7 * np.maximum(1, np.abs(x))
-    eye = np.eye(size)
+    mid = 0.5 * (x + y)
+    field_mid = field(mid)
+    residual = y - x - dt * field_mid
+    jacobian = np.empty((size, size))
+    for a in range(size):
+        bumped = mid.copy()
+        bumped[a] += h[a]
+        jacobian[:, a] = (field(bumped) - field_mid) / h[a]
+    newton_matrix = np.eye(size) - 0.5 * dt * jacobian
+    solve = elimination_reference if size <= NUMPY_SOLVE_SIZE else np.linalg.solve
+    return solve(newton_matrix, -residual)
+
+
+def midpoint_newton_reference(system, x: np.ndarray, dt: float, start=None) -> tuple[np.ndarray, int]:
+    """The implicit midpoint step's Newton loop on numpy arrays: (y, iterations).
+
+    Newton starts from y = start, or from x when start is None, and adds
+    midpoint_newton_update until one of the package's two relative stops
+    holds.  The first is an update norm below 1e-12 * max(1, |y|), so the
+    loop converges far from the origin too.  The second reads the last two
+    update norms: once they contract, rate r = |d_k| / |d_{k-1}| < 1, the
+    updates still to come are predicted to sum to at most r / (1 - r) *
+    |d_k| (Hairer and Wanner, Solving ODEs II, section IV.8), and the loop
+    stops once that is within machine epsilon times |y|.  Its norms are
+    numpy's.
+    """
     y = x.copy() if start is None else np.array(start, dtype=np.float64)
+    norms = []
     for iteration in range(1, 51):
-        mid = 0.5 * (x + y)
-        field_mid = field(mid)
-        residual = y - x - dt * field_mid
-        jacobian = np.empty((size, size))
-        for a in range(size):
-            bumped = mid.copy()
-            bumped[a] += h[a]
-            jacobian[:, a] = (field(bumped) - field_mid) / h[a]
-        newton_matrix = eye - 0.5 * dt * jacobian
-        solve = elimination_reference if size <= NUMPY_SOLVE_SIZE else np.linalg.solve
-        delta = solve(newton_matrix, -residual)
+        delta = midpoint_newton_update(system, x, y, dt)
         y = y + delta
-        if float(np.linalg.norm(delta)) < 1e-12 * max(1.0, float(np.linalg.norm(y))):
+        norms.append(float(np.linalg.norm(delta)))
+        magnitude = float(np.linalg.norm(y))
+        if norms[-1] < 1e-12 * max(1.0, magnitude):
             return y, iteration
+        if len(norms) > 1 and norms[-1] < norms[-2]:
+            rate = norms[-1] / norms[-2]
+            if rate / (1.0 - rate) * norms[-1] <= np.finfo(np.float64).eps * magnitude:
+                return y, iteration
     raise AssertionError("the reference Newton loop did not converge in 50 iterations")
 
 

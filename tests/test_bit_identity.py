@@ -293,7 +293,8 @@ def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) ->
     The points the field is evaluated at include every Newton iterate, so
     equal point sequences mean equal Jacobians and updates, not only an
     equal converged state.  Both loops stop at the relative 1e-12 * max(1,
-    |y|), so the whole run compares, at |x| = 1e7 too.
+    |y|) or at a next update predicted below 2^-52 |y|, so the whole run
+    compares, at |x| = 1e7 too.
     """
     points = []
 
@@ -349,14 +350,17 @@ def test_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
 @pytest.mark.parametrize("label", ["F", "G", "H"])
 def test_warm_started_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
     # the start the symplecticity probe gives a step: the step of a nearby
-    # point, shifted by the difference of the two points
+    # point, shifted by the difference of the two points.  It saves an
+    # iteration at every start but the signed zeros, where the cold step
+    # too stops after 2, its third update predicted below rounding
     system = _system(label, n)
     for x in _starts(n, seed=50 + n):
         neighbour = x.copy()
         neighbour[0] += 2.0**-17
         start = step_implicit_midpoint(system, neighbour, 0.05) + (x - neighbour)
         warm = _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch)
-        assert warm < _assert_midpoint_step_equals_the_reference(system, x, None, monkeypatch)
+        cold = _assert_midpoint_step_equals_the_reference(system, x, None, monkeypatch)
+        assert warm <= cold if not x.any() else warm < cold
 
 
 @pytest.mark.parametrize("n", NEWTON_SIZES)

@@ -20,7 +20,7 @@ from quatflow import (
 )
 from quatflow import dynamics
 from quatflow.expressions import DEMO_HAMILTONIANS
-from oracles import expm_taylor, omega_matrix, quadratic_energy_text, reference_field_formula
+from oracles import expm_taylor, midpoint_newton_update, omega_matrix, quadratic_energy_text, reference_field_formula
 
 POINT = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -228,6 +228,27 @@ def test_midpoint_converges_past_the_overflow_of_a_squared_norm(monkeypatch):
     assert len(gradient_calls) == 2 * (4 * system.omega.dim.n + 1)  # two Newton iterations
     residual = y - x - 0.01 * np.array(hamiltonian_vector_field(system, 0.5 * (x + y)))
     assert math.hypot(*residual) <= dynamics.NEWTON_TOL * math.hypot(*y)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.8, 1e3, 1e7])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_one_more_newton_iteration_moves_the_midpoint_step_within_rounding(label, n, scale):
+    # Newton stops at an update below 1e-12 max(1, |y|), or once the last two
+    # updates predict the rest below 2^-52 |y|; either way one more update,
+    # the reference's own, from a cold or a warm start, moves y by at most
+    # 2^-51 |y|, about 2 ulp
+    squares = " + ".join(f"x{a}^2" for a in range(1, 4 * n + 1))
+    system = _system(label, f"0.5*({squares}) + 0.1*x1^4 + 0.05*sin(x2)", n)
+    direction = np.random.default_rng(n).standard_normal(4 * n)
+    x = scale * direction / np.linalg.norm(direction)
+    neighbour = x.copy()
+    neighbour[0] += 2.0**-17 * max(1.0, scale)
+    warm = np.array(step_implicit_midpoint(system, neighbour, 0.05)) + (x - neighbour)
+    for start in (None, warm):
+        y = np.array(step_implicit_midpoint(system, x, 0.05, start=start))
+        update = midpoint_newton_update(system, x, y, 0.05)
+        assert np.linalg.norm(update) <= 2.0**-51 * np.linalg.norm(y)
 
 
 def test_newton_divergence_reports_a_finite_residual_norm_at_huge_scale(monkeypatch):
