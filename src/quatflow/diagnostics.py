@@ -119,7 +119,8 @@ def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: 
     step_jacobian gives J's columns, the rows of J^T.  Omega J is a signed
     reorder of J's rows, each column's image by omega.apply, and Omega's
     nonzero entries are signs_a at (a, order_a).  Up to NUMPY_PRODUCT_SIZE
-    coordinates J^T (Omega J) runs on Python floats; past it, on numpy.
+    coordinates J^T (Omega J) runs on Python floats, each entry a dot
+    product added left to right (_dot); past it, on numpy.
     """
     columns = step_jacobian(system, point, dt, method)
     order, signs = system.omega.order, system.omega.signs
@@ -134,8 +135,21 @@ def symplecticity_residual(system: HamiltonianSystem, point, dt: float, method: 
             product[range(len(order)), order] -= row_signs
             return float(np.abs(product).max())
     images = [*map(system.omega.apply, columns)]
-    return _max([abs(sum(map(mul, column, image)) - (signs[a] if b == order[a] else 0))
+    return _max([abs(_dot(column, image) - (signs[a] if b == order[a] else 0))
                  for a, column in enumerate(columns) for b, image in enumerate(images)])
+
+
+def _dot(u, v) -> float:
+    """sum of u_i v_i, added left to right from 0.0 on every Python.
+
+    That is the order of the built-in sum up to Python 3.11; from 3.12 sum
+    adds floats with compensation (gh-100425), which would make the probe's
+    last bits depend on the Python version.
+    """
+    total = 0.0
+    for product in map(mul, u, v):
+        total += product
+    return total
 
 
 def _max(values: list[float]) -> float:

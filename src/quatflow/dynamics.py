@@ -16,8 +16,10 @@ tensor's generated omega.apply reorders and signs; that is exact, so it
 gives the bits of the product Omega grad H, except that a -0.0 component
 stays -0.0.
 Two fixed-step one-step methods integrate the flow on Python floats:
-classical RK4 and the implicit midpoint rule, solved by Newton iteration
-with a finite-difference Jacobian and symplectic for any constant Omega.
+classical RK4 and the implicit midpoint rule, symplectic for any constant
+Omega.  A midpoint step returns the y that solves y = x + dt X((x + y)/2)
+to rounding; how that equation is solved is _newton's decision alone:
+Newton iteration with a finite-difference Jacobian, the one solver today.
 Up to NUMPY_SOLVE_SIZE = 16 coordinates (n <= 4) its Newton system is
 solved on floats by gaussian_solve; past it, by numpy, which the module
 imports there alone.  Newton stops at an update below NEWTON_TOL times
@@ -42,7 +44,7 @@ from .forms import symplectic_form
 from .structures import LABELS, StructureKind, StructureTensor, _generate, _read_point, build_structure, to_floats
 
 # Newton stops once its update norm drops below NEWTON_TOL * max(1, |y|),
-# or once the next update is predicted below 2^-52 |y| (step_implicit_midpoint)
+# or once the next update is predicted below 2^-52 |y| (_newton)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # up to this 4n the Newton matrix is solved on floats, which spares a run
@@ -186,19 +188,37 @@ def _rk4_source(omega: StructureTensor) -> str:
 
 
 def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) -> list[float]:
-    """One implicit midpoint step, y = x + dt * X((x + y)/2).
+    """One implicit midpoint step: y solving y = x + dt * X((x + y)/2) to rounding.
 
-    At most NEWTON_MAX_ITER Newton iterations on Python floats from
-    y = start (default x) stop once the update norm |d_k| drops below
-    NEWTON_TOL * max(1, |y|), or once the last two updates contract,
-    theta = |d_k| / |d_{k-1}| < 1, and the updates still to come, which sum
-    to at most theta / (1 - theta) |d_k| while they contract so (Hairer and
-    Wanner, Solving ODEs II, IV.8), are predicted to move y by no more than
-    its rounding, 2^-52 |y|.  The second stop only adds to the first, so no
-    step takes more iterations than the first alone would; both read the
-    iteration's one |y|.  As in step_rk4, X = Omega g is kept as the
-    gradient g; the forward-difference Jacobian of X, bumping coordinate a
-    by h_a = 1e-7 * max(1, |x_a|), takes one gradient per bumped coordinate,
+    y is a list of finite floats; a failed solve is an IntegrationError, a
+    NewtonDivergenceError when the solver runs out of iterations.  The
+    solver begins from start, a guess of y (default x) that must have x's
+    length, else ValueError; one near the solution saves iterations and
+    moves y only within the solver's tolerance.  Newton's method, _newton,
+    is the one solver today.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    x = to_floats(x, system.omega.dim.total, "point")
+    start = x if start is None else to_floats(start, len(x), "start")
+    return _newton(system, x, dt, start)
+
+
+def _newton(system, x, dt, start) -> list[float]:
+    """Solve y = x + dt * X((x + y)/2) for y by Newton's method from y = start.
+
+    x and start are sequences of 4n Python floats, as to_floats gives them.
+    At most NEWTON_MAX_ITER Newton iterations on Python floats stop once the
+    update norm |d_k| drops below NEWTON_TOL * max(1, |y|), or once the last
+    two updates contract, theta = |d_k| / |d_{k-1}| < 1, and the updates
+    still to come, which sum to at most theta / (1 - theta) |d_k| while they
+    contract so (Hairer and Wanner, Solving ODEs II, IV.8), are predicted to
+    move y by no more than its rounding, 2^-52 |y|.  The second stop only
+    adds to the first, so no step takes more iterations than the first alone
+    would; both read the iteration's one |y|.  As in step_rk4, X = Omega g
+    is kept as the gradient g, this module's gradient, read when the loop
+    runs; the forward-difference Jacobian of X, bumping coordinate a by
+    h_a = 1e-7 * max(1, |x_a|), takes one gradient per bumped coordinate,
     divides row a of the differences by h_a and applies Omega once to the
     matrix.  Up to NUMPY_SOLVE_SIZE coordinates the Newton matrix
     I - dt/2 J is built and solved on floats, by gaussian_solve; past it,
@@ -206,14 +226,10 @@ def step_implicit_midpoint(system: HamiltonianSystem, x, dt: float, start=None) 
     numpy code.  Both paths give the matrix the same bits.  Norms are
     math.hypot's, which does not overflow past |x| ~ 1.34e154 as |x|^2 does.  A
     non-finite residual stops the iteration at once with the non-finite-state
-    IntegrationError.  A start must have x's length, else ValueError; one near
-    the solution saves iterations and moves y only within the tolerance.
+    IntegrationError; running out of iterations is NewtonDivergenceError.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     hamiltonian, apply = system.hamiltonian, system.omega.apply
-    x = to_floats(x, system.omega.dim.total, "point")
-    y = x if start is None else to_floats(start, len(x), "start")
+    y = start
     h = [1e-7 * max(1.0, abs(a)) for a in x]
     newton_update = _float_newton_update if len(x) <= NUMPY_SOLVE_SIZE else _numpy_newton_update
     previous = math.nan  # no contraction estimate before the second update: nan < 1.0 is false

@@ -72,6 +72,8 @@ MUTANTS = [
            ("test_dynamics.py",)),
     Mutant("newton-stop-contraction", "dynamics.py",
            "(theta < 1.0 and theta / (1.0 - theta) * norm", "(theta / (1.0 - theta) * norm", ("test_dynamics.py",)),
+    Mutant("midpoint-step-drops-start", "dynamics.py",
+           "return _newton(system, x, dt, start)", "return _newton(system, x, dt, x)", ("test_diagnostics.py",)),
     Mutant("probe-step", "diagnostics.py",
            "h = math.ldexp(JACOBIAN_PROBE_STEP, exponent - (mantissa == 0.5))", "h = JACOBIAN_PROBE_STEP",
            ("test_diagnostics.py",)),

@@ -15,10 +15,13 @@ package under src/ and once on REV's src/, extracted with `git archive`,
 each in its own interpreter.  Every difference in exit code, stdout,
 stderr and artifacts is reported; for a CSV or JSON artifact, the cells
 whose numbers moved, with the largest |delta| and the largest relative
-delta.  The contract is the two revisions on one machine: midpoint runs
-past 4n = 16 go through np.linalg.solve, whose last bits may depend on the
-CPU; up to 4n = 16 the Newton system is solved on Python floats, whose
-bits do not.
+delta.  A stdout or stderr line whose words match and whose numbers moved,
+such as the last residual a diverging Newton iteration quotes, is a figure
+move, reported with its old and new numbers; any other change of a stream
+is a message change, reported with both texts.  The contract is the two
+revisions on one machine: midpoint runs past 4n = 16 go through
+np.linalg.solve, whose last bits may depend on the CPU; up to 4n = 16 the
+Newton system is solved on Python floats, whose bits do not.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -41,6 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "scenarios"
 MANIFEST = CORPUS / "manifest.json"
+# a decimal number that is not part of a word such as x1
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w)")
 
 
 def load_manifest() -> list[dict]:
@@ -173,14 +179,37 @@ def diff_cells(name: str, old: str, new: str) -> list[str]:
     return lines or ["bytes differ, cells equal"]
 
 
+def diff_stream(stream: str, old: str, new: str) -> list[str]:
+    """Describe how one output stream moved: figure moves line by line, else a message change.
+
+    When both texts have as many lines, each changed line whose words (the
+    text between its numbers) match is a figure move and each other one a
+    message change; otherwise the whole stream is one message change.
+    """
+    if old == new:
+        return []
+    before, after = old.splitlines(), new.splitlines()
+    if len(before) != len(after):
+        return [f"{stream}: {old!r} -> {new!r}"]
+    lines = []
+    for index, (a, b) in enumerate(zip(before, after), start=1):
+        if a == b:
+            continue
+        if NUMBER.split(a) != NUMBER.split(b):
+            lines.append(f"{stream} line {index}: {a!r} -> {b!r}")
+            continue
+        moved = [f"{x} -> {y}" for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)) if x != y]
+        lines.append(f"{stream} line {index}: figures moved: {', '.join(moved)}")
+    return lines
+
+
 def diff_results(name: str, old: dict, new: dict) -> list[str]:
     """Every difference between REV's result (old) and the change's (new) for one scenario."""
     lines = []
     if old["exit"] != new["exit"]:
         lines.append(f"exit {old['exit']} -> {new['exit']}")
     for stream in ("stdout", "stderr"):
-        if old[stream] != new[stream]:
-            lines.append(f"{stream}: {old[stream]!r} -> {new[stream]!r}")
+        lines.extend(diff_stream(stream, old[stream], new[stream]))
     for artifact in sorted(old["artifacts"].keys() | new["artifacts"].keys()):
         if artifact not in new["artifacts"]:
             lines.append(f"{artifact}: only in REV")

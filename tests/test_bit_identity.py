@@ -287,14 +287,15 @@ def test_a_nan_input_gives_nan_where_it_lands(n):
         assert all(map(math.isnan, points[1]))
 
 
-def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) -> int:
-    """Same state and gradient evaluation points as the reference loop; its iterations.
+def _assert_newton_equals_the_reference(system, x, start, monkeypatch) -> int:
+    """_newton gives the reference loop's state and gradient evaluation points; its iterations.
 
     The points the field is evaluated at include every Newton iterate, so
     equal point sequences mean equal Jacobians and updates, not only an
     equal converged state.  Both loops stop at the relative 1e-12 * max(1,
     |y|) or at a next update predicted below 2^-52 |y|, so the whole run
-    compares, at |x| = 1e7 too.
+    compares, at |x| = 1e7 too.  _newton is called itself, not the public
+    step, so that this pins Newton's path whatever solver the step uses.
     """
     points = []
 
@@ -308,7 +309,7 @@ def _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch) ->
         reference, _ = oracles.midpoint_newton_reference(system, x, 0.05, start=start)
         reference_points = np.array(points)
         points.clear()
-        stepped = np.array(step_implicit_midpoint(system, x, 0.05, start=start))
+        stepped = np.array(dynamics._newton(system, x.tolist(), 0.05, (x if start is None else start).tolist()))
     calls = len(points)
     assert calls % (x.size + 1) == 0  # 4n + 1 field calls per iteration
     assert np.array(points).tobytes() == reference_points.tobytes()
@@ -343,7 +344,7 @@ def _starts(n: int, seed: int):
 def test_midpoint_step_equals_the_reference_newton_loop(label, n, monkeypatch):
     system = _system(label, n)
     for start in _starts(n, seed=30 + n):
-        _assert_midpoint_step_equals_the_reference(system, start, None, monkeypatch)
+        _assert_newton_equals_the_reference(system, start, None, monkeypatch)
 
 
 @pytest.mark.parametrize("n", NEWTON_SIZES)
@@ -357,9 +358,9 @@ def test_warm_started_midpoint_step_equals_the_reference_newton_loop(label, n, m
     for x in _starts(n, seed=50 + n):
         neighbour = x.copy()
         neighbour[0] += 2.0**-17
-        start = step_implicit_midpoint(system, neighbour, 0.05) + (x - neighbour)
-        warm = _assert_midpoint_step_equals_the_reference(system, x, start, monkeypatch)
-        cold = _assert_midpoint_step_equals_the_reference(system, x, None, monkeypatch)
+        start = dynamics._newton(system, neighbour.tolist(), 0.05, neighbour.tolist()) + (x - neighbour)
+        warm = _assert_newton_equals_the_reference(system, x, start, monkeypatch)
+        cold = _assert_newton_equals_the_reference(system, x, None, monkeypatch)
         assert warm <= cold if not x.any() else warm < cold
 
 
@@ -432,7 +433,7 @@ def test_csv_rows_equal_per_cell_formatting():
 @pytest.mark.parametrize("scale", [1e5, 1e7])
 def test_midpoint_converges_far_from_the_origin(scale, monkeypatch):
     # an absolute 1e-12 update norm is below the rounding of states this
-    # large; the relative stop accepts an update at machine precision
+    # large; Newton's relative stop accepts an update at machine precision
     system = HamiltonianSystem.build("G", parse("0.5*(x1^2 + x2^2 + x3^2 + x4^2)", BlockDim(1)))
     calls = []
 
@@ -443,8 +444,8 @@ def test_midpoint_converges_far_from_the_origin(scale, monkeypatch):
     monkeypatch.setattr(dynamics, "gradient", counted_gradient)
     for _ in range(3):
         calls.clear()
-        start = np.array([scale, 0.0, 0.0, 0.0])
-        stepped = step_implicit_midpoint(system, start, 0.01)
+        start = [scale, 0.0, 0.0, 0.0]
+        stepped = dynamics._newton(system, start, 0.01, start)
         assert calls and len(calls) % 5 == 0
         assert len(calls) < 5 * dynamics.NEWTON_MAX_ITER
         # the midpoint rule conserves a quadratic energy, so |y| = |x| to rounding

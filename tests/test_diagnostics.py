@@ -26,7 +26,7 @@ from quatflow.diagnostics import (
     default_thresholds,
     step_jacobian,
 )
-from oracles import cold_step_jacobian, rk4_on_field
+from oracles import cold_step_jacobian, omega_matrix, rk4_on_field
 
 QUAD = "0.5*(x1^2 + x2^2 + x3^2 + x4^2)"
 
@@ -351,9 +351,24 @@ def test_the_numpy_product_reads_the_python_products_residual(method, n, monkeyp
     assert python <= SYMPLECTICITY_LIMIT
 
 
+def test_the_probe_adds_each_product_left_to_right(monkeypatch):
+    # made-up columns: entry (0, 2) of J^T Omega J adds 2^60, 200, -2^60 and 0.
+    # Left to right from 0.0, the order of sum() up to Python 3.11, 2^60 + 200
+    # rounds to 2^60 + 256 and the entry reads 256; compensated, as sum() adds
+    # floats from 3.12 on (gh-100425), it would read 200.  So the probe's bits
+    # do not depend on the Python version
+    system = _system("F")
+    image = [1.0, 1.0, 1.0, 0.0]
+    columns = [[2.0**60, 200.0, -(2.0**60), 0.0], [0.0] * 4, (omega_matrix(system).T @ image).tolist(), [0.0] * 4]
+    assert system.omega.apply(columns[2]) == image
+    monkeypatch.setattr(diagnostics, "step_jacobian", lambda *args: columns)
+    assert symplecticity_residual(system, [1.0, 0.0, 0.0, 0.0], 0.05, "rk4") == 256.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_probe_midpoint_steps_do_whole_newton_iterations(n, monkeypatch):
-    # the first step in each direction starts cold, the rest from their neighbour
+    # the first step in each direction starts cold, the rest from their neighbour.
+    # The probe's public steps, not _newton: bench/layers.py pins the same 4n+1 rule
     steps = _ProbeSteps(monkeypatch, "implicit_midpoint")
     step_jacobian(_layer_system("G", n), _point(n, seed=10 + n), 0.05, "implicit_midpoint")
     assert len(steps.gradient_calls) == 8 * n
@@ -364,7 +379,9 @@ def test_probe_midpoint_steps_do_whole_newton_iterations(n, monkeypatch):
 def test_warm_started_probe_takes_at_most_two_newton_iterations_a_warm_step(monkeypatch):
     # the midpoint benchmark's system, where a cold step takes 3 Newton
     # iterations and a warm one 2, each 4n + 1 = 17 gradient calls: the
-    # probe's 2 cold and 30 warm steps take 66 iterations, 32 cold steps 96
+    # probe's 2 cold and 30 warm steps take 66 iterations, 32 cold steps 96.
+    # Through the public step, since only its cost shows whether the step
+    # hands the solver its start (mutant midpoint-step-drops-start)
     squares = "+".join(f"x{a}^2" for a in range(1, 17))
     system = HamiltonianSystem.build("G", parse(f"exp(0.5*({squares}))", BlockDim(4)))
     point = _point(4, seed=4)

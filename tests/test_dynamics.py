@@ -20,7 +20,14 @@ from quatflow import (
 )
 from quatflow import dynamics
 from quatflow.expressions import DEMO_HAMILTONIANS
-from oracles import expm_taylor, midpoint_newton_update, omega_matrix, quadratic_energy_text, reference_field_formula
+from oracles import (
+    dual_gradient,
+    expm_taylor,
+    midpoint_newton_update,
+    omega_matrix,
+    quadratic_energy_text,
+    reference_field_formula,
+)
 
 POINT = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -157,10 +164,11 @@ def test_midpoint_fixed_point_converges_within_one_iteration(monkeypatch):
 
 
 def test_midpoint_one_iteration_budget_diverges_on_a_quartic_energy(monkeypatch):
+    # Newton's own budget, so _newton itself: another solver in front of it could converge
     monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
     system = _system("F", text=DEMO_HAMILTONIANS["quartic"])
     with pytest.raises(NewtonDivergenceError) as info:
-        step_implicit_midpoint(system, POINT, 0.1)
+        dynamics._newton(system, POINT.tolist(), 0.1, POINT.tolist())
     assert info.value.iterations == 1
     assert info.value.residual_norm > 0.0
 
@@ -214,7 +222,7 @@ def test_no_global_numpy_error_setting_reaches_a_midpoint_step():
 
 def test_midpoint_converges_past_the_overflow_of_a_squared_norm(monkeypatch):
     # |x|^2 overflows past |x| ~ 1.34e154; read through it, the FD step was
-    # inf and the step failed with a non-finite state
+    # inf and Newton failed with a non-finite state
     gradient_calls = []
 
     def counted_gradient(field, point):
@@ -224,10 +232,27 @@ def test_midpoint_converges_past_the_overflow_of_a_squared_norm(monkeypatch):
     monkeypatch.setattr(dynamics, "gradient", counted_gradient)
     system = _system("G", text="(1e-55*x1)^3 + x2")
     x = np.array([1e155, 0.0, 0.0, 0.0])
-    y = step_implicit_midpoint(system, x, 0.01)
+    y = dynamics._newton(system, x.tolist(), 0.01, x.tolist())
     assert len(gradient_calls) == 2 * (4 * system.omega.dim.n + 1)  # two Newton iterations
     residual = y - x - 0.01 * np.array(hamiltonian_vector_field(system, 0.5 * (x + y)))
     assert math.hypot(*residual) <= dynamics.NEWTON_TOL * math.hypot(*y)
+
+
+def _cold_and_warm_steps(label, n, scale):
+    """(system, x, y) for a cold and a warm public midpoint step of a quartic energy at |x| = scale.
+
+    The warm start is the probe's: the step of a neighbour, shifted by the
+    difference of the two points.
+    """
+    squares = " + ".join(f"x{a}^2" for a in range(1, 4 * n + 1))
+    system = _system(label, f"0.5*({squares}) + 0.1*x1^4 + 0.05*sin(x2)", n)
+    direction = np.random.default_rng(n).standard_normal(4 * n)
+    x = scale * direction / np.linalg.norm(direction)
+    neighbour = x.copy()
+    neighbour[0] += 2.0**-17 * max(1.0, scale)
+    warm = np.array(step_implicit_midpoint(system, neighbour, 0.05)) + (x - neighbour)
+    for start in (None, warm):
+        yield system, x, np.array(step_implicit_midpoint(system, x, 0.05, start=start))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 0.8, 1e3, 1e7])
@@ -238,25 +263,33 @@ def test_one_more_newton_iteration_moves_the_midpoint_step_within_rounding(label
     # updates predict the rest below 2^-52 |y|; either way one more update,
     # the reference's own, from a cold or a warm start, moves y by at most
     # 2^-51 |y|, about 2 ulp
-    squares = " + ".join(f"x{a}^2" for a in range(1, 4 * n + 1))
-    system = _system(label, f"0.5*({squares}) + 0.1*x1^4 + 0.05*sin(x2)", n)
-    direction = np.random.default_rng(n).standard_normal(4 * n)
-    x = scale * direction / np.linalg.norm(direction)
-    neighbour = x.copy()
-    neighbour[0] += 2.0**-17 * max(1.0, scale)
-    warm = np.array(step_implicit_midpoint(system, neighbour, 0.05)) + (x - neighbour)
-    for start in (None, warm):
-        y = np.array(step_implicit_midpoint(system, x, 0.05, start=start))
+    for system, x, y in _cold_and_warm_steps(label, n, scale):
         update = midpoint_newton_update(system, x, y, 0.05)
         assert np.linalg.norm(update) <= 2.0**-51 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.8, 1e3])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("label", ["F", "G", "H"])
+def test_the_midpoint_step_solves_its_equation_to_rounding(label, n, scale):
+    # the step's contract, whatever solves it: y - x - dt Omega grad H((x + y)/2),
+    # with the oracles' dense Omega and dual-number gradient, is within 4 ulp
+    # of |y| (it reads at most 1.6 ulp).  Not at 1e7: there the quartic term
+    # makes (dt/2)|J| >> 1, which magnifies y's own rounding into a residual of
+    # up to ~6,800 ulp though y is exact to rounding; the one-more-update test
+    # above, which names no solver either, covers that scale
+    for system, x, y in _cold_and_warm_steps(label, n, scale):
+        residual = y - x - 0.05 * (omega_matrix(system) @ dual_gradient(system.hamiltonian, 0.5 * (x + y)))
+        assert np.linalg.norm(residual) <= 4 * 2.0**-52 * np.linalg.norm(y)
 
 
 def test_newton_divergence_reports_a_finite_residual_norm_at_huge_scale(monkeypatch):
     monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
     system = _system("F", text="1e200*x1")
+    x = [1.0, 0.0, 0.0, 0.0]
     with pytest.raises(NewtonDivergenceError) as info:
-        step_implicit_midpoint(system, np.array([1.0, 0.0, 0.0, 0.0]), 0.01)
-    # the first residual is -dt X(x), of norm 1e198; its square overflows
+        dynamics._newton(system, x, 0.01, x)
+    # Newton's first residual is -dt X(x), of norm 1e198; its square overflows
     assert info.value.residual_norm == pytest.approx(1e198, rel=1e-12)
     assert "last residual norm 1.000e+198" in str(info.value)
 

@@ -7,8 +7,8 @@ reports which of those modules are in sys.modules when it is done: an RK4
 run at n = 1 or n = 32, a midpoint run at n = 1, 2 or 4, a batch of both,
 `verify`, `dump`, `import quatflow.cli` and a bare `import quatflow` must
 leave out numpy, `dataclasses`, `inspect`, `argparse`, `gettext` and
-`locale`, and a midpoint run at n = 5 must bring numpy in, which shows the
-import sits where it is claimed.  `typing` is checked under `python -S`
+`locale`, and Newton's solve at n = 5, dynamics._newton called itself, must
+bring numpy in, which shows the import sits where it is claimed.  `typing` is checked under `python -S`
 only, since a site-packages `.pth` file may import it first.
 """
 
@@ -26,6 +26,7 @@ import quatflow
 # the directory that holds the package this suite imports
 SRC = Path(quatflow.__file__).resolve().parents[1]
 # runs the CLI on argv[1:], only imports the CLI on the one argument "cli",
+# runs one Newton solve of the README demo quadratic at n = N on "newton N",
 # or only imports the package when there is none
 PROBE = """
 import json, sys
@@ -33,6 +34,13 @@ import quatflow
 code = None
 if sys.argv[1:] == ["cli"]:
     import quatflow.cli
+elif sys.argv[1:2] == ["newton"]:
+    from quatflow import BlockDim, HamiltonianSystem, parse
+    from quatflow.dynamics import _newton
+    n = int(sys.argv[2])
+    energy = parse("0.5*(" + "+".join(f"x{a}^2" for a in range(1, 4 * n + 1)) + ")", BlockDim(n))
+    x = [1.0] + [0.0] * (4 * n - 1)
+    _newton(HamiltonianSystem.build("F", energy), x, 0.01, x)
 elif len(sys.argv) > 1:
     from quatflow.cli import main
     code = main(sys.argv[1:])
@@ -145,10 +153,10 @@ def test_a_midpoint_run_at_n4_leaves_numpy_unloaded(tmp_path):
     assert (tmp_path / "out" / "mid.diagnostics.json").exists()
 
 
-def test_a_midpoint_run_loads_numpy_for_its_solve(tmp_path):
-    # n = 5: the 20x20 Newton system is past NUMPY_SOLVE_SIZE
-    result = _probe(tmp_path, "run", _config(tmp_path, "implicit_midpoint", 5))
-    assert result["code"] == 0
+def test_newton_loads_numpy_for_its_solve_past_4n_16(tmp_path):
+    # n = 5: the 20x20 Newton system is past NUMPY_SOLVE_SIZE.  Newton's own
+    # solve, since whether a run reaches Newton is the step's decision
+    result = _probe(tmp_path, "newton", "5")
     # numpy itself imports inspect, so only dataclasses is checked here
     assert "numpy" in result["loaded"] and "dataclasses" not in result["loaded"]
 

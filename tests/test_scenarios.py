@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from scenarios import CORPUS, diff_cells, diff_results, load_manifest, run_scenario
+from scenarios import CORPUS, diff_cells, diff_results, diff_stream, load_manifest, run_scenario
 
 SCENARIOS = load_manifest()
 
@@ -61,3 +61,17 @@ def test_result_differ_reports_exit_streams_and_artifacts():
         "s: a.trajectory.csv: only in change",
     ]
     assert diff_results("s", old, old) == []
+
+
+def test_stream_differ_tells_a_figure_move_from_a_message_change():
+    # mixed_midpoint_n2_diverges quotes the last residual of a chaotic
+    # divergence, which any change to the solver's bits moves
+    message = ("error: integration aborted: step 19 failed: implicit midpoint Newton iteration did not converge"
+               " after 50 iterations (last residual norm {})\n")
+    old, new = message.format("3.748e+00"), message.format("3.067e+00")
+    assert diff_stream("stderr", old, new) == ["stderr line 1: figures moved: 3.748e+00 -> 3.067e+00"]
+    reworded = new.replace("did not converge", "diverged")
+    assert diff_stream("stderr", old, reworded) == [f"stderr line 1: {old.rstrip()!r} -> {reworded.rstrip()!r}"]
+    # a coordinate's name is a word, not a figure
+    assert diff_stream("stdout", "x1 = 0.5\nok\n", "x2 = 0.5\nok\n") == ["stdout line 1: 'x1 = 0.5' -> 'x2 = 0.5'"]
+    assert diff_stream("stderr", old, old) == []

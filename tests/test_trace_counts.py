@@ -84,7 +84,8 @@ def test_midpoint_run_makes_whole_newton_iterations(tmp_path, counted, n):
     assert cli.run_config(_config(tmp_path, n, "implicit_midpoint", steps)) == 0
     per_step = step_gradients["implicit_midpoint"]
     assert len(per_step) == steps + 8 * n
-    # a Newton iteration evaluates the field at the midpoint and at 4n bumped points
+    # a Newton iteration evaluates the field at the midpoint and at 4n bumped points;
+    # a run's path, as bench/layers.py counts it, so through the public step
     assert all(count > 0 and count % (4 * n + 1) == 0 for count in per_step)
     assert counts["gradient"] == sum(per_step) + (steps - 1)
     assert counts["evaluate"] == 2 * (steps + 1)
